@@ -9,6 +9,7 @@ the feasibility bounds including the busy period.
 from .bounds import (
     BoundMethod,
     baruah_bound,
+    compare_bounds,
     feasibility_bound,
     george_bound,
     superposition_bound,
@@ -45,6 +46,7 @@ __all__ = [
     "george_bound",
     "superposition_bound",
     "feasibility_bound",
+    "compare_bounds",
     "IntervalQueue",
     "system_load",
     "minimum_processor_speed",

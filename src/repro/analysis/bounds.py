@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..model.components import DemandSource, as_components, total_utilization
 from ..model.numeric import ExactTime
@@ -42,6 +42,7 @@ __all__ = [
     "george_bound",
     "superposition_bound",
     "feasibility_bound",
+    "compare_bounds",
 ]
 
 
@@ -171,3 +172,18 @@ def feasibility_bound(
         # Closed-form bound inapplicable at U == 1: use the busy period.
         return busy_period_of_components(components)
     return bound
+
+
+def compare_bounds(source: DemandSource) -> Dict[str, Optional[ExactTime]]:
+    """All feasibility bounds of *source* side by side (``repro bounds``).
+
+    ``None`` marks an inapplicable bound: ``U >= 1`` for the closed
+    forms, ``U > 1`` for the busy period.
+    """
+    components = as_components(source)
+    return {
+        "baruah": baruah_bound(components),
+        "george": george_bound(components),
+        "superposition": superposition_bound(components),
+        "busy_period": busy_period_of_components(components),
+    }

@@ -48,8 +48,7 @@ from fractions import Fraction
 from typing import Any, List, Optional
 
 from . import __version__
-from .analysis.bounds import BoundMethod
-from .core import compare_bounds
+from .analysis.bounds import BoundMethod, compare_bounds
 from .engine import (
     AnalysisRequest,
     BatchRunner,

@@ -6,13 +6,14 @@
   (Section 4.1, Figure 5).
 * :func:`~repro.core.all_approx.all_approx_test` — the All-Approximated
   exact test (Section 4.2, Figure 7).
-* :func:`~repro.core.bounds.superposition_bound` — the new feasibility
-  bound (Section 4.3).
+* :func:`~repro.analysis.bounds.superposition_bound` — the new
+  feasibility bound (Section 4.3), re-exported here with
+  :func:`~repro.analysis.bounds.compare_bounds`.
 """
 
+from ..analysis.bounds import BoundMethod, compare_bounds, superposition_bound
 from ..result import FailureWitness, FeasibilityResult, Verdict
 from .all_approx import RevisionPolicy, all_approx_test
-from .bounds import BoundMethod, compare_bounds, superposition_bound
 from .dynamic import LevelSchedule, dynamic_test
 from .epsilon import approx_test_with_error, epsilon_to_level
 from .superposition import (

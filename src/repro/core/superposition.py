@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..engine.context import preflight
 from ..model.components import DemandSource, as_components
@@ -133,14 +132,13 @@ def superposition_test(
     the approximation has slope ``U_ready <= U <= 1`` and cannot newly
     cross the capacity line (paper Lemma 3/4), so these checks suffice.
 
-    The walk runs on the compiled kernel's flat arrays (integerized when
-    the system admits a finite scale): heap entries are bare
-    ``(deadline, seq, index)`` tuples on the kernel grid, the exact
-    demand accumulates as a machine integer, and `Fraction` arithmetic
-    only enters once components switch to their linear envelopes.  The
-    push sequence numbers reproduce the FIFO tie-breaking of the
-    component-based implementation, so iteration counts and witnesses
-    are bit-exact.
+    The walk is :meth:`repro.kernel.DemandKernel.superpos_scan` over the
+    whole staircase (window floor 0) — the same walk the online
+    admission controller runs on the window an arrival perturbs.  It
+    runs on the compiled kernel's flat arrays (integerized when the
+    system admits a finite scale) and pops coincident deadlines in the
+    component-based implementation's FIFO order, so iteration counts
+    and witnesses are bit-exact.
 
     Verdicts: FEASIBLE on acceptance, INFEASIBLE only when ``U > 1``,
     UNKNOWN otherwise (a failed sufficient test proves nothing).
@@ -161,64 +159,20 @@ def superposition_test(
     if bound is None:  # pragma: no cover - U > 1 handled above
         raise AssertionError("no finite bound despite U <= 1")
 
-    kernel = ctx.kernel()
-    d0s, periods, wcets, rates = kernel.d0s, kernel.periods, kernel.wcets, kernel.rates
-    bound_s = kernel.inclusive_scaled(bound)
-
-    heap = []
-    seq = 0
-    jobs_queued: List[int] = [0] * kernel.n
-    for idx in range(kernel.n):
-        d0 = d0s[idx]
-        if d0 <= bound_s:
-            heap.append((d0, seq, idx))
-            seq += 1
-            jobs_queued[idx] = 1
-    heapify(heap)
-
-    exact_demand: ExactTime = 0
-    u_ready = Fraction(0)
-    approx_base = Fraction(0)
-    iterations = 0
-    intervals = 0
-    last_interval: Optional[ExactTime] = None
-    while heap:
-        interval, _, idx = heappop(heap)
-        exact_demand += wcets[idx]
-        period = periods[idx]
-        if jobs_queued[idx] < level:
-            if period:
-                nxt = interval + period
-                if nxt <= bound_s:
-                    heappush(heap, (nxt, seq, idx))
-                    seq += 1
-                    jobs_queued[idx] += 1
-        else:
-            # The level-th job was just consumed: approximate from here on.
-            rate = rates[idx]
-            if rate:
-                u_ready += rate
-                approx_base += rate * interval
-        iterations += 1
-        if last_interval != interval:
-            intervals += 1
-            last_interval = interval
-        value = exact_demand + u_ready * interval - approx_base if u_ready else exact_demand
-        if value > interval:
-            return FeasibilityResult(
-                verdict=Verdict.UNKNOWN,
-                test_name=name,
-                iterations=iterations,
-                intervals_checked=intervals,
-                max_level=level,
-                bound=bound,
-                witness=FailureWitness(
-                    interval=kernel.unscale(interval),
-                    demand=_normalize(kernel.unscale(value)),
-                    exact=False,
-                ),
-                details={"utilization": u},
-            )
+    interval, demand, iterations, intervals = ctx.kernel().superpos_scan(
+        level, 0, bound
+    )
+    if interval is not None:
+        return FeasibilityResult(
+            verdict=Verdict.UNKNOWN,
+            test_name=name,
+            iterations=iterations,
+            intervals_checked=intervals,
+            max_level=level,
+            bound=bound,
+            witness=FailureWitness(interval=interval, demand=demand, exact=False),
+            details={"utilization": u},
+        )
     return FeasibilityResult(
         verdict=Verdict.FEASIBLE,
         test_name=name,

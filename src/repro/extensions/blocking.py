@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from ..analysis.bounds import BoundMethod, feasibility_bound
-from ..analysis.intervals import IntervalQueue
+from ..kernel import DemandKernel
 from ..model.components import as_components, total_utilization
 from ..model.numeric import ExactTime, Time, to_exact
 from ..model.taskset import TaskSet
@@ -106,23 +106,13 @@ def srp_blocking_test(
     d_max = max((c.first_deadline for c in components), default=0)
     horizon = max(bound, d_max)
 
-    queue: IntervalQueue[int] = IntervalQueue()
-    for idx, comp in enumerate(components):
-        if comp.first_deadline <= horizon:
-            queue.push(comp.first_deadline, idx)
-
-    demand: ExactTime = 0
+    kernel = DemandKernel(components)
+    points = kernel.points_scaled(kernel.inclusive_scaled(horizon))
     iterations = 0
-    while queue:
-        interval, idx = queue.pop()
-        demand += components[idx].wcet
-        nxt = components[idx].next_deadline_after(interval)
-        if nxt is not None and nxt <= horizon:
-            queue.push(nxt, idx)
-        head = queue.peek()
-        if head is not None and head[0] == interval:
-            continue
+    for interval_s, demand_s in points:
         iterations += 1
+        interval = kernel.unscale(interval_s)
+        demand = kernel.unscale(demand_s)
         block = blocking(interval)
         if demand + block > interval:
             exact_overflow = demand > interval

@@ -90,10 +90,14 @@ class KernelBackend:
         raise BackendUnsupported(self.name)
 
     def qpa_scaled(
-        self, kernel: "DemandKernel", limit_scaled: "ExactTime"
+        self,
+        kernel: "DemandKernel",
+        limit_scaled: "ExactTime",
+        floor_scaled: "ExactTime" = 0,
     ) -> Tuple[str, Optional["ExactTime"], Optional["ExactTime"], int]:
         """Zhang & Burns backward walk from the largest deadline below
-        *limit_scaled*; returns ``(status, t, demand, iterations)`` with
+        *limit_scaled*, stopping FEASIBLE once it steps below
+        *floor_scaled*; returns ``(status, t, demand, iterations)`` with
         status in ``("empty", "infeasible", "feasible")``."""
         raise BackendUnsupported(self.name)
 
@@ -139,8 +143,8 @@ class PurePythonBackend(KernelBackend):
     def first_overflow_scaled(self, kernel, bound_scaled):
         return kernel._first_overflow_scaled_py(bound_scaled)
 
-    def qpa_scaled(self, kernel, limit_scaled):
-        return kernel._qpa_scaled_py(limit_scaled)
+    def qpa_scaled(self, kernel, limit_scaled, floor_scaled=0):
+        return kernel._qpa_scaled_py(limit_scaled, floor_scaled)
 
     def best_ratio_scaled(self, kernel, horizon_scaled, floor):
         return kernel._best_ratio_scaled_py(horizon_scaled, floor)

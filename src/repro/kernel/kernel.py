@@ -21,12 +21,19 @@ factor without giving up exactness:
 * **Flat layout.**  Parameters live in parallel tuples ``(d0s, periods,
   wcets)`` in source order, plus a by-first-deadline sorted view for
   binary searches — no per-step attribute or method dispatch.
-* **Loop-free-of-lookup primitives.**  The four hot operations are
-  provided as tight loops over the flat arrays: :meth:`dbf` /
-  :meth:`dbf_batch`, :meth:`first_overflow` (the merged forward walk of
-  the processor demand test), :meth:`prev_deadline` plus the stateful
+* **Loop-free-of-lookup primitives.**  The hot operations are provided
+  as tight loops over the flat arrays: :meth:`dbf` / :meth:`dbf_batch`,
+  :meth:`first_overflow` (the merged forward walk of the processor
+  demand test), :meth:`prev_deadline` plus the stateful
   :class:`BackwardDeadlineWalker` (QPA's backward steps), and
   :meth:`demand_profile` / :meth:`best_ratio` (load and plotting scans).
+* **One walk per question.**  :meth:`superpos_scan` (the ``SuperPos(x)``
+  heap walk, windowed to ``[lo, hi]``) and :meth:`qpa` with ``floor=``
+  (the backward walk, stopping FEASIBLE below the floor) are the walks
+  both the engine tests (``superposition_test``, ``qpa_test``) and the
+  online :class:`~repro.online.AdmissionController` run: the engine
+  calls them on the whole staircase, the controller on the window an
+  arrival can perturb.
 
 Scaling by a positive constant preserves every comparison the tests
 make (``dbf(I) <= I`` ⇔ ``dbf_s(I_s) <= I_s``), every tie between
@@ -491,36 +498,44 @@ class DemandKernel:
         return BackwardDeadlineWalker(self)
 
     def qpa(
-        self, bound: Time
+        self, bound: Time, floor: Time = 0
     ) -> Tuple[str, Optional[ExactTime], Optional[ExactTime], int]:
-        """The full Zhang & Burns backward walk up to *bound*.
+        """The Zhang & Burns backward walk from *bound* down to *floor*.
 
         Returns ``(status, interval, demand, iterations)`` with status
         ``"empty"`` (no deadline at or below the bound — trivially
         feasible), ``"infeasible"`` (witness interval/demand in original
-        units, exact), or ``"feasible"``.  Dispatches through the active
-        backend: the walk's ``t``-sequence — hence verdicts, witnesses
-        and iteration counts — is identical on every backend; only the
-        per-step evaluation strategy differs.
+        units, exact), or ``"feasible"``.  A walk that steps below
+        *floor* stops FEASIBLE: the caller vouches that no deadline
+        under the floor overflows (the admission controller's window —
+        demand below an arrival's first deadline is the old, feasible
+        system's).  Up to that stop the walk is step-for-step the full
+        one.  Dispatches through the active backend: the walk's
+        ``t``-sequence — hence verdicts, witnesses and iteration counts
+        — is identical on every backend; only the per-step evaluation
+        strategy differs.
         """
         limit = self.exclusive_scaled(bound + 1)
+        floor_s = self.exclusive_scaled(floor) if floor else 0
         record_call()
         _QPA_CALLS.inc()
         with _obs_span("kernel.qpa", n=self.n):
             try:
                 status, t, demand, iterations = get_backend().qpa_scaled(
-                    self, limit
+                    self, limit, floor_s
                 )
             except BackendUnsupported:
                 record_fallback()
-                status, t, demand, iterations = self._qpa_scaled_py(limit)
+                status, t, demand, iterations = self._qpa_scaled_py(
+                    limit, floor_s
+                )
         _QPA_ITERATIONS.observe(iterations)
         if status == "infeasible":
             return status, self.unscale(t), self.unscale(demand), iterations
         return status, None, None, iterations
 
     def _qpa_scaled_py(
-        self, limit_scaled: ExactTime
+        self, limit_scaled: ExactTime, floor_scaled: ExactTime
     ) -> Tuple[str, Optional[ExactTime], Optional[ExactTime], int]:
         """Reference backward walk on the grid (stride-caching walker)."""
         walker = self.backward_walker()
@@ -529,7 +544,7 @@ class DemandKernel:
             return ("empty", None, None, 0)
         min_deadline = self.min_d0_scaled
         iterations = 0
-        while True:
+        while t >= floor_scaled:
             demand = self.dbf_scaled(t)
             iterations += 1
             if demand > t:
@@ -543,6 +558,218 @@ class DemandKernel:
                 if previous is None:
                     return ("feasible", None, None, iterations)
                 t = previous
+        return ("feasible", None, None, iterations)
+
+    # ------------------------------------------------------------------
+    # Superposition walk
+    # ------------------------------------------------------------------
+
+    def superpos_scan(
+        self, level: int, lo: Time, hi: Time
+    ) -> Tuple[Optional[ExactTime], Optional[ExactTime], int, int]:
+        """``SuperPos(level)`` over the change points in ``[lo, hi]``.
+
+        Walks the exact deadlines of each component up to its ``Im``
+        (the *level*-th job) in globally ascending order, keeping the
+        approximated demand as ``exact_jobs + U_ready * I - approx_base``
+        (``U_ready`` sums the rates of components past their ``Im``,
+        ``approx_base`` anchors their linear envelopes), and checks it
+        against the capacity line at every popped deadline.  Coincident
+        deadlines pop in push order (FIFO), the tie order of the
+        component-based reference walk, so iteration counts and
+        witnesses match it exactly.
+
+        The walk starts seeded with its state at the window floor:
+        components whose level-th job falls below *lo* enter already
+        switched to their envelopes, the others with their below-window
+        jobs pre-counted.  With ``lo = 0`` this is the full test of
+        :func:`repro.core.superposition.superposition_test`; a window is
+        sound only under the caller's invariant that every change point
+        below *lo* already passes (the admission controller's
+        ``approx_clean``).
+
+        Returns ``(interval, demand, iterations, intervals)``: the first
+        point where the approximated demand exceeds the interval, in
+        original units and exact (``(None, None, ...)`` on acceptance),
+        the comparisons made, and the distinct intervals checked.
+        """
+        if level < 1:
+            raise ValueError(f"superposition level must be >= 1, got {level}")
+        if not self.n:
+            return None, None, 0, 0
+        lo_s = self.exclusive_scaled(lo) if lo else 0
+        hi_s = self.inclusive_scaled(hi)
+        result = None
+        if self.scale is not None and hi_s.bit_length() < 500:
+            try:
+                result = self._superpos_scan_int(level, lo_s, hi_s)
+            except OverflowError:
+                pass  # a demand too wide for the float screen: walk exactly
+        if result is None:
+            result = self._superpos_scan_exact(level, lo_s, hi_s)
+        interval, demand, iterations, intervals = result
+        if interval is None:
+            return result
+        demand = self.unscale(demand)
+        if isinstance(demand, Fraction) and demand.denominator == 1:
+            demand = demand.numerator
+        return self.unscale(interval), demand, iterations, intervals
+
+    def _superpos_seed(
+        self, level: int, lo_s: ExactTime, hi_s: ExactTime, k: Optional[int]
+    ):
+        """Walk state at the grid window floor *lo_s*.
+
+        Returns ``(heap, queued, exact_demand, u_ready, approx_base)``:
+        one heap entry per component with an in-window deadline, keyed
+        by its index as push sequence (the seeds are pushed in index
+        order), per-component jobs queued so far, and the demand
+        aggregates of the jobs below the floor.  *k* picks the entry
+        format: ``deadline * k + index`` ints for the integer walk,
+        ``(deadline, index)`` tuples when ``None``.
+        """
+        d0s, periods, wcets = self.d0s, self.periods, self.wcets
+        rates = self.rates
+        heap: list = []
+        queued = [0] * self.n
+        exact_demand: ExactTime = 0
+        u_ready = Fraction(0)
+        approx_base = Fraction(0)
+        for idx in range(self.n):
+            d0 = d0s[idx]
+            if d0 > hi_s:
+                continue
+            if d0 >= lo_s:
+                heap.append(d0 * k + idx if k else (d0, idx))
+                queued[idx] = 1
+                continue
+            p = periods[idx]
+            if not p:
+                exact_demand += wcets[idx]
+                continue
+            below = -((d0 - lo_s) // p)  # jobs with deadline < lo_s
+            if below >= level:
+                exact_demand += level * wcets[idx]
+                rate = rates[idx]
+                if rate:
+                    u_ready += rate
+                    approx_base += rate * (d0 + (level - 1) * p)
+                continue
+            exact_demand += below * wcets[idx]
+            nxt = d0 + below * p
+            if nxt <= hi_s:
+                heap.append(nxt * k + idx if k else (nxt, idx))
+                queued[idx] = below + 1
+        heapify(heap)
+        return heap, queued, exact_demand, u_ready, approx_base
+
+    def _superpos_scan_int(self, level: int, lo_s: int, hi_s: int):
+        """Integer-grid walk: encoded-int heap, float-screened checks.
+
+        Heap entries are single ints ``deadline * k + seq``: seeds use
+        their index as push sequence, later pushes ``n, n + 1, ...``,
+        and ``owner[seq]`` maps back to the component (``k = n * level``
+        exceeds every sequence number: a component pushes at most
+        ``level - 1`` jobs past its seed), so ties pop in push order.
+        The envelope comparison runs on floats first: a point passes
+        outright only when it clears the capacity line by a margin (1e-6
+        relative) far above any accumulated rounding error (~1e-12);
+        anything closer is re-decided in exact `Fraction` arithmetic, so
+        acceptance stays a proof and witnesses stay exact.
+        """
+        n = self.n
+        k = n * level
+        heap, queued, exact_demand, u_ready, approx_base = self._superpos_seed(
+            level, lo_s, hi_s, k
+        )
+        wcets, rates = self.wcets, self.rates
+        owner = list(range(n))
+        strides = [p * k for p in self.periods]
+        limit = (hi_s + 1) * k  # e + stride < limit  ⟺  deadline + p <= hi_s
+        have_env = bool(u_ready)
+        u_f = float(u_ready)
+        base_f = float(approx_base)
+        iterations = intervals = 0
+        last = None
+        while heap:
+            entry = heap[0]
+            seq = entry % k
+            interval = entry // k
+            idx = owner[seq]
+            exact_demand += wcets[idx]
+            if queued[idx] < level:
+                stride = strides[idx]
+                if stride and entry + stride < limit:
+                    heapreplace(heap, entry - seq + stride + len(owner))
+                    owner.append(idx)
+                    queued[idx] += 1
+                else:
+                    heappop(heap)
+            else:
+                heappop(heap)
+                rate = rates[idx]
+                if rate:
+                    u_ready += rate
+                    approx_base += rate * interval
+                    u_f = float(u_ready)
+                    base_f = float(approx_base)
+                    have_env = True
+            iterations += 1
+            if interval != last:
+                intervals += 1
+                last = interval
+            if have_env:
+                # approx_base >= 0, so the margin needs no abs().
+                gross = exact_demand + u_f * interval
+                if gross - base_f + 1e-6 * (gross + base_f + 1.0) >= interval:
+                    value = exact_demand + u_ready * interval - approx_base
+                    if value > interval:
+                        return interval, value, iterations, intervals
+            elif exact_demand > interval:
+                return interval, exact_demand, iterations, intervals
+        return None, None, iterations, intervals
+
+    def _superpos_scan_exact(
+        self, level: int, lo_s: ExactTime, hi_s: ExactTime
+    ):
+        """Exact-arithmetic walk: ``(deadline, seq)`` tuple heap with the
+        same push sequences, every comparison in exact `int`/`Fraction`
+        arithmetic (the exact fallback grid, and grids too wide for the
+        float screen)."""
+        heap, queued, exact_demand, u_ready, approx_base = self._superpos_seed(
+            level, lo_s, hi_s, None
+        )
+        periods, wcets, rates = self.periods, self.wcets, self.rates
+        owner = list(range(self.n))
+        iterations = intervals = 0
+        last = None
+        while heap:
+            interval, seq = heappop(heap)
+            idx = owner[seq]
+            exact_demand += wcets[idx]
+            if queued[idx] < level:
+                p = periods[idx]
+                if p and interval + p <= hi_s:
+                    heappush(heap, (interval + p, len(owner)))
+                    owner.append(idx)
+                    queued[idx] += 1
+            else:
+                rate = rates[idx]
+                if rate:
+                    u_ready += rate
+                    approx_base += rate * interval
+            iterations += 1
+            if interval != last:
+                intervals += 1
+                last = interval
+            value = (
+                exact_demand + u_ready * interval - approx_base
+                if u_ready
+                else exact_demand
+            )
+            if value > interval:
+                return interval, value, iterations, intervals
+        return None, None, iterations, intervals
 
 
 class BackwardDeadlineWalker:

@@ -143,7 +143,7 @@ class NumpyBackend(KernelBackend):
         _demand_cap(kernel, bound_scaled)
         return _sweep(arr, int(bound_scaled))
 
-    def qpa_scaled(self, kernel, limit_scaled):
+    def qpa_scaled(self, kernel, limit_scaled, floor_scaled=0):
         arr = _arrays(kernel)
         if limit_scaled >= INT64_CAP:
             raise BackendUnsupported("limit past int64 headroom")
@@ -152,7 +152,7 @@ class NumpyBackend(KernelBackend):
             return ("empty", None, None, 0)
         _work_guard(arr, t)
         _demand_cap(kernel, t)
-        return _qpa_walk(arr, t, int(kernel.min_d0_scaled))
+        return _qpa_walk(arr, t, int(kernel.min_d0_scaled), int(floor_scaled))
 
     def best_ratio_scaled(self, kernel, horizon_scaled, floor):
         arr = _arrays(kernel)
@@ -422,11 +422,12 @@ def _prev_deadline(arr, limit):
 # ----------------------------------------------------------------------
 
 
-def _qpa_walk(arr, t, min_deadline):
+def _qpa_walk(arr, t, min_deadline, floor):
     """The exact QPA recurrence with vectorized step evaluation.
 
     The ``t`` sequence — and with it every verdict, witness and the
-    iteration count — is identical to the pure-python walk; only the
+    iteration count, including the FEASIBLE stop once ``t`` falls below
+    *floor* — is identical to the pure-python walk; only the
     evaluation of ``dbf(t)`` and ``max{d : d < t}`` changes.  Sparse
     phases (big ``t = dbf(t)`` jumps) use whole-array point reductions;
     once :data:`_QPA_DENSE_STEPS` consecutive steps advance by fewer
@@ -445,7 +446,7 @@ def _qpa_walk(arr, t, min_deadline):
     win_cum: List[int] = []
     win_carry = 0
 
-    while True:
+    while t >= floor:
         if win_lo is not None and t >= win_lo:
             at = bisect_right(win_dl, t) - 1
             demand = win_cum[at] if at >= 0 else win_carry
@@ -491,8 +492,7 @@ def _qpa_walk(arr, t, min_deadline):
             )
             budget = min(budget << 2, _SWEEP_BUDGET)
         t = new_t
-
-    # unreachable
+    return ("feasible", None, None, iterations)
 
 
 def _qpa_window(arr, hi, budget):

@@ -45,10 +45,13 @@ from .metrics import (
 )
 from .sampler import ResourceSampler, sample_process
 from .trace import (
+    SpanHandle,
     SpanLog,
     capture_worker_baseline,
     collect_worker_telemetry,
     continue_trace,
+    current_span,
+    current_traceparent,
     format_traceparent,
     is_export_enabled,
     merge_worker_telemetry,
@@ -59,15 +62,10 @@ from .trace import (
     remote_parent,
     render_profile,
     render_trace_tree,
-    set_span_export,
-    span_log,
-)
-from .tracing import (
-    SpanHandle,
-    current_span,
-    current_traceparent,
     set_span_events,
+    set_span_export,
     span,
+    span_log,
 )
 
 __all__ = [

@@ -1,7 +1,21 @@
-"""Trace identity, span export, and cross-process telemetry merging.
+"""Tracing spans, trace identity, span export, and telemetry merging.
 
-This is the layer that makes :mod:`repro.obs.tracing` spans *mean*
-something outside the process that opened them:
+* **Spans** — ``span("engine.analyze", test="qpa")`` opens a
+  contextvars-propagated wall-time scope whose duration lands in the
+  ``repro_span_seconds{span="engine.analyze"}`` histogram.  Nesting is
+  tracked through a :mod:`contextvars` variable, so a span opened inside
+  a worker thread or an asyncio task sees the right parent: the
+  canonical chain here is ``engine.analyze`` → ``kernel.qpa`` →
+  ``backend.analyze_many``.  Span *events* (category ``trace``) carry
+  the full structure — name, parent, depth, duration, attributes — but
+  are **off by default**: the histogram costs two ``perf_counter`` reads
+  and one observe, which the hot paths tolerate, while a per-span event
+  emission would not.  Flip :func:`set_span_events` (or pass
+  ``emit_event=True`` per span) when the narrative matters more than
+  the nanoseconds.
+
+The rest of the module makes those spans *mean* something outside the
+process that opened them:
 
 * **Identity** — W3C-traceparent-style hex ids (``trace_id`` 16 bytes,
   ``span_id`` 8 bytes) formatted as ``00-<trace>-<span>-01`` headers, so
@@ -35,6 +49,7 @@ import json
 import os
 import random
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from typing import (
@@ -47,10 +62,15 @@ from typing import (
     Tuple,
 )
 
-from .events import RotatingJournal, event_log
-from .metrics import is_enabled, registry, state_delta
+from .events import RotatingJournal, emit, event_log
+from .metrics import DEFAULT_BUCKETS, histogram, is_enabled, registry, state_delta
 
 __all__ = [
+    "span",
+    "current_span",
+    "current_traceparent",
+    "SpanHandle",
+    "set_span_events",
     "new_trace_id",
     "new_span_id",
     "format_traceparent",
@@ -361,6 +381,164 @@ _LOG = SpanLog()
 def span_log() -> SpanLog:
     """The process-global span log."""
     return _LOG
+
+
+# ----------------------------------------------------------------------
+# Spans
+# ----------------------------------------------------------------------
+
+_SPAN_SECONDS = histogram(
+    "repro_span_seconds",
+    "Wall time spent inside traced scopes, by span name.",
+    labelnames=("span",),
+    buckets=DEFAULT_BUCKETS,
+)
+
+_CURRENT: contextvars.ContextVar[Optional["SpanHandle"]] = contextvars.ContextVar(
+    "repro_obs_span", default=None
+)
+
+_EMIT_EVENTS = False
+
+
+def set_span_events(flag: bool) -> bool:
+    """Globally toggle per-span trace events; returns the prior state."""
+    global _EMIT_EVENTS
+    previous = _EMIT_EVENTS
+    _EMIT_EVENTS = bool(flag)
+    return previous
+
+
+class SpanHandle:
+    """The live scope a ``with span(...)`` block exposes.
+
+    Every handle carries trace identity: the ``trace_id`` is inherited
+    from the local parent span, else from a remote parent installed by
+    :func:`continue_trace`, else freshly originated — one trace per CLI
+    invocation / HTTP request / detached job.
+    """
+
+    __slots__ = (
+        "name",
+        "attrs",
+        "parent",
+        "depth",
+        "duration",
+        "trace_id",
+        "span_id",
+        "parent_id",
+        "start_ts",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        attrs: Dict[str, Any],
+        parent: Optional["SpanHandle"],
+    ) -> None:
+        self.name = name
+        self.attrs = attrs
+        self.parent = parent
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.duration: Optional[float] = None
+        if parent is not None:
+            self.trace_id = parent.trace_id
+            self.parent_id: Optional[str] = parent.span_id
+        else:
+            remote = remote_parent()
+            if remote is not None:
+                self.trace_id, self.parent_id = remote
+            else:
+                self.trace_id = new_trace_id()
+                self.parent_id = None
+        self.span_id = new_span_id()
+        self.start_ts = time.time()
+
+    @property
+    def traceparent(self) -> str:
+        """The header value that continues this span's trace elsewhere."""
+        return format_traceparent(self.trace_id, self.span_id)
+
+
+def current_span() -> Optional[SpanHandle]:
+    """The innermost open span of the calling context, if any."""
+    return _CURRENT.get()
+
+
+def current_traceparent() -> Optional[str]:
+    """The traceparent header for the calling context, if any.
+
+    Prefers the innermost open span; falls back to a remote parent
+    installed by :func:`continue_trace`.  ``None`` means no trace is
+    active — callers originate one if they need it.
+    """
+    handle = _CURRENT.get()
+    if handle is not None:
+        return handle.traceparent
+    remote = remote_parent()
+    if remote is not None:
+        return format_traceparent(*remote)
+    return None
+
+
+# Cache the histogram children: span names are a small closed set and
+# the labels() dict hit is the only per-span lookup we allow.
+_CHILDREN: Dict[str, Any] = {}
+
+
+def _child(name: str):
+    child = _CHILDREN.get(name)
+    if child is None:
+        child = _SPAN_SECONDS.labels(name)
+        _CHILDREN[name] = child
+    return child
+
+
+@contextmanager
+def span(
+    name: str, emit_event: Optional[bool] = None, **attrs: Any
+) -> Iterator[Optional[SpanHandle]]:
+    """Time a scope into ``repro_span_seconds`` and propagate nesting.
+
+    Yields the open :class:`SpanHandle` (or ``None`` when observability
+    is disabled — callers must not rely on the handle).  Duration is
+    recorded on *every* exit, exceptional or not: a crashing analysis
+    still spends the time.
+    """
+    if not is_enabled():
+        yield None
+        return
+    handle = SpanHandle(name, attrs, _CURRENT.get())
+    token = _CURRENT.set(handle)
+    start = time.perf_counter()
+    try:
+        yield handle
+    finally:
+        duration = time.perf_counter() - start
+        handle.duration = duration
+        _CURRENT.reset(token)
+        _child(name).observe(duration)
+        if is_export_enabled():
+            span_log().record(
+                {
+                    "trace_id": handle.trace_id,
+                    "span_id": handle.span_id,
+                    "parent_id": handle.parent_id,
+                    "name": name,
+                    "start": handle.start_ts,
+                    "duration": duration,
+                    "attrs": attrs,
+                }
+            )
+        if _EMIT_EVENTS if emit_event is None else emit_event:
+            emit(
+                "trace",
+                name,
+                duration_seconds=duration,
+                parent=handle.parent.name if handle.parent else None,
+                depth=handle.depth,
+                **attrs,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -20,15 +20,18 @@ staged pipeline whose per-event cost is far below a from-scratch
    can perturb — ``[d0_new, bound]`` — are walked, seeded with the
    aggregate walk state at the window floor.  An event that needs the
    exact stage dirties the window; the next full filter pass that
-   succeeds re-establishes it.
+   succeeds re-establishes it.  The walk is the kernel's
+   :meth:`~repro.kernel.DemandKernel.superpos_scan`, the one the engine's
+   ``superpos`` test runs with the window floor at 0.
 3. **Exact confirmation** — QPA restricted to the perturbed demand
    window.  The controller's invariant is that the admitted system is
    exactly feasible, i.e. ``dbf(t) <= t`` for *all* ``t``; an arrival
    only changes demand at ``t >= d0_new``, so the backward QPA walk can
    stop with a FEASIBLE verdict as soon as it steps below the window
-   floor.  Up to that early exit the walk is step-for-step the engine's
-   ``qpa`` test on the same bound, so rejections carry the same
-   witness a from-scratch run would produce.
+   floor — :meth:`~repro.kernel.DemandKernel.qpa` with ``floor=``.  Up
+   to that early exit the walk is step-for-step the engine's ``qpa``
+   test on the same bound, so rejections carry the same witness a
+   from-scratch run would produce.
 
 The system lives in an :class:`~repro.kernel.incremental.IncrementalKernel`
 — arrivals merge one component's scaled stride triple into the compiled
@@ -51,7 +54,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.busy_period import busy_period_of_components
@@ -71,10 +73,9 @@ __all__ = ["AdmissionController", "AdmissionDecision", "Stage"]
 # Per-stage accept/reject tallies and iteration distributions: the
 # approximation-stage hit rates are the quantities the paper's
 # staged-pipeline efficiency argument is about, so they are first-class
-# series.  Everything is recorded once per *event* inside _decide — the
-# scans themselves stay uninstrumented.  The exact stage additionally
-# feeds the shared QPA iteration histogram (same series the engine's
-# qpa test populates; registration is idempotent by name).
+# series.  Everything is recorded once per *event* inside _decide.  The
+# exact stage's walk is the kernel's ``qpa``, which feeds the shared QPA
+# iteration histogram itself (the series the engine's qpa test fills).
 _DECISIONS = _obs_counter(
     "repro_admission_decisions_total",
     "Admission decisions, by pipeline stage and outcome.",
@@ -90,11 +91,6 @@ _DECISION_SECONDS = _obs_histogram(
     "repro_admission_decision_seconds",
     "Wall time per admission decision.",
     buckets=DEFAULT_BUCKETS,
-)
-_EXACT_QPA_ITERATIONS = _obs_histogram(
-    "repro_kernel_qpa_iterations",
-    "dbf evaluations per QPA backward walk.",
-    buckets=ITERATION_BUCKETS,
 )
 
 
@@ -342,18 +338,16 @@ class AdmissionController:
             kernel.add(component)
         self._accrete(components)
         window_floor = min(c.first_deadline for c in components)
-        lo_s = kernel.inclusive_scaled(window_floor)
         iterations = 0
         if self.level is not None:
             filter_bound = self._filter_bound()
-            ok, steps = _superpos_scan(
-                kernel,
+            failed, _, steps, _ = kernel.superpos_scan(
                 self.level,
-                lo_s if self._approx_clean else 0,
-                kernel.inclusive_scaled(filter_bound),
+                window_floor if self._approx_clean else 0,
+                filter_bound,
             )
             iterations += steps
-            if ok:
+            if failed is None:
                 self._approx_clean = True
                 self._install(handle, components)
                 self._count(Stage.FILTER)
@@ -362,11 +356,10 @@ class AdmissionController:
                     start, iterations=iterations, bound=filter_bound,
                 )
         bound = self._best_bound()
-        feasible, steps, witness = _qpa_scan(kernel, bound, lo_s)
-        _EXACT_QPA_ITERATIONS.observe(steps)
+        status, interval, demand, steps = kernel.qpa(bound, floor=window_floor)
         iterations += steps
         self._count(Stage.EXACT)
-        if not feasible:
+        if status == "infeasible":
             kernel.remove_span(span_start, len(components))
             self._accrete(components, sign=-1)
             if kernel.scale != scale_before:
@@ -377,7 +370,8 @@ class AdmissionController:
                 self._kernel = IncrementalKernel(self._components)
             return self._decide(
                 "arrive", handle, False, Verdict.INFEASIBLE, Stage.EXACT,
-                start, iterations=iterations, bound=bound, witness=witness,
+                start, iterations=iterations, bound=bound,
+                witness=FailureWitness(interval=interval, demand=demand, exact=True),
             )
         # Admitted past the filter: the approximate predicate is not
         # known to hold any more — the window is dirty until a full
@@ -464,18 +458,16 @@ class AdmissionController:
         self._accrete(components)
         clean = False
         if self.level is not None:
-            clean, _ = _superpos_scan(
-                self._kernel,
-                self.level,
-                0,
-                self._kernel.inclusive_scaled(self._filter_bound()),
+            failed, _, _, _ = self._kernel.superpos_scan(
+                self.level, 0, self._filter_bound()
             )
+            clean = failed is None
         if not clean:
-            feasible, _, witness = _qpa_scan(self._kernel, self._best_bound(), 0)
-            if not feasible:
+            status, interval, demand, _ = self._kernel.qpa(self._best_bound())
+            if status == "infeasible":
                 raise ModelError(
                     "initial system is infeasible "
-                    f"(dbf({witness.interval}) = {witness.demand}); an "
+                    f"(dbf({interval}) = {demand}); an "
                     "admission controller must start from a feasible system"
                 )
         self._approx_clean = clean
@@ -617,238 +609,3 @@ class AdmissionController:
                 )
             )
         return out
-
-
-# ---------------------------------------------------------------------------
-# Windowed walks (module-level: they operate on a kernel, not a controller)
-# ---------------------------------------------------------------------------
-
-
-def _superpos_scan(
-    kernel: IncrementalKernel,
-    level: int,
-    lo_s: ExactTime,
-    hi_s: ExactTime,
-) -> Tuple[bool, int]:
-    """``SuperPos(level)`` over the change points in ``[lo_s, hi_s]``.
-
-    The walk of :func:`repro.core.superposition.superposition_test`,
-    seeded with the aggregate state at the window floor: components
-    whose level-th job falls below ``lo_s`` enter already switched to
-    their linear envelopes, the others have their below-window jobs
-    pre-counted.  With ``lo_s = 0`` this is the full test.  Sound for a
-    window only under the caller's invariant that every change point
-    below ``lo_s`` already satisfies the approximate demand check.
-
-    On the integerized grid the walk uses the kernel's encoded-int heap
-    layout plus a guarded float fast path for the envelope comparison:
-    a point passes on the float value only when it clears the capacity
-    line by more than a tolerance that dominates every accumulated
-    rounding error; anything closer is re-decided in exact `Fraction`
-    arithmetic (maintained alongside, updated only on envelope
-    switches).  Acceptance therefore stays a feasibility proof.
-
-    Returns ``(accepted, comparisons)``.
-    """
-    if not kernel.n:
-        return True, 0
-    if kernel.scale is not None and hi_s.bit_length() < 500:
-        return _superpos_scan_int(kernel, level, lo_s, hi_s)
-    return _superpos_scan_generic(kernel, level, lo_s, hi_s)
-
-
-def _superpos_scan_int(
-    kernel: IncrementalKernel,
-    level: int,
-    lo_s: int,
-    hi_s: int,
-) -> Tuple[bool, int]:
-    """Integer-grid scan: encoded-int heap, float-screened checks."""
-    d0s, periods, wcets = kernel.d0s, kernel.periods, kernel.wcets
-    rates = kernel.rates
-    n = kernel.n
-    heap: List[int] = []
-    jobs_queued = [0] * n
-    exact_demand = 0
-    u_ready = Fraction(0)
-    approx_base = Fraction(0)
-    for idx in range(n):
-        d0 = d0s[idx]
-        if d0 > hi_s:
-            continue
-        p = periods[idx]
-        if d0 >= lo_s:
-            heap.append(d0 * n + idx)
-            jobs_queued[idx] = 1
-            continue
-        if not p:
-            exact_demand += wcets[idx]
-            continue
-        below = -((d0 - lo_s) // p)  # jobs with deadline < lo_s
-        if below >= level:
-            exact_demand += level * wcets[idx]
-            rate = rates[idx]
-            if rate:
-                u_ready += rate
-                approx_base += rate * (d0 + (level - 1) * p)
-            continue
-        exact_demand += below * wcets[idx]
-        nxt = d0 + below * p
-        if nxt <= hi_s:
-            heap.append(nxt * n + idx)
-            jobs_queued[idx] = below + 1
-    heapify(heap)
-    have_env = bool(u_ready)
-    u_f = float(u_ready) if have_env else 0.0
-    base_f = float(approx_base) if have_env else 0.0
-    strides = [p * n for p in periods]
-    limit = (hi_s + 1) * n  # e + stride < limit  ⟺  deadline + p <= hi_s
-    iterations = 0
-    while heap:
-        entry = heap[0]
-        idx = entry % n
-        exact_demand += wcets[idx]
-        if jobs_queued[idx] < level:
-            stride = strides[idx]
-            if stride and entry + stride < limit:
-                heapreplace(heap, entry + stride)
-                jobs_queued[idx] += 1
-            else:
-                heappop(heap)
-        else:
-            heappop(heap)
-            rate = rates[idx]
-            if rate:
-                u_ready += rate
-                approx_base += rate * (entry // n)
-                u_f = float(u_ready)
-                base_f = float(approx_base)
-                have_env = True
-        iterations += 1
-        interval = entry // n
-        if have_env:
-            # Float screen: pass outright only with a margin far above
-            # any accumulated rounding error; near the line, decide
-            # exactly.  (1e-6 relative, against a true error <~ 1e-12.)
-            envelope = u_f * interval
-            value_f = exact_demand + envelope - base_f
-            tolerance = 1e-6 * (exact_demand + envelope + abs(base_f) + 1.0)
-            if value_f + tolerance >= interval:
-                value = exact_demand + u_ready * interval - approx_base
-                if value > interval:
-                    return False, iterations
-        elif exact_demand > interval:
-            return False, iterations
-    return True, iterations
-
-
-def _superpos_scan_generic(
-    kernel: IncrementalKernel,
-    level: int,
-    lo_s: ExactTime,
-    hi_s: ExactTime,
-) -> Tuple[bool, int]:
-    """Exact-arithmetic scan for the fallback grid (Fraction values)."""
-    d0s, periods, wcets = kernel.d0s, kernel.periods, kernel.wcets
-    rates = kernel.rates
-    heap: List[Tuple[ExactTime, int, int]] = []
-    seq = 0
-    jobs_queued = [0] * kernel.n
-    exact_demand: ExactTime = 0
-    u_ready = Fraction(0)
-    approx_base = Fraction(0)
-    for idx in range(kernel.n):
-        d0 = d0s[idx]
-        if d0 > hi_s:
-            continue
-        p = periods[idx]
-        if d0 >= lo_s:
-            heap.append((d0, seq, idx))
-            seq += 1
-            jobs_queued[idx] = 1
-            continue
-        if not p:
-            exact_demand += wcets[idx]
-            continue
-        below = -((d0 - lo_s) // p)  # jobs with deadline < lo_s
-        if below >= level:
-            exact_demand += level * wcets[idx]
-            rate = rates[idx]
-            if rate:
-                u_ready += rate
-                approx_base += rate * (d0 + (level - 1) * p)
-            continue
-        exact_demand += below * wcets[idx]
-        nxt = d0 + below * p
-        if nxt <= hi_s:
-            heap.append((nxt, seq, idx))
-            seq += 1
-            jobs_queued[idx] = below + 1
-    heapify(heap)
-    iterations = 0
-    while heap:
-        interval, _, idx = heappop(heap)
-        exact_demand += wcets[idx]
-        p = periods[idx]
-        if jobs_queued[idx] < level:
-            if p:
-                nxt = interval + p
-                if nxt <= hi_s:
-                    heappush(heap, (nxt, seq, idx))
-                    seq += 1
-                    jobs_queued[idx] += 1
-        else:
-            rate = rates[idx]
-            if rate:
-                u_ready += rate
-                approx_base += rate * interval
-        iterations += 1
-        value = (
-            exact_demand + u_ready * interval - approx_base
-            if u_ready
-            else exact_demand
-        )
-        if value > interval:
-            return False, iterations
-    return True, iterations
-
-
-def _qpa_scan(
-    kernel: IncrementalKernel,
-    bound: ExactTime,
-    lo_s: ExactTime,
-) -> Tuple[bool, int, Optional[FailureWitness]]:
-    """QPA backward walk under *bound*, stopping early below ``lo_s``.
-
-    Identical step-for-step to :func:`repro.analysis.qpa.qpa_test` on
-    the same bound, except that stepping strictly below the window floor
-    concludes FEASIBLE immediately: demand below ``lo_s`` is the
-    unchanged old system's, which the controller's invariant already
-    proves fits.  With ``lo_s = 0`` this is the full exact test.
-
-    Returns ``(feasible, dbf evaluations, witness)``.
-    """
-    if not kernel.n:
-        return True, 0, None
-    dbf_scaled = kernel.dbf_scaled
-    min_deadline = kernel.min_d0_scaled
-    walker = kernel.backward_walker()
-    t = walker.prev_scaled(kernel.exclusive_scaled(bound + 1))
-    iterations = 0
-    while t is not None and t >= lo_s:
-        demand = dbf_scaled(t)
-        iterations += 1
-        if demand > t:
-            witness = FailureWitness(
-                interval=kernel.unscale(t),
-                demand=kernel.unscale(demand),
-                exact=True,
-            )
-            return False, iterations, witness
-        if demand <= min_deadline:
-            return True, iterations, None
-        if demand < t:
-            t = demand
-        else:
-            t = walker.prev_scaled(t)
-    return True, iterations, None

@@ -265,6 +265,43 @@ def test_numpy_registry_results_match_prekernel_references(index):
         assert qpa.witness is None
 
 
+def _vectorized_qpa_components(seed, slack):
+    """300 integer tasks at U ~ 0.99, deadlines down to *slack* percent
+    of the period: enough jobs per walk to clear ``_MIN_VECTOR_JOBS``."""
+    rng = random.Random(seed)
+    comps = []
+    for _ in range(300):
+        period = rng.randint(1_000, 20_000)
+        wcet = max(1, period * rng.randint(31, 35) // 10_000)
+        deadline = max(wcet, period * rng.randint(slack, 100) // 100)
+        comps.append(DemandComponent(wcet=wcet, first_deadline=deadline, period=period))
+    return as_components(comps)
+
+
+@needs_numpy
+def test_qpa_floor_parity_on_vectorized_walks():
+    """``qpa(bound, floor=f)``: identical status, witness and iterations
+    on python and numpy, with numpy serving every call (no fallback)."""
+    statuses = set()
+    cut_short = 0
+    for seed, slack in ((0, 5), (1, 5), (2, 15), (3, 25)):
+        comps = _vectorized_qpa_components(seed, slack)
+        bound = AnalysisContext.of(comps).bound(BoundMethod.BEST)
+        kernel = DemandKernel(comps)
+        d0s = sorted(kernel.d0s)
+        floors = [0, d0s[len(d0s) // 2], d0s[-1], bound // 2, bound + 1]
+        set_backend("python")
+        expected = [kernel.qpa(bound, floor=f) for f in floors]
+        set_backend("numpy")
+        reset_backend_stats()
+        assert [kernel.qpa(bound, floor=f) for f in floors] == expected, seed
+        assert backend_info()["fallbacks"] == 0
+        statuses.update(status for status, _, _, _ in expected)
+        cut_short += sum(result[3] < expected[0][3] for result in expected)
+    assert statuses == {"infeasible", "feasible"}
+    assert cut_short > 0  # some floors stopped the walk early
+
+
 # ----------------------------------------------------------------------
 # Fallback envelopes: exact-path and near-int64 sets
 # ----------------------------------------------------------------------

@@ -184,6 +184,40 @@ class TestWalkerStrideCache:
         assert seen == [17, 12, 7, 3, 2]
 
 
+class TestQpaFloor:
+    def test_walk_stops_feasible_once_below_the_floor(self):
+        # dbf(1) = 2 overflows; the walk from 12 visits 10, 3, 2, 1.
+        kernel = DemandKernel(
+            as_components([DemandComponent(2, 1), DemandComponent(1, 10, 10)])
+        )
+        assert kernel.qpa(12) == ("infeasible", 1, 2, 4)
+        assert kernel.qpa(12, floor=1) == ("infeasible", 1, 2, 4)
+        assert kernel.qpa(12, floor=2) == ("feasible", None, None, 3)
+        assert kernel.qpa(12, floor=Fraction(7, 2)) == ("feasible", None, None, 1)
+        assert kernel.qpa(12, floor=11) == ("feasible", None, None, 0)
+        assert DemandKernel(()).qpa(5, floor=2) == ("empty", None, None, 0)
+
+
+class TestSuperposScan:
+    def test_demand_too_wide_for_floats_walks_exactly(self):
+        # After the first job switches to its envelope, the one-shot's
+        # 2**1100 demand cannot enter the float screen.
+        huge = 1 << 1100
+        kernel = DemandKernel(
+            as_components(
+                [DemandComponent(1, 1, 2), DemandComponent(wcet=huge, first_deadline=2)]
+            )
+        )
+        with pytest.raises(OverflowError):
+            kernel._superpos_scan_int(1, 0, 10)
+        assert kernel.superpos_scan(1, 0, 10) == (2, huge + Fraction(3, 2), 2, 2)
+
+    def test_rejects_level_zero_and_accepts_empty_systems(self):
+        with pytest.raises(ValueError, match="level"):
+            DemandKernel(_mixed_components()).superpos_scan(0, 0, 10)
+        assert DemandKernel(()).superpos_scan(3, 0, 10) == (None, None, 0, 0)
+
+
 class TestContextIntegration:
     def test_kernel_cached_on_context(self):
         clear_context_cache()

@@ -343,3 +343,92 @@ def test_superposition_family_parity(index):
             assert result.witness.demand == w_demand
         else:
             assert result.witness is None
+
+
+#: Sets (tasks as (C, D, T), T None for one-shots) where popping
+#: coincident deadlines in index order instead of push order would
+#: change the failing iteration and the witness demand — 3 of 13,493
+#: random small sets at U < 1; the random population holds none.
+_TIE_ORDER_SETS = [
+    ([(2, 6, None), (2, 6, 7), (1, 4, 3), (2, 10, None), (3, 10, 15)], 3),
+    ([(3, 3, None), (3, 9, None), (1, 6, 3), (2, 5, 13), (3, 9, 6)], 2),
+    ([(3, 3, 5), (1, 4, 4), (2, 8, None)], 2),
+]
+
+
+@pytest.mark.parametrize("spec, level", _TIE_ORDER_SETS)
+def test_superposition_ties_pop_in_push_order(spec, level):
+    comps = as_components(
+        [DemandComponent(wcet=c, first_deadline=d, period=t) for c, d, t in spec]
+    )
+    clear_context_cache()
+    ctx = AnalysisContext.of(comps)
+    bound = ctx.bound(BoundMethod.SUPERPOSITION)
+    result = superposition_test(ctx, level)
+    verdict, w_interval, w_demand, its, ivs = reference_superposition(ctx, level, bound)
+    assert verdict == "unknown"
+    assert (result.verdict.value, result.iterations, result.intervals_checked) == (
+        verdict,
+        its,
+        ivs,
+    )
+    assert (result.witness.interval, result.witness.demand) == (w_interval, w_demand)
+    kernel = ctx.kernel()
+    bound_s = kernel.inclusive_scaled(bound)
+    assert kernel._superpos_scan_exact(level, 0, bound_s) == kernel._superpos_scan_int(
+        level, 0, bound_s
+    )
+
+
+@pytest.mark.parametrize("index", range(0, SET_COUNT, 4))
+def test_superpos_scan_integer_and_exact_walks_agree_on_windows(index):
+    """The float-screened integer walk and the exact tuple walk pop in
+    the same FIFO order from the same window seeds: identical results
+    for every window floor, not only the engine's ``lo = 0``."""
+    kernel = DemandKernel(_POPULATION[index])
+    hi_s = kernel.inclusive_scaled(80)
+    floors = sorted({0, *kernel.d0s[:4], max(kernel.d0s) + 1})
+    for level in (1, 3):
+        for lo_s in floors:
+            assert kernel._superpos_scan_int(
+                level, lo_s, hi_s
+            ) == kernel._superpos_scan_exact(level, lo_s, hi_s), (index, level, lo_s)
+
+
+def test_superposition_parity_on_the_exact_grid():
+    """Systems whose denominators push the scale past SCALE_CAP walk the
+    exact path; it must match the component-based reference too."""
+    primes = [(1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1]
+    base = [
+        DemandComponent(wcet=Fraction(1, p), first_deadline=Fraction(4, p) + i, period=3 + i)
+        for i, p in enumerate(primes)
+    ] + [
+        DemandComponent(wcet=1, first_deadline=5, period=8),
+        DemandComponent(wcet=1, first_deadline=5, period=6),
+        DemandComponent(wcet=Fraction(1, 2), first_deadline=5),
+    ]
+    extras = [
+        [],
+        [DemandComponent(wcet=3, first_deadline=4, period=10)],
+        [  # SuperPos(1) fails, SuperPos(3) accepts
+            DemandComponent(wcet=2, first_deadline=6, period=9),
+            DemandComponent(wcet=2, first_deadline=7, period=7),
+        ],
+    ]
+    outcomes = set()
+    for extra in extras:
+        clear_context_cache()
+        ctx = AnalysisContext.of(as_components(base + extra))
+        assert ctx.kernel().scale is None
+        for level in (1, 3):
+            result = superposition_test(ctx, level)
+            verdict, w_interval, w_demand, its, ivs = reference_superposition(
+                ctx, level, ctx.bound(BoundMethod.SUPERPOSITION)
+            )
+            outcomes.add(verdict)
+            assert result.verdict.value == verdict
+            assert (result.iterations, result.intervals_checked) == (its, ivs)
+            if w_interval is not None:
+                assert result.witness.interval == w_interval
+                assert result.witness.demand == w_demand
+    assert outcomes == {"feasible", "unknown"}

@@ -1,4 +1,4 @@
-"""Unit tests for tracing spans (repro.obs.tracing)."""
+"""Unit tests for tracing spans (repro.obs.trace)."""
 
 from repro.obs import (
     current_span,

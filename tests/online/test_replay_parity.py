@@ -117,7 +117,7 @@ class TestChurnParity:
 
     def test_oracle_catches_a_wrong_verdict(self, monkeypatch):
         """The oracle is live: force a bogus accept and watch it fire."""
-        from repro.online import controller as controller_module
+        from repro.kernel import IncrementalKernel
 
         from repro.model import SporadicTask
         from repro.online import ArrivalEvent, Trace
@@ -131,17 +131,19 @@ class TestChurnParity:
                 ArrivalEvent.arrive("b", task, time=1),
             ]
         )
-        # Lobotomize the filter and the exact scan: every arrival that
-        # passes the utilization gate is admitted, feasible or not.
+        # Lobotomize the filter and the exact walk on the controller's
+        # live kernel (the oracle's fresh DemandKernel stays honest):
+        # every arrival that passes the utilization gate is admitted,
+        # feasible or not.
         monkeypatch.setattr(
-            controller_module,
-            "_superpos_scan",
-            lambda kernel, level, lo_s, hi_s: (True, 0),
+            IncrementalKernel,
+            "superpos_scan",
+            lambda kernel, level, lo, hi: (None, None, 0, 0),
         )
         monkeypatch.setattr(
-            controller_module,
-            "_qpa_scan",
-            lambda kernel, bound, lo_s: (True, 0, None),
+            IncrementalKernel,
+            "qpa",
+            lambda kernel, bound, floor=0: ("feasible", None, None, 0),
         )
         with pytest.raises(ParityError):
             replay(trace, oracle=True)
