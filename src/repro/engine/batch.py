@@ -214,6 +214,7 @@ class BatchRunner:
         for request in batch:
             try:
                 key: Any = (request.test, tuple(sorted(request.options.items())))
+                hash(key)
             except TypeError:  # unhashable option value
                 key = None
             entry = resolved.get(key) if key is not None else None

@@ -23,13 +23,16 @@ Failure handling is layered, cheapest first:
 * **Retry exhaustion** writes a dead-letter record, then executes the
   shard locally so the campaign still completes.
 * **Zero workers** degrades to local in-process execution entirely.
+* **Sources that cannot travel** (anything but a
+  :class:`~repro.model.taskset.TaskSet`, e.g. the plain task list a
+  ``BatchRunner`` also accepts) run on the same local backstop.
 
 Correctness under all of this rests on idempotent re-execution: tests
 are deterministic and settlement is first-writer-wins per campaign
 index, so a late response from a stalled worker racing its own retry
-is simply dropped.  Worker telemetry deltas are merged (with
-``worker=`` provenance, PR 8 primitives) only when a response settles
-at least one new index — replays never double-count engine metrics.
+is simply dropped.  Shard responses carry results only: worker
+telemetry reaches the coordinator through the scraper (below), whose
+absolute state documents and resume cursors cannot double-count.
 
 :class:`FleetRunner` adapts the coordinator to the
 :class:`~repro.service.jobs.JobQueue` ``runner`` seam, which is how
@@ -38,11 +41,12 @@ keeping the queue's store consult/write-through (write-once results
 keyed by fingerprint+test+options) for free.
 
 The coordinator also owns the fleet telemetry plane
-(:mod:`repro.fleet.telemetry`): a :class:`FleetScraper` thread pulls
-every alive worker's ``/v1/metrics``/``/v1/events``/``/v1/traces`` on a
-heartbeat-aligned cadence into a :class:`FleetTelemetry` merged store,
-which backs ``/v1/fleet/metrics``/``/v1/fleet/events`` and the
-``telemetry`` section of :meth:`Coordinator.snapshot`.
+(:mod:`repro.fleet.telemetry`), the one channel for worker telemetry:
+a :class:`FleetScraper` thread pulls every alive worker's
+``/v1/metrics``/``/v1/events``/``/v1/traces`` on a heartbeat-aligned
+cadence into a :class:`FleetTelemetry` merged store, which backs
+``/v1/fleet/*``, the worker spans joined into ``/v1/traces/{id}``, and
+the ``telemetry`` section of :meth:`Coordinator.snapshot`.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from ..obs import (
     current_traceparent,
     emit as _obs_emit,
     gauge as _obs_gauge,
-    merge_worker_telemetry,
 )
 from ..obs import continue_trace as _obs_continue_trace
 from ..obs import span as _obs_span
@@ -117,8 +120,7 @@ class DeadLetter:
 
 class CampaignRun:
     """Mutable state of one in-flight campaign: first-writer-wins
-    settlement per request index, completion signalling, telemetry
-    merge gating."""
+    settlement per request index and completion signalling."""
 
     def __init__(self, size: int, traceparent: Optional[str]) -> None:
         self.size = size
@@ -151,11 +153,9 @@ class CampaignRun:
                     live.append(RequestGroup(key=group.key, entries=entries))
         return live
 
-    def settle_wire(self, payload: Dict[str, Any], worker: str) -> int:
+    def settle_wire(self, payload: Dict[str, Any]) -> int:
         """Settle a worker's shard response; returns how many indices
-        were *newly* settled.  Telemetry is merged (``worker=``
-        provenance) only when that count is positive, so a replayed
-        shard racing its retry cannot double-count engine metrics."""
+        were *newly* settled."""
         newly = 0
         with self._lock:
             for item in payload.get("results", []):
@@ -169,8 +169,6 @@ class CampaignRun:
                     self.replays_dropped += 1
             self._pending -= newly
             done = self._pending == 0
-        if newly:
-            merge_worker_telemetry(payload.get("telemetry"))
         if done:
             self._done.set()
         return newly
@@ -180,8 +178,7 @@ class CampaignRun:
         entries: Sequence[Any],
         results: Sequence[FeasibilityResult],
     ) -> int:
-        """Settle locally-executed results (already in-process — no
-        telemetry merge needed, the metrics were recorded directly)."""
+        """Settle locally-executed results."""
         newly = 0
         with self._lock:
             for entry, result in zip(entries, results):
@@ -508,12 +505,18 @@ class Coordinator:
                 # Declared dead while queued: place elsewhere, free.
                 self._place(run, live, shard.attempts)
                 continue
+            try:
+                body = shard_to_wire(shard)
+            except TypeError:
+                # A source only this process can read: run it here.
+                self._run_local(run, live)
+                continue
             with self._lock:
                 inflight = self._inflight.get(worker_id)
                 if inflight is not None:
                     inflight[shard.id] = (run, shard)
             try:
-                payload = client.fleet_shard(shard_to_wire(shard))
+                payload = client.fleet_shard(body)
             except TransientServiceError as err:
                 self._clear_inflight(worker_id, shard.id)
                 self._note_failure(worker_id)
@@ -532,7 +535,7 @@ class Coordinator:
                 self._retry(run, shard, live, worker_id, err)
                 continue
             self._clear_inflight(worker_id, shard.id)
-            newly = run.settle_wire(payload, worker=worker_id)
+            newly = run.settle_wire(payload)
             self.workers.note_shard(worker_id, ok=True)
             _SHARD_EVENTS.labels("completed" if newly else "stale").inc()
 
@@ -668,9 +671,10 @@ class Coordinator:
     def _run_local(
         self, run: CampaignRun, groups: Sequence[RequestGroup]
     ) -> None:
-        """Execute *groups* in-process (zero-worker degradation and the
-        dead-letter backstop).  Runs under the campaign's trace with
-        ``worker="local"`` so span trees look the same either way."""
+        """Execute *groups* in-process (zero-worker degradation, the
+        dead-letter backstop, and sources no worker can receive).  Runs
+        under the campaign's trace with ``worker="local"`` so span trees
+        look the same either way."""
         live = run.unsettled_groups(groups)
         if not live:
             return
@@ -754,6 +758,14 @@ class FleetRunner:
         self, requests: Sequence[AnalysisRequest]
     ) -> List[FeasibilityResult]:
         return self.coordinator.run_campaign(requests)
+
+    def trace_spans(self, trace_id: str) -> List[Dict[str, Any]]:
+        """The workers' spans of one trace, as of a scrape made now:
+        the scraper is their only way into this process, so a profiled
+        job's report reaches its workers' ``engine``/``kernel`` spans
+        through here."""
+        self.coordinator.scraper.scrape_all()
+        return self.coordinator.telemetry.spans.for_trace(trace_id)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FleetRunner({self.coordinator!r})"

@@ -206,8 +206,9 @@ def shard_to_wire(shard: Shard) -> Dict[str, Any]:
     """Encode a shard as the JSON body a worker executes.
 
     Sources must be :class:`TaskSet` (everything the HTTP API produces
-    is); options go through the tagged value codec so exact rationals
-    survive the trip.
+    is; the coordinator runs a shard that raises ``TypeError`` here
+    locally); options go through the tagged value codec so exact
+    rationals survive the trip.
     """
     entries = []
     for entry in shard.entries:
@@ -247,24 +248,26 @@ def entries_from_wire(
     for position, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ValueError(f"entry {position} must be an object")
+        options = item.get("options", {})
+        if not isinstance(options, dict):
+            raise ValueError(f"entry {position}: 'options' must be an object")
         try:
             index = int(item["index"])
             test = item["test"]
             source = taskset_from_dict(item["taskset"])
-        except (KeyError, TypeError, ValueError) as err:
+            options = {k: decode_value(v) for k, v in options.items()}
+            tag = decode_value(item.get("tag"))
+        except (ArithmeticError, KeyError, TypeError, ValueError) as err:
             raise ValueError(f"entry {position}: {err}") from None
         if not isinstance(test, str):
             raise ValueError(f"entry {position}: 'test' must be a string")
-        options = item.get("options", {})
-        if not isinstance(options, dict):
-            raise ValueError(f"entry {position}: 'options' must be an object")
         entries.append(
             {
                 "index": index,
                 "source": source,
                 "test": test,
-                "options": {k: decode_value(v) for k, v in options.items()},
-                "tag": decode_value(item.get("tag")),
+                "options": options,
+                "tag": tag,
             }
         )
     return entries

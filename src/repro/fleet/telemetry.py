@@ -1,9 +1,9 @@
 """The fleet telemetry plane: coordinator-side scraping and merging.
 
-PR 9's fleet carries telemetry home only when a shard happens to — a
-worker's metrics registry, event ring, and resource gauges otherwise
-die with the process.  This module closes that gap with a *pull* path,
-following the event-journal/resource-monitor design of NREL's jade:
+This module is the only channel that carries a fleet worker's metrics
+registry, event ring, spans and resource gauges to the coordinator
+(shard responses carry results only).  It is a *pull* path, following
+the event-journal/resource-monitor design of NREL's jade:
 
 * :class:`FleetTelemetry` is the coordinator-side merged store: the
   latest **absolute** metrics state per worker (a
@@ -13,7 +13,13 @@ following the event-journal/resource-monitor design of NREL's jade:
   provenance, per-worker scrape bookkeeping (counts, failures, ages),
   and the **resume cursors** for event/span pulls.  Cursors live here —
   not on the scraper — so a restarted scraper resumes where the old one
-  stopped and never double-ingests an event or a histogram cell.
+  stopped and never double-ingests an event or a histogram cell.  The
+  logs are this store's own, not the process-global ones: a worker in
+  the coordinator's process (tests, the in-process benchmark) serves
+  the global logs, so scraped records ingested there would come back
+  on the next scrape.  The server serves them at ``/v1/fleet/events``
+  and ``/v1/fleet/traces`` and joins the scraped spans of a trace into
+  ``/v1/traces/{id}``.
 * :class:`FleetScraper` is the daemon thread that pulls every *alive*
   worker on a heartbeat-aligned cadence: ``/v1/metrics?format=state``
   (replaced wholesale, so re-scrapes are idempotent by construction),
@@ -24,11 +30,11 @@ following the event-journal/resource-monitor design of NREL's jade:
 * The merged view is rendered by building a **fresh registry** per
   request: every worker family is re-labeled with ``worker=<id>`` and
   folded in through :meth:`~repro.obs.metrics.MetricsRegistry.
-  merge_state` — the same cell-exact merge the shard path uses — so
-  fleet counter totals are *bit-identical* to the sum of the workers'
-  own registries.  Scraper-side rollups (scrape age, failure counters,
-  staleness, shards in flight) ride along as ``repro_fleet_scrape_*``
-  series.
+  merge_state` — the same cell-exact merge multiprocessing
+  ``BatchRunner`` chunks use — so fleet counter totals are
+  *bit-identical* to the sum of the workers' own registries.
+  Scraper-side rollups (scrape age, failure counters, staleness, shards
+  in flight) ride along as ``repro_fleet_scrape_*`` series.
 
 Staleness: a worker that stops being alive (death, graceful leave)
 keeps its series — marked ``repro_fleet_series_stale{worker=} 1`` — for
@@ -52,8 +58,9 @@ __all__ = ["FleetTelemetry", "FleetScraper", "WORKER_LABEL"]
 #: The provenance label appended to every scraped family.
 WORKER_LABEL = "worker"
 
-#: One scrape pulls at most this many events/spans per page; the cursor
-#: protocol makes the next sweep resume, so a burst is paged, not lost.
+#: Events/spans per scrape request (the server's page ceiling); one
+#: scrape pages until a short page comes back, so a burst between two
+#: sweeps is pulled whole while the worker's rings still hold it.
 _PAGE_LIMIT = 1000
 
 
@@ -91,6 +98,25 @@ def _state_value(state: Dict[str, Any], name: str) -> Optional[float]:
         if not key and isinstance(value, (int, float)):
             return float(value)
     return None
+
+
+def _pull(
+    worker_id: str,
+    fetch: Callable[..., Dict[str, Any]],
+    key: str,
+    cursor: int,
+    ingest: Callable[[str, List[Dict[str, Any]], int], int],
+) -> None:
+    """Page ``fetch(since=, limit=)`` into *ingest* from *cursor* until a
+    short page, or a ``next`` that does not advance."""
+    while True:
+        page = fetch(since=cursor, limit=_PAGE_LIMIT)
+        records = page.get(key) or []
+        next_cursor = int(page.get("next", 0))
+        ingest(worker_id, records, next_cursor)
+        if len(records) < _PAGE_LIMIT or next_cursor <= cursor:
+            return
+        cursor = next_cursor
 
 
 class _WorkerView:
@@ -351,20 +377,6 @@ class FleetTelemetry:
         """The fleet view in the ``?format=json`` shape."""
         return self.build_registry(inflight).snapshot()
 
-    def events_page(self, since: int = 0, limit: int = 500) -> Dict[str, Any]:
-        """The merged event journal in the ``/v1/events`` page shape."""
-        events, next_cursor = self.events.since(since, limit=limit)
-        return {
-            "since": since,
-            "next": next_cursor,
-            "events": [event.to_dict() for event in events],
-        }
-
-    def spans_page(self, since: int = 0, limit: int = 500) -> Dict[str, Any]:
-        """The merged span stream as a cursor page."""
-        records, next_cursor = self.spans.since(since, limit=limit)
-        return {"since": since, "next": next_cursor, "spans": records}
-
     def snapshot(self) -> Dict[str, Any]:
         """The ``telemetry`` section of ``Coordinator.snapshot()``."""
         now = time.monotonic()
@@ -433,6 +445,7 @@ class FleetScraper:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
+        self._pull_lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
@@ -453,28 +466,32 @@ class FleetScraper:
     def scrape_worker(self, worker_id: str, url: str) -> bool:
         """One full pull of one worker; ``True`` on success.
 
-        Metrics first (the freshest snapshot), then cursor-paged events
-        and spans.  Any failure counts once against the worker and
-        leaves its cursors untouched, so the next sweep resumes exactly
-        where this one stopped.
+        Metrics first (the freshest snapshot), then events and spans,
+        each paged from its resume cursor until a short page.  Any
+        failure counts once against the worker; the pages ingested
+        before it moved the cursors, so the next sweep resumes exactly
+        where this one stopped.  Pulls are serialized: a profiled job
+        may scrape while the sweep thread does, and two pulls from one
+        cursor would ingest the same page twice.
         """
         client = self._client(worker_id, url)
-        try:
-            state = client.metrics_state()
-            events_cursor, spans_cursor = self.telemetry.cursors(worker_id)
-            page = client.events(since=events_cursor, limit=_PAGE_LIMIT)
-            self.telemetry.ingest_events(
-                worker_id, page.get("events") or [], int(page.get("next", 0))
-            )
-            spans = client.spans(since=spans_cursor, limit=_PAGE_LIMIT)
-            self.telemetry.ingest_spans(
-                worker_id, spans.get("spans") or [], int(spans.get("next", 0))
-            )
-        except ServiceError as err:
-            self.telemetry.record_failure(worker_id, str(err))
-            return False
-        # Recorded last: a scrape only counts once everything landed.
-        self.telemetry.record_metrics(worker_id, state)
+        with self._pull_lock:
+            try:
+                state = client.metrics_state()
+                events_cursor, spans_cursor = self.telemetry.cursors(worker_id)
+                _pull(
+                    worker_id, client.events, "events", events_cursor,
+                    self.telemetry.ingest_events,
+                )
+                _pull(
+                    worker_id, client.spans, "spans", spans_cursor,
+                    self.telemetry.ingest_spans,
+                )
+            except ServiceError as err:
+                self.telemetry.record_failure(worker_id, str(err))
+                return False
+            # Recorded last: a scrape only counts once everything landed.
+            self.telemetry.record_metrics(worker_id, state)
         return True
 
     def scrape_all(self) -> Dict[str, bool]:

@@ -1,32 +1,28 @@
 """The fleet worker: a shard-execution HTTP server that heartbeats.
 
 A :class:`FleetWorker` is one process of the analysis fleet.  It serves
-a small HTTP surface —
+through the analysis server's HTTP layer (:mod:`repro.service.api`'s
+handler, with the worker as its ``service``) a small surface —
 
 * ``GET  /v1/health`` — liveness, identity, shard counters;
-* ``GET  /v1/metrics`` — this process's registry (Prometheus text;
-  ``?format=json`` for a snapshot, ``?format=state`` for the raw
-  ``export_state`` document the coordinator's scraper merges);
-* ``GET  /v1/events?since=&limit=`` — cursor-paged event journal;
-* ``GET  /v1/traces?since=&limit=`` — cursor-paged span stream;
+* ``GET  /v1/metrics|events|traces`` — this process's telemetry,
+  answered by the same :func:`~repro.service.api.serve_telemetry` as
+  on an analysis server.  The coordinator's
+  :class:`~repro.fleet.telemetry.FleetScraper` pulls these on a cadence;
+  it is the only channel carrying a worker's metrics, events and spans
+  to the coordinator;
 * ``POST /v1/fleet/shard`` — execute one shard synchronously and return
-  results **plus a telemetry delta** (metrics/events/spans recorded
-  while executing, per PR 8's worker-merge primitives), so the
-  coordinator can fold the fleet's observability into one view with
-  ``worker=`` provenance —
+  its results —
 
-The GET telemetry surface is what the coordinator's
-:class:`~repro.fleet.telemetry.FleetScraper` pulls on a cadence; the
-shard-borne delta remains for campaign-scoped attribution.  With
-``sampler_interval`` set, a :class:`~repro.obs.ResourceSampler` thread
-keeps RSS/fd/CPU gauges fresh between shards so the fleet health view
-sees an *idle* worker's footprint too —
+With ``sampler_interval`` set, a :class:`~repro.obs.ResourceSampler`
+thread keeps RSS/fd/CPU gauges fresh between shards so the fleet health
+view sees an *idle* worker's footprint too.
 
-and runs two client loops against its coordinator: registration (with
-retry, so workers may start before the coordinator) and heartbeats on
-the configured interval.  A heartbeat answered with 404 means the
-coordinator forgot us (restart, eviction): the worker silently
-re-registers and carries on.
+The worker also runs two client loops against its coordinator:
+registration (with retry, so workers may start before the coordinator)
+and heartbeats on the configured interval.  A heartbeat answered with
+404 means the coordinator forgot us (restart, eviction): the worker
+silently re-registers and carries on.
 
 Execution is deliberately boring: shards run through a fresh
 ``BatchRunner(jobs=1)`` in-process, so the worker's context/kernel LRUs
@@ -39,26 +35,22 @@ which is what makes replays bit-identical.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from http.server import ThreadingHTTPServer
+from typing import Any, Dict, Optional
 
 from .. import __version__
 from ..engine.batch import AnalysisRequest, BatchRunner
 from ..engine.registry import TestRegistry, default_registry
 from ..model.serialization import result_to_dict
-from ..obs import ResourceSampler, capture_worker_baseline, collect_worker_telemetry
+from ..obs import ResourceSampler
 from ..obs import continue_trace as _obs_continue_trace
 from ..obs import counter as _obs_counter
-from ..obs import event_log as _obs_event_log
-from ..obs import registry as _obs_registry
 from ..obs import span as _obs_span
-from ..obs import span_log as _obs_span_log
+from ..service.api import ApiError, _Handler, is_telemetry_path, serve_telemetry
 from ..service.client import ServiceClient, ServiceError
 from .faults import FaultPlan
 from .shards import entries_from_wire
@@ -70,81 +62,6 @@ _SHARDS_EXECUTED = _obs_counter(
     "Shards this worker settled, by outcome.",
     labelnames=("outcome",),
 )
-
-
-class _WorkerHandler(BaseHTTPRequestHandler):
-    server_version = f"repro-edf-fleet/{__version__}"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args: Any) -> None:
-        if not getattr(self.server, "quiet", True):  # pragma: no cover
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        worker: "FleetWorker" = self.server.worker  # type: ignore[attr-defined]
-        parts = urlsplit(self.path)
-        path = parts.path.rstrip("/")
-        query = parse_qs(parts.query)
-        if path == "/v1/health":
-            self._send_json(200, worker.health())
-            return
-        if path in ("/v1/metrics", "/v1/events", "/v1/traces"):
-            try:
-                status, payload = worker.telemetry_get(path, query)
-            except ValueError as err:
-                self._send_json(400, {"error": str(err)})
-                return
-            if isinstance(payload, str):
-                self._send_text(
-                    status, payload, "text/plain; version=0.0.4; charset=utf-8"
-                )
-            else:
-                self._send_json(status, payload)
-            return
-        self._send_json(404, {"error": f"no such endpoint: GET {path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        worker: "FleetWorker" = self.server.worker  # type: ignore[attr-defined]
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if path != "/v1/fleet/shard":
-            self._send_json(404, {"error": f"no such endpoint: POST {path}"})
-            return
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            self._send_json(400, {"error": "a JSON shard body is required"})
-            return
-        try:
-            document = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as err:
-            self._send_json(400, {"error": f"invalid JSON body: {err}"})
-            return
-        try:
-            status, payload = worker.execute_shard(document)
-        except ValueError as err:
-            self._send_json(400, {"error": str(err)})
-            return
-        except BrokenPipeError:  # pragma: no cover - client went away
-            return
-        except Exception as err:  # pragma: no cover - defensive
-            self._send_json(500, {"error": f"{type(err).__name__}: {err}"})
-            return
-        self._send_json(status, payload)
 
 
 class FleetWorker:
@@ -203,9 +120,9 @@ class FleetWorker:
         self._registry = registry if registry is not None else default_registry()
         self._runner = BatchRunner(jobs=1, registry=registry)
         self._client = ServiceClient(self.coordinator_url, timeout=10.0)
-        self.httpd = ThreadingHTTPServer((host, port), _WorkerHandler)
+        self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
-        self.httpd.worker = self  # type: ignore[attr-defined]
+        self.httpd.service = self  # type: ignore[attr-defined]
         self.httpd.quiet = quiet  # type: ignore[attr-defined]
         self._advertise_host = advertise_host or self.httpd.server_address[0]
         self._thread: Optional[threading.Thread] = None
@@ -240,93 +157,62 @@ class FleetWorker:
             }
 
     # ------------------------------------------------------------------
-    # Telemetry surface (what the coordinator's scraper pulls)
+    # Routing (the service side of the shared HTTP handler)
     # ------------------------------------------------------------------
 
-    _MAX_PAGE_LIMIT = 1000
+    def handle(self, handler: _Handler, method: str, path: str) -> bool:
+        """Answer one request; ``False`` → 404, :class:`ApiError` → its
+        status.
 
-    def telemetry_get(
-        self, path: str, query: Dict[str, Any]
-    ) -> Tuple[int, Any]:
-        """Serve one telemetry GET; returns ``(status, payload)``.
-
-        A ``str`` payload is a text exposition; a dict is JSON.  The
-        ``scrape-503`` fault counts these requests (all three endpoints
+        The ``scrape-503`` fault counts telemetry GETs (all of them
         share one counter, so ``scrape-503=2`` rejects every other
         telemetry GET regardless of which endpoint it hits).
         """
-        with self._lock:
-            self._scrape_counter += 1
-            number = self._scrape_counter
-        if self.faults.should_reject_scrape(number):
-            return 503, {
-                "error": f"injected scrape 503 (telemetry request {number})",
-                "worker": self.id,
-            }
-        if path == "/v1/metrics":
-            fmt = (query.get("format") or ["text"])[0]
-            if fmt == "text":
-                return 200, _obs_registry().exposition()
-            if fmt == "json":
-                return 200, _obs_registry().snapshot()
-            if fmt == "state":
-                return 200, {
-                    "worker": self.id,
-                    "state": _obs_registry().export_state(),
-                }
-            raise ValueError(
-                f"unknown format {fmt!r} (expected text, json, or state)"
-            )
-        since = self._query_int(query, "since", 0, minimum=0)
-        limit = self._query_int(query, "limit", 500, minimum=1)
-        limit = min(limit, self._MAX_PAGE_LIMIT)
-        if path == "/v1/events":
-            events, next_cursor = _obs_event_log().since(since, limit=limit)
-            return 200, {
-                "since": since,
-                "next": next_cursor,
-                "events": [event.to_dict() for event in events],
-            }
-        records, next_cursor = _obs_span_log().since(since, limit=limit)
-        return 200, {"since": since, "next": next_cursor, "spans": records}
-
-    @staticmethod
-    def _query_int(
-        query: Dict[str, Any], name: str, default: int, minimum: int
-    ) -> int:
-        values = query.get(name)
-        if not values:
-            return default
-        try:
-            number = int(values[0])
-        except (TypeError, ValueError):
-            raise ValueError(f"{name} must be an integer, got {values[0]!r}")
-        if number < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {number}")
-        return number
+        if method == "GET" and path == "/v1/health":
+            handler._send_json(200, self.health())
+            return True
+        if method == "GET" and is_telemetry_path(path):
+            with self._lock:
+                self._scrape_counter += 1
+                number = self._scrape_counter
+            if self.faults.should_reject_scrape(number):
+                raise ApiError(
+                    503, f"injected scrape 503 (telemetry request {number})"
+                )
+            return serve_telemetry(handler, path)
+        if method == "POST" and path == "/v1/fleet/shard":
+            document = handler._read_json()
+            try:
+                payload = self.execute_shard(document)
+            except ValueError as err:
+                raise ApiError(400, str(err)) from None
+            handler._send_json(200, payload)
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Shard execution
     # ------------------------------------------------------------------
 
-    def execute_shard(self, document: Dict[str, Any]) -> Any:
-        """Run one shard body; returns ``(http_status, payload)``.
+    def execute_shard(self, document: Any) -> Dict[str, Any]:
+        """Run one shard body; returns the response document.
 
         Fault hooks fire in severity order — 503 (cheap, retriable)
         before stall (expensive, retriable) before crash (terminal) —
         and always *before* execution, so a coordinator-side replay of
-        this shard cannot observe partial work.
+        this shard cannot observe partial work.  An injected fault
+        raises :class:`ApiError` (503); a malformed body raises
+        ``ValueError``.
         """
+        if not isinstance(document, dict):
+            raise ValueError("a shard body must be a JSON object")
         shard_id = str(document.get("shard", ""))
         with self._lock:
             self._shard_counter += 1
             number = self._shard_counter
         if self.faults.should_reject(number):
             _SHARDS_EXECUTED.labels("rejected_503").inc()
-            return 503, {
-                "error": f"injected 503 (shard request {number})",
-                "worker": self.id,
-            }
+            raise ApiError(503, f"injected 503 (shard request {number})")
         stall = self.faults.stall_for(number)
         if stall > 0:
             time.sleep(stall)
@@ -334,7 +220,7 @@ class FleetWorker:
             self._crash()
             # An in-process crash handler (tests) returns; answer like a
             # dying process would: not at all, approximated by a 503.
-            return 503, {"error": "crashed", "worker": self.id}
+            raise ApiError(503, "crashed")
         entries = entries_from_wire(document)
         requests = [
             AnalysisRequest(
@@ -345,7 +231,6 @@ class FleetWorker:
             )
             for entry in entries
         ]
-        baseline = capture_worker_baseline()
         with _obs_continue_trace(document.get("traceparent")):
             with _obs_span(
                 "fleet.shard",
@@ -354,18 +239,16 @@ class FleetWorker:
                 requests=len(requests),
             ):
                 results = self._runner.run(requests)
-        telemetry = collect_worker_telemetry(baseline, worker=self.id)
         with self._lock:
             self._shards_done += 1
         _SHARDS_EXECUTED.labels("completed").inc()
-        return 200, {
+        return {
             "shard": shard_id,
             "worker": self.id,
             "results": [
                 {"index": entry["index"], **result_to_dict(result)}
                 for entry, result in zip(entries, results)
             ],
-            "telemetry": telemetry,
         }
 
     # ------------------------------------------------------------------

@@ -54,6 +54,7 @@ from .trace import (
     current_traceparent,
     format_traceparent,
     is_export_enabled,
+    join_spans,
     merge_worker_telemetry,
     new_span_id,
     new_trace_id,
@@ -106,6 +107,7 @@ __all__ = [
     "capture_worker_baseline",
     "collect_worker_telemetry",
     "merge_worker_telemetry",
+    "join_spans",
     "profile_spans",
     "render_profile",
     "render_trace_tree",

@@ -32,14 +32,18 @@ process that opened them:
   :class:`repro.obs.events.RotatingJournal`.
 * **Merge** — :func:`capture_worker_baseline` /
   :func:`collect_worker_telemetry` / :func:`merge_worker_telemetry` are
-  the worker-to-parent merge primitive the ROADMAP's fleet coordinator
-  needs: a metrics-registry *delta*, buffered events, and finished
-  spans travel back with the results; the parent adds counters, merges
-  histogram cells, and re-tags events/spans with a ``worker`` label.
+  the chunk-to-parent merge of multiprocessing ``BatchRunner``, which
+  has no HTTP: a metrics-registry *delta*, buffered events, and
+  finished spans travel back with the results; the parent adds
+  counters, merges histogram cells, and re-tags events/spans with a
+  ``worker`` label.  Fleet workers do not use it: the coordinator's
+  scraper (:mod:`repro.fleet.telemetry`) is their one channel.
 * **Attribution** — :func:`profile_spans` folds a span stream into a
   per-span-name self/cumulative breakdown (the ``analyze --profile``
   report), and :func:`render_trace_tree` reconstructs the parent/child
-  tree for ``repro obs trace``.
+  tree for ``repro obs trace``.  :func:`join_spans` adds the spans a
+  fleet coordinator scraped from its workers to its own, one record per
+  span.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ __all__ = [
     "capture_worker_baseline",
     "collect_worker_telemetry",
     "merge_worker_telemetry",
+    "join_spans",
     "profile_spans",
     "render_profile",
     "render_trace_tree",
@@ -145,7 +150,7 @@ def parse_traceparent(header: Optional[str]) -> Optional[Tuple[str, str]]:
     best-effort and a bad header from a foreign client must not fail
     the request it rode in on.
     """
-    if not header:
+    if not header or not isinstance(header, str):
         return None
     parts = header.strip().lower().split("-")
     if len(parts) != 4:
@@ -605,6 +610,24 @@ def merge_worker_telemetry(telemetry: Optional[Dict[str, Any]]) -> None:
 # ----------------------------------------------------------------------
 # Profiler and tree reconstruction
 # ----------------------------------------------------------------------
+
+
+def join_spans(
+    own: List[Dict[str, Any]], scraped: List[Dict[str, Any]]
+) -> List[Dict[str, Any]]:
+    """*own* plus the *scraped* records whose ``span_id`` it lacks.
+
+    A worker in the coordinator's process records into the coordinator's
+    own log, and the scraper brings back copies of those records: the
+    own record wins, so every span comes back once.
+    """
+    seen = {record.get("span_id") for record in own}
+    joined = list(own)
+    for record in scraped:
+        if record.get("span_id") not in seen:
+            seen.add(record.get("span_id"))
+            joined.append(record)
+    return joined
 
 
 def profile_spans(spans: List[Dict[str, Any]]) -> Dict[str, Any]:

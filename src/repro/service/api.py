@@ -21,7 +21,8 @@ GET       /v1/metrics                 Prometheus text (``?format=json`` for JSON
 GET       /v1/events                  structured events (``?since=N`` cursor)
 GET       /v1/traces                  newest-first per-trace span rollups
                                       (``?since=N`` for a cursor span page)
-GET       /v1/traces/{trace_id}       every retained span of one trace
+GET       /v1/traces/{trace_id}       every retained span of one trace (plus
+                                      the scraped worker spans, in fleet mode)
 POST      /v1/jobs                    submit a single or batch job (202)
 GET       /v1/jobs                    list job snapshots
 GET       /v1/jobs/{id}               one job's status/progress
@@ -75,6 +76,7 @@ from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
+from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
 from ..engine.batch import AnalysisRequest, BatchRunner
@@ -87,7 +89,8 @@ from ..model.serialization import (
     taskset_from_dict,
 )
 from ..model.validation import ModelError
-from ..obs import ResourceSampler, event_log, span_log
+from ..obs import EventLog, ResourceSampler, SpanLog, event_log, span_log
+from ..obs import join_spans
 from ..obs import continue_trace as _obs_continue_trace
 from ..obs import counter as _obs_counter
 from ..obs import registry as _obs_registry
@@ -99,12 +102,20 @@ from .store import ResultStore
 if False:  # pragma: no cover - import cycle guard (typing only)
     from ..fleet.coordinator import Coordinator
 
-__all__ = ["AnalysisServer", "ApiError", "requests_from_document"]
+__all__ = [
+    "AnalysisServer",
+    "ApiError",
+    "requests_from_document",
+    "is_telemetry_path",
+    "serve_telemetry",
+]
 
 _MAX_BODY = 64 * 1024 * 1024  # a 64 MiB body is an attack, not a campaign
 #: Server-side ceiling on events/traces page sizes: a huge ``limit``
 #: must not serialize the whole ring into one response.
 _MAX_PAGE_LIMIT = 1000
+_EXPOSITION = "text/plain; version=0.0.4; charset=utf-8"
+_TELEMETRY_PATHS = frozenset({"/v1/metrics", "/v1/events", "/v1/traces"})
 
 _HTTP_REQUESTS = _obs_counter(
     "repro_http_requests_total",
@@ -218,8 +229,116 @@ def requests_from_document(
     return requests
 
 
+# ----------------------------------------------------------------------
+# Telemetry GETs (shared by the analysis server and fleet workers)
+# ----------------------------------------------------------------------
+
+
+def _query(handler: "_Handler") -> Dict[str, List[str]]:
+    return parse_qs(urlsplit(handler.path).query)
+
+
+def _query_int(
+    query: Dict[str, List[str]], key: str, default: int, minimum: int
+) -> int:
+    """One integer query parameter; a 400 unless it is ``>= minimum``."""
+    if key not in query:
+        return default
+    try:
+        value = int(query[key][0])
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        raise ApiError(400, f"'{key}' must be an integer >= {minimum}")
+    return value
+
+
+def _cursor_page(query: Dict[str, List[str]]) -> Tuple[int, int]:
+    """``(since, limit)`` of a cursor page.  A huge ``limit`` is clamped
+    rather than refused: the cursor protocol keeps the client correct
+    either way, the server just pages."""
+    since = _query_int(query, "since", 0, 0)
+    return since, min(_query_int(query, "limit", 500, 1), _MAX_PAGE_LIMIT)
+
+
+def _events_page(log: EventLog, since: int, limit: int) -> Dict[str, Any]:
+    events, next_cursor = log.since(since, limit=limit)
+    return {
+        "since": since,
+        "next": next_cursor,
+        "events": [event.to_dict() for event in events],
+    }
+
+
+def _spans_page(log: SpanLog, since: int, limit: int) -> Dict[str, Any]:
+    records, next_cursor = log.since(since, limit=limit)
+    return {"since": since, "next": next_cursor, "spans": records}
+
+
+def is_telemetry_path(path: str) -> bool:
+    """Whether :func:`serve_telemetry` answers a GET of *path* (a string
+    test: no query is parsed)."""
+    return path in _TELEMETRY_PATHS or path.startswith("/v1/traces/")
+
+
+def serve_telemetry(
+    handler: "_Handler", path: str, scraped: Optional[SpanLog] = None
+) -> bool:
+    """Answer a GET of this process's own telemetry; ``False`` → 404.
+
+    ``/v1/metrics`` (Prometheus text, ``?format=json`` or
+    ``?format=state``), the ``/v1/events`` and ``/v1/traces?since=``
+    cursor pages, the ``/v1/traces`` listing and ``/v1/traces/{id}``.
+    The analysis server and fleet workers both serve these GETs here.
+    *scraped* is a coordinator's log of scraped worker spans: a trace
+    lookup joins that trace's scraped spans to this process's own
+    (:func:`~repro.obs.join_spans`, one record per span).
+    """
+    query = _query(handler)
+    if path == "/v1/metrics":
+        fmt = (query.get("format") or ["text"])[0]
+        if fmt == "json":
+            handler._send_json(200, {"metrics": _obs_registry().snapshot()})
+        elif fmt == "state":
+            # The raw merge document (export_state): what a scraper
+            # pulls to fold this process into a fleet view.
+            handler._send_json(200, {"state": _obs_registry().export_state()})
+        elif fmt == "text":
+            handler._send_text(200, _obs_registry().exposition(), _EXPOSITION)
+        else:
+            raise ApiError(400, f"unknown metrics format {fmt!r}")
+        return True
+    if path == "/v1/events":
+        handler._send_json(200, _events_page(event_log(), *_cursor_page(query)))
+        return True
+    if path == "/v1/traces":
+        if "since" in query:
+            # Cursor mode (what a fleet scraper pulls): raw span records
+            # from an absolute sequence cursor, oldest first.
+            page = _spans_page(span_log(), *_cursor_page(query))
+        else:
+            limit = min(_query_int(query, "limit", 50, 1), _MAX_PAGE_LIMIT)
+            page = {"traces": span_log().trace_summaries(limit=limit)}
+        handler._send_json(200, page)
+        return True
+    trace_id = path[len("/v1/traces/") :]
+    if "/" in trace_id:
+        return False
+    spans = span_log().for_trace(trace_id)
+    if scraped is not None:
+        spans = join_spans(spans, scraped.for_trace(trace_id))
+    if not spans:
+        raise ApiError(404, f"unknown trace {trace_id!r}")
+    handler._send_json(200, {"trace": trace_id, "spans": spans})
+    return True
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the owning :class:`AnalysisServer`."""
+    """Routes requests to the server's ``service``: an
+    :class:`AnalysisServer` or a :class:`~repro.fleet.worker.FleetWorker`,
+    whose ``handle(handler, method, path)`` answers the request (raising
+    :class:`ApiError` for an error status) or returns ``False`` for a
+    404."""
 
     server_version = f"repro-edf/{__version__}"
     protocol_version = "HTTP/1.1"
@@ -249,11 +368,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            raise ApiError(400, "a JSON request body is required")
-        if length > _MAX_BODY:
-            raise ApiError(413, "request body too large")
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = 0
+        if not 0 < length <= _MAX_BODY:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            if length > _MAX_BODY:
+                raise ApiError(413, "request body too large")
+            raise ApiError(
+                400, "a JSON request body with a valid Content-Length is required"
+            )
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
@@ -463,41 +589,13 @@ class AnalysisServer:
     def _handle_routed(
         self, handler: _Handler, method: str, path: str
     ) -> bool:
-        if method == "GET" and path == "/v1/metrics":
-            self._send_metrics(handler)
-            return True
-        if method == "GET" and path == "/v1/events":
-            handler._send_json(200, self._events_page(handler.path))
-            return True
-        if method == "GET" and path == "/v1/traces":
-            handler._send_json(200, self._traces_page(handler.path))
-            return True
-        if method == "GET" and path == "/v1/fleet/metrics":
-            self._send_fleet_metrics(handler)
-            return True
-        if method == "GET" and path == "/v1/fleet/events":
-            self._require_fleet()
-            page = self._cursor_page(handler.path)
-            handler._send_json(
-                200, self.coordinator.telemetry.events_page(**page)
+        if method == "GET" and is_telemetry_path(path):
+            scraped = (
+                None
+                if self.coordinator is None
+                else self.coordinator.telemetry.spans
             )
-            return True
-        if method == "GET" and path == "/v1/fleet/traces":
-            self._require_fleet()
-            page = self._cursor_page(handler.path)
-            handler._send_json(
-                200, self.coordinator.telemetry.spans_page(**page)
-            )
-            return True
-        if method == "GET" and path.startswith("/v1/traces/"):
-            trace_id = path[len("/v1/traces/") :]
-            if "/" in trace_id:
-                return False
-            spans = span_log().for_trace(trace_id)
-            if not spans:
-                raise ApiError(404, f"unknown trace {trace_id!r}")
-            handler._send_json(200, {"trace": trace_id, "spans": spans})
-            return True
+            return serve_telemetry(handler, path, scraped)
         if method == "GET" and path == "/v1/health":
             handler._send_json(
                 200,
@@ -583,7 +681,7 @@ class AnalysisServer:
                     and method == "GET"
                 ):
                     handler._send_json(
-                        200, self._decision_log(session_id, handler.path)
+                        200, self._decision_log(session_id, handler)
                     )
                     return True
             except KeyError:
@@ -605,12 +703,8 @@ class AnalysisServer:
             )
 
     def _send_fleet_metrics(self, handler: _Handler) -> None:
-        from urllib.parse import parse_qs, urlsplit
-
-        self._require_fleet()
         inflight = self.coordinator.inflight_counts()
-        query = parse_qs(urlsplit(handler.path).query)
-        fmt = (query.get("format") or ["text"])[0]
+        fmt = (_query(handler).get("format") or ["text"])[0]
         if fmt == "json":
             handler._send_json(
                 200,
@@ -620,41 +714,27 @@ class AnalysisServer:
         if fmt != "text":
             raise ApiError(400, f"unknown metrics format {fmt!r}")
         handler._send_text(
-            200,
-            self.coordinator.telemetry.exposition(inflight),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
+            200, self.coordinator.telemetry.exposition(inflight), _EXPOSITION
         )
-
-    def _cursor_page(self, raw_path: str) -> Dict[str, int]:
-        """Parse ``?since=&limit=`` into kwargs for a cursor-page call."""
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(raw_path).query)
-
-        def _int_param(key: str, default: int, minimum: int) -> int:
-            if key not in query:
-                return default
-            try:
-                value = int(query[key][0])
-                if value < minimum:
-                    raise ValueError
-            except ValueError:
-                raise ApiError(
-                    400, f"'{key}' must be an integer >= {minimum}"
-                ) from None
-            return value
-
-        return {
-            "since": _int_param("since", 0, 0),
-            "limit": min(_int_param("limit", 500, 1), _MAX_PAGE_LIMIT),
-        }
 
     def _handle_fleet(
         self, handler: _Handler, method: str, path: str
     ) -> bool:
         self._require_fleet()
+        telemetry = self.coordinator.telemetry
         if method == "GET" and path == "/v1/fleet/workers":
             handler._send_json(200, self.coordinator.snapshot())
+            return True
+        if method == "GET" and path == "/v1/fleet/metrics":
+            self._send_fleet_metrics(handler)
+            return True
+        if method == "GET" and path == "/v1/fleet/events":
+            page = _cursor_page(_query(handler))
+            handler._send_json(200, _events_page(telemetry.events, *page))
+            return True
+        if method == "GET" and path == "/v1/fleet/traces":
+            page = _cursor_page(_query(handler))
+            handler._send_json(200, _spans_page(telemetry.spans, *page))
             return True
         if method != "POST":
             return False
@@ -781,21 +861,9 @@ class AnalysisServer:
                 ) from None
         return {"session": session.id, "decisions": decisions}
 
-    def _decision_log(self, session_id: str, raw_path: str) -> Dict[str, Any]:
-        from urllib.parse import parse_qs, urlsplit
-
+    def _decision_log(self, session_id: str, handler: _Handler) -> Dict[str, Any]:
         session = self.sessions.get(session_id)
-        query = parse_qs(urlsplit(raw_path).query)
-        since = 0
-        if "since" in query:
-            try:
-                since = int(query["since"][0])
-                if since < 0:
-                    raise ValueError
-            except ValueError:
-                raise ApiError(
-                    400, "'since' must be a non-negative integer"
-                ) from None
+        since = _query_int(_query(handler), "since", 0, 0)
         decisions = session.log(since)
         # 'next' is the absolute cursor for the following poll; indices
         # are absolute and survive log pruning, so derive it from the
@@ -807,81 +875,6 @@ class AnalysisServer:
             "next": next_cursor,
             "decisions": decisions,
         }
-
-    def _send_metrics(self, handler: _Handler) -> None:
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(handler.path).query)
-        fmt = (query.get("format") or ["text"])[0]
-        if fmt == "json":
-            handler._send_json(200, {"metrics": _obs_registry().snapshot()})
-            return
-        if fmt == "state":
-            # The raw merge document (export_state): what a scraper
-            # pulls to fold this process into a fleet view.
-            handler._send_json(200, {"state": _obs_registry().export_state()})
-            return
-        if fmt != "text":
-            raise ApiError(400, f"unknown metrics format {fmt!r}")
-        handler._send_text(
-            200,
-            _obs_registry().exposition(),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    def _events_page(self, raw_path: str) -> Dict[str, Any]:
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(raw_path).query)
-
-        def _int_param(key: str, default: int, minimum: int) -> int:
-            if key not in query:
-                return default
-            try:
-                value = int(query[key][0])
-                if value < minimum:
-                    raise ValueError
-            except ValueError:
-                raise ApiError(
-                    400, f"'{key}' must be an integer >= {minimum}"
-                ) from None
-            return value
-
-        since = _int_param("since", 0, 0)
-        # Clamp rather than 400 on a huge limit: the cursor protocol
-        # keeps the client correct either way, the server just pages.
-        limit = min(_int_param("limit", 500, 1), _MAX_PAGE_LIMIT)
-        events, next_cursor = event_log().since(since, limit=limit)
-        return {
-            "since": since,
-            "next": next_cursor,
-            "events": [event.to_dict() for event in events],
-        }
-
-    def _traces_page(self, raw_path: str) -> Dict[str, Any]:
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(raw_path).query)
-        if "since" in query:
-            # Cursor mode (what a fleet scraper pulls): raw span records
-            # from an absolute sequence cursor, oldest first.
-            page = self._cursor_page(raw_path)
-            records, next_cursor = span_log().since(
-                page["since"], limit=page["limit"]
-            )
-            return {"since": page["since"], "next": next_cursor, "spans": records}
-        limit = 50
-        if "limit" in query:
-            try:
-                limit = int(query["limit"][0])
-                if limit < 1:
-                    raise ValueError
-            except ValueError:
-                raise ApiError(
-                    400, "'limit' must be an integer >= 1"
-                ) from None
-        limit = min(limit, _MAX_PAGE_LIMIT)
-        return {"traces": span_log().trace_summaries(limit=limit)}
 
     def cache_stats(self) -> Dict[str, Any]:
         """Context LRU, store, queue, and session counters in one document."""

@@ -48,6 +48,7 @@ from ..obs import emit as _obs_emit
 from ..obs import format_traceparent as _obs_format_traceparent
 from ..obs import gauge as _obs_gauge
 from ..obs import histogram as _obs_histogram
+from ..obs import join_spans as _obs_join_spans
 from ..obs import new_span_id as _obs_new_span_id
 from ..obs import new_trace_id as _obs_new_trace_id
 from ..obs import parse_traceparent as _obs_parse_traceparent
@@ -208,7 +209,9 @@ class JobQueue:
             in-process runner (``jobs=1``), which keeps every analysis
             inside this process where the context LRU and the store's
             write-back see it.  Pass a multi-worker runner to fan each
-            shard out over processes instead.
+            shard out over processes instead.  A runner whose workers'
+            spans live elsewhere (``FleetRunner``) also has
+            ``trace_spans(trace_id)``, which profiled jobs join in.
         registry: test registry for validation; defaults to the shipped
             one.
     """
@@ -568,12 +571,16 @@ class JobQueue:
         """Aggregate the spans this job produced into a stage report.
 
         Runs inside the job's ``queue.job`` span, so its descendants —
-        engine/kernel/worker spans, local or merged from pool workers —
+        engine/kernel/worker spans, local, merged from pool workers, or
+        scraped from fleet workers by a runner with ``trace_spans`` —
         are exactly this job's work; concurrent status polls sharing
         the trace are excluded.  Falls back to a whole-trace filter
         when no span is open (observability disabled mid-job).
         """
         spans, _ = _obs_span_log().since(cursor, limit=1 << 30)
+        trace_spans = getattr(self.runner, "trace_spans", None)
+        if trace_spans is not None:
+            spans = _obs_join_spans(spans, trace_spans(job.trace_id))
         handle = _obs_current_span()
         if handle is None:
             mine = [s for s in spans if s.get("trace_id") == job.trace_id]

@@ -99,7 +99,7 @@ class TestWorkerEndpoints:
 
     def test_metrics_json_snapshot(self, local_workers):
         worker = local_workers("w-json")
-        snapshot = ServiceClient(worker.url).metrics()
+        snapshot = ServiceClient(worker.url).metrics()["metrics"]
         assert "repro_fleet_worker_shards_total" in snapshot
 
     def test_metrics_state_document(self, local_workers):
