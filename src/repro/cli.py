@@ -45,7 +45,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from . import __version__
 from .analysis.bounds import BoundMethod, compare_bounds
@@ -57,28 +57,7 @@ from .engine import (
     default_jobs,
     default_registry,
 )
-from .experiments import (
-    Fig1Config,
-    Fig8Config,
-    Fig9Config,
-    FigMConfig,
-    render_fig1,
-    render_fig8,
-    render_fig9,
-    render_figm,
-    render_table1,
-    run_fig1,
-    run_fig8,
-    run_fig9,
-    run_figm,
-    run_table1,
-)
-from .generation import (
-    TRACE_SCENARIOS,
-    example_systems,
-    generate_taskset,
-    generate_trace,
-)
+from .generation import TRACE_SCENARIOS
 from .kernel import backend_info, set_backend
 from .model import (
     SporadicTask,
@@ -93,7 +72,6 @@ from .model import (
     load_trace,
     taskset_to_dict,
 )
-from .online import ARRIVE, AdmissionController, OnlinePlacer, replay
 from .partition import (
     HEURISTICS,
     PartitionedSystem,
@@ -101,8 +79,12 @@ from .partition import (
     pack,
     verify_partition,
 )
-from .service import ServiceClient, ServiceError
-from .sim import simulate_feasibility
+
+# The layers of one subcommand (the HTTP service, the experiments,
+# online admission, the simulator) are imported when a subcommand that
+# uses them runs, so ``analyze`` does not pay for ``serve``.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .service import ServiceClient
 
 __all__ = ["main", "build_parser"]
 
@@ -803,9 +785,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, OSError, ServiceError, TimeoutError) as err:
+    except (ValueError, OSError, TimeoutError) + _service_error() as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+
+def _service_client(url: str) -> ServiceClient:
+    from .service import ServiceClient
+
+    return ServiceClient(url)
+
+
+def _service_error() -> tuple:
+    """``ServiceError``, once a service command has imported it.
+
+    Only those commands raise it, so ``main`` maps it to exit 2 without
+    importing the service layer for every other command.
+    """
+    client = sys.modules.get(f"{__package__}.service.client")
+    return (client.ServiceError,) if client is not None else ()
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -983,6 +981,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .generation import generate_taskset
+
     tasks = generate_taskset(
         n=args.tasks,
         utilization=args.utilization,
@@ -999,6 +999,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import simulate_feasibility
+
     tasks = load_taskset(args.file)
     result = simulate_feasibility(tasks, horizon=args.horizon)
     print(result)
@@ -1019,6 +1021,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
+    from .generation import example_systems
+
     systems = example_systems()
     if args.name is None:
         for name in systems:
@@ -1053,7 +1057,23 @@ def _cmd_example(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .experiments import rows_to_csv
+    from .experiments import (
+        Fig1Config,
+        Fig8Config,
+        Fig9Config,
+        FigMConfig,
+        render_fig1,
+        render_fig8,
+        render_fig9,
+        render_figm,
+        render_table1,
+        rows_to_csv,
+        run_fig1,
+        run_fig8,
+        run_fig9,
+        run_figm,
+        run_table1,
+    )
 
     runner = BatchRunner(jobs=args.jobs) if args.jobs is not None else None
     if args.which == "table1":
@@ -1225,6 +1245,8 @@ def _parse_epsilon(raw: str):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .generation import generate_trace
+
     options = {}
     if args.utilization is not None:
         if args.scenario != "churn":
@@ -1253,6 +1275,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from .online import ARRIVE, AdmissionController, replay
+
     trace = load_trace(args.trace)
     epsilon = _parse_epsilon(args.epsilon)
     if args.cores is not None:
@@ -1298,6 +1322,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _replay_placed(trace, args: argparse.Namespace, epsilon) -> int:
+    from .online import ARRIVE, OnlinePlacer
+
     placer = OnlinePlacer(args.cores, heuristic=args.heuristic, epsilon=epsilon)
     for event in trace:
         if event.kind == ARRIVE:
@@ -1323,6 +1349,8 @@ def _replay_placed(trace, args: argparse.Namespace, epsilon) -> int:
 
 
 def _cmd_admit(args: argparse.Namespace) -> int:
+    from .online import AdmissionController
+
     base = load_taskset(args.base)
     controller = AdmissionController(base, epsilon=_parse_epsilon(args.epsilon))
     candidates = []
@@ -1503,7 +1531,7 @@ def _rss_mb_of(telemetry: dict, worker_id: str) -> str:
 
 
 def _cmd_fleet_workers(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
+    client = _service_client(args.url)
     snapshot = client.fleet_workers()
     telemetry = snapshot.get("telemetry") or {}
     print(
@@ -1577,7 +1605,7 @@ def _print_fleet_status(snapshot: dict) -> None:
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
+    client = _service_client(args.url)
     try:
         while True:
             _print_fleet_status(client.fleet_workers())
@@ -1624,7 +1652,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from .obs import span
 
-    client = ServiceClient(args.url)
+    client = _service_client(args.url)
     options = _job_options(args)
     if args.test == "superpos" and args.level is None:
         print("error: --test superpos requires --level", file=sys.stderr)
@@ -1684,7 +1712,7 @@ def _print_remote_profile(client: ServiceClient, job_id: str) -> None:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
+    client = _service_client(args.url)
     if args.job is None:
         jobs = client.jobs()
         if not jobs:
@@ -1717,7 +1745,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
+    client = _service_client(args.url)
     if args.obs_command == "metrics":
         if args.json:
             print(json.dumps(client.metrics(), indent=2, sort_keys=True))
@@ -1770,6 +1798,8 @@ def _obs_trace(client: ServiceClient, args: argparse.Namespace) -> int:
 def _obs_events(
     client: ServiceClient, args: argparse.Namespace, fetch: Any = None
 ) -> int:
+    from .service import ServiceError
+
     # Both event streams (/v1/events and /v1/fleet/events) share the
     # cursor-page protocol, so the follow loop is generic over *fetch*.
     if fetch is None:
@@ -1814,7 +1844,7 @@ def _obs_events(
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
+    client = _service_client(args.url)
     if args.json:
         print(json.dumps(client.raw_results(args.job), indent=2))
         return 0

@@ -7,7 +7,7 @@ or compile directly from components with ``DemandKernel(components)``.
 Execution of the hot primitives is pluggable (see
 :mod:`repro.kernel.backend`): the pure-python loops are the always-on
 reference, and :mod:`repro.kernel.vectorized` provides a numpy backend
-auto-selected when numpy is importable.  Select explicitly with
+auto-selected when numpy is installed.  Select explicitly with
 :func:`set_backend`; inspect with :func:`backend_info`.
 """
 

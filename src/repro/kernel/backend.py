@@ -14,7 +14,7 @@ Two backends ship:
 * :class:`PurePythonBackend` — delegates to the kernel's own
   interpreted loops (the reference semantics; always available).
 * ``repro.kernel.vectorized.NumpyBackend`` — numpy int64 sweeps,
-  auto-selected when numpy is importable.  It accelerates only calls
+  auto-selected when numpy is installed.  It accelerates only calls
   whose scaled values fit ``int64`` with overflow headroom; anything
   else raises :class:`BackendUnsupported` and the kernel transparently
   re-runs the pure-python loop, mirroring the exact-`Fraction`
@@ -24,7 +24,12 @@ Two backends ship:
 Selection is process-global: :func:`set_backend` with ``"auto"``
 (default), ``"python"``, ``"numpy"``, or a ready-made instance;
 :func:`backend_info` reports the active backend plus dispatch/fallback
-counters (surfaced by the CLI's ``--cache-stats``).
+counters (surfaced by the CLI's ``--cache-stats``).  Neither imports
+numpy: availability is a ``find_spec`` lookup, and the numpy backend
+imports it at its first dispatch of a kernel inside the int64
+envelope, so a process whose analyses never dispatch (the paper's
+``devi``, ``dynamic``, ``superpos`` and ``all-approx`` tests) never
+loads it.
 """
 
 from __future__ import annotations
@@ -182,10 +187,8 @@ _FALLBACKS = _obs_counter(
 
 def _numpy_backend() -> Optional[KernelBackend]:
     """A :class:`NumpyBackend` instance, or ``None`` if numpy is absent."""
-    try:
-        from .vectorized import NumpyBackend
-    except ImportError:
-        return None
+    from .vectorized import NumpyBackend
+
     if not NumpyBackend.is_available():
         return None
     return NumpyBackend()
@@ -215,7 +218,7 @@ def set_backend(backend: Union[str, KernelBackend, None]) -> KernelBackend:
     Accepts ``"auto"`` (or ``None``) to re-run auto-selection,
     ``"python"``, ``"numpy"``, or a ready-made :class:`KernelBackend`.
     Returns the backend now active.  Raises :class:`ValueError` for an
-    unknown name or for ``"numpy"`` when numpy is not importable.
+    unknown name or for ``"numpy"`` when numpy is not installed.
     """
     global _ACTIVE
     if backend is None or backend == "auto":

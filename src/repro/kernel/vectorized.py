@@ -38,20 +38,27 @@ envelope raises :class:`~repro.kernel.backend.BackendUnsupported` and
 the kernel re-runs the pure-python loop — the same degrade contract as
 the ``SCALE_CAP`` exact-`Fraction` fallback, and the reason task sets
 near the int64 boundary stay bit-exact (the parity suite pins this).
+
+Importing this module does not import numpy.
+:meth:`NumpyBackend.is_available` only asks whether numpy is installed,
+so selecting the backend costs nothing; numpy loads at the first array
+build (:func:`_build_arrays`), i.e. the first dispatch of a kernel
+inside the int64 envelope.  If that import fails, the kernel is refused
+like one outside the envelope and the call re-runs the pure-python loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from importlib.util import find_spec
 from typing import List, Optional, Tuple
 
-try:  # numpy is an optional dependency (the 'fast' extra)
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on no-numpy installs
-    np = None
-
 from .backend import BackendUnsupported, KernelBackend
+
+#: The numpy module (the optional 'fast' extra), bound by the first
+#: :func:`_build_arrays`; every primitive enters through :func:`_arrays`.
+np = None
 
 __all__ = ["NumpyBackend", "INT64_CAP", "RATIO_CAP"]
 
@@ -93,15 +100,10 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
 
-    def __init__(self) -> None:
-        if np is None:
-            raise RuntimeError(
-                "NumpyBackend requires numpy; install the 'fast' extra"
-            )
-
     @staticmethod
     def is_available() -> bool:
-        return np is not None
+        """Whether numpy is installed, found without importing it."""
+        return find_spec("numpy") is not None
 
     # ------------------------------------------------------------------
     # Primitives
@@ -211,9 +213,6 @@ class NumpyBackend(KernelBackend):
                 results.append(kernel._first_overflow_scaled_py(bound))
         return results
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<NumpyBackend numpy {np.__version__}>"
-
 
 # ----------------------------------------------------------------------
 # Per-kernel array cache
@@ -225,8 +224,8 @@ def _arrays(kernel):
 
     Built once per kernel (the ``_vec_cache`` slot; invalidated by the
     incremental mutators) and refused — permanently for this kernel —
-    when it runs on the exact `Fraction` path or any scaled parameter
-    exceeds the int64 headroom.
+    when it runs on the exact `Fraction` path, any scaled parameter
+    exceeds the int64 headroom, or numpy fails to import.
     """
     cache = kernel._vec_cache
     if cache is None:
@@ -238,12 +237,18 @@ def _arrays(kernel):
 
 
 def _build_arrays(kernel):
+    global np
     if kernel.scale is None or kernel.n == 0:
         return _UNSUPPORTED
     top = max(max(kernel.d0s), max(kernel.periods), max(kernel.wcets))
     low = min(min(kernel.d0s), min(kernel.periods), min(kernel.wcets))
     if top >= INT64_CAP or low < 0:
         return _UNSUPPORTED
+    if np is None:
+        try:
+            import numpy as np
+        except ImportError:
+            return _UNSUPPORTED
     d0 = np.asarray(kernel.d0s, dtype=np.int64)
     p = np.asarray(kernel.periods, dtype=np.int64)
     c = np.asarray(kernel.wcets, dtype=np.int64)

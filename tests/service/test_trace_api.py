@@ -218,7 +218,7 @@ class TestEventsFollowResilience:
                     raise item
                 return item
 
-        monkeypatch.setattr(cli, "ServiceClient", FakeClient)
+        monkeypatch.setattr("repro.service.ServiceClient", FakeClient)
         monkeypatch.setattr(cli.time, "sleep", lambda _s: None)
         code = cli.main(
             ["obs", "events", "--follow", "--url", "http://x", "--since", "5"]
@@ -259,7 +259,7 @@ class TestEventsFollowResilience:
             def events(self, since=0, limit=500):
                 raise ServiceError(0, "nope")
 
-        monkeypatch.setattr(cli, "ServiceClient", FakeClient)
+        monkeypatch.setattr("repro.service.ServiceClient", FakeClient)
         code = cli.main(["obs", "events", "--url", "http://x"])
         captured = capsys.readouterr()
         assert code == 2
