@@ -17,7 +17,6 @@ from .bounds import (
 from .busy_period import busy_period_of_components, synchronous_busy_period
 from .dbf import dbf, dbf_points, dbf_step_intervals, demand_profile, first_overflow
 from .devi import devi_test
-from .intervals import IntervalQueue
 from .load import minimum_processor_speed, scaled_wcets, system_load
 from .processor_demand import processor_demand_test
 from .qpa import qpa_test
@@ -47,7 +46,6 @@ __all__ = [
     "superposition_bound",
     "feasibility_bound",
     "compare_bounds",
-    "IntervalQueue",
     "system_load",
     "minimum_processor_speed",
     "scaled_wcets",

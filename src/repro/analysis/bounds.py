@@ -24,14 +24,22 @@ tasks to demand components so the event-stream extension inherits them:
 One-shot components (bursty event streams) contribute their full cost to
 every numerator and nothing to ``U``; see the derivation notes in
 DESIGN.md.
+
+The three closed forms come from one pass over a compiled
+:class:`~repro.kernel.DemandKernel` (:func:`closed_form_bounds`): with
+the kernel's envelope weights ``w_i / H = C_i / T_i`` every numerator
+and ``1 - U`` are integers on the kernel grid, and one `Fraction` is
+built per bound at the end.  ``AnalysisContext.bound`` and the public
+functions below both use it.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
+from ..kernel import DemandKernel
 from ..model.components import DemandSource, as_components, total_utilization
 from ..model.numeric import ExactTime
 from .busy_period import busy_period_of_components
@@ -41,6 +49,7 @@ __all__ = [
     "baruah_bound",
     "george_bound",
     "superposition_bound",
+    "closed_form_bounds",
     "feasibility_bound",
     "compare_bounds",
 ]
@@ -56,8 +65,66 @@ class BoundMethod(enum.Enum):
     BEST = "best"
 
 
-def _exact(value: Fraction) -> ExactTime:
+_CLOSED_FORMS = (BoundMethod.BARUAH, BoundMethod.GEORGE, BoundMethod.SUPERPOSITION)
+
+
+def _exact(numerator: ExactTime, denominator: ExactTime) -> ExactTime:
+    value = Fraction(numerator, denominator)
     return value.numerator if value.denominator == 1 else value
+
+
+def closed_form_bounds(
+    kernel: DemandKernel,
+) -> Dict[BoundMethod, Optional[ExactTime]]:
+    """Baruah, George and superposition bounds of a compiled system.
+
+    One pass over the kernel's grid arrays and envelope weights ``(H,
+    w)`` (``w_i / H = C_i / T_i``): with ``W = Σ w``, ``1 - U = (H - W) /
+    H``, so every bound is an integer numerator over ``scale · (H - W)``
+    and one `Fraction` is built per bound, at the end.  Values equal the
+    module docstring's formulas exactly, normalized to ``int`` when
+    integral.  All three are ``None`` when ``U >= 1``.
+    """
+    hyper, weights = kernel.envelope_weights()
+    free = hyper - sum(weights)  # H · (1 - U)
+    if free <= 0:
+        return dict.fromkeys(_CLOSED_FORMS)
+    if not kernel.n:
+        return dict.fromkeys(_CLOSED_FORMS, 0)
+    max_gap: ExactTime = 0
+    one_shot: ExactTime = 0
+    george: ExactTime = 0  # Σ (T - d0)·w over recurrent d0 <= T
+    slack: ExactTime = 0  # Σ (T - d0)·w over every recurrent component
+    for d0, p, c, w in zip(kernel.d0s, kernel.periods, kernel.wcets, weights):
+        if p:
+            gap = p - d0
+            term = gap * w
+            slack += term
+            if gap >= 0:
+                george += term
+                if gap > max_gap:
+                    max_gap = gap
+        else:
+            one_shot += c
+    # Every numerator below is over scale · H · (1 - U).
+    scale = kernel.scale or 1
+    denominator = scale * free
+    one_shot *= hyper
+    linear = slack + one_shot
+    d_max = max(kernel.d0s)
+    return {
+        BoundMethod.BARUAH: _exact((hyper - free) * max_gap + one_shot, denominator),
+        BoundMethod.GEORGE: _exact(george + one_shot, denominator),
+        BoundMethod.SUPERPOSITION: (
+            _exact(d_max, scale)
+            if d_max * free >= linear
+            else _exact(linear, denominator)
+        ),
+    }
+
+
+def _closed_forms(source: DemandSource) -> Dict[BoundMethod, Optional[ExactTime]]:
+    return closed_form_bounds(DemandKernel(as_components(source)))
 
 
 def baruah_bound(source: DemandSource) -> Optional[ExactTime]:
@@ -68,21 +135,7 @@ def baruah_bound(source: DemandSource) -> Optional[ExactTime]:
     ``max_gap = max(0, max_i (T_i - d0_i))``.  A result of 0 means no
     interval needs checking (demand can never overflow when ``U <= 1``).
     """
-    components = as_components(source)
-    u = Fraction(total_utilization(components))
-    if u >= 1:
-        return None
-    max_gap = Fraction(0)
-    one_shot = Fraction(0)
-    for c in components:
-        if c.is_recurrent:
-            gap = Fraction(c.period) - Fraction(c.first_deadline)
-            if gap > max_gap:
-                max_gap = gap
-        else:
-            one_shot += Fraction(c.wcet)
-    value = (u * max_gap + one_shot) / (1 - u)
-    return _exact(value)
+    return _closed_forms(source)[BoundMethod.BARUAH]
 
 
 def george_bound(source: DemandSource) -> Optional[ExactTime]:
@@ -91,21 +144,7 @@ def george_bound(source: DemandSource) -> Optional[ExactTime]:
     Component generalisation:
     ``(sum_{recurrent, d0 <= T} (1 - d0/T) C + sum_oneshot C) / (1 - U)``.
     """
-    components = as_components(source)
-    u = Fraction(total_utilization(components))
-    if u >= 1:
-        return None
-    numerator = Fraction(0)
-    for c in components:
-        if c.is_recurrent:
-            d0 = Fraction(c.first_deadline)
-            t = Fraction(c.period)
-            if d0 <= t:
-                numerator += (1 - d0 / t) * Fraction(c.wcet)
-        else:
-            numerator += Fraction(c.wcet)
-    value = numerator / (1 - u)
-    return _exact(value)
+    return _closed_forms(source)[BoundMethod.GEORGE]
 
 
 def superposition_bound(source: DemandSource) -> Optional[ExactTime]:
@@ -116,23 +155,7 @@ def superposition_bound(source: DemandSource) -> Optional[ExactTime]:
     is what makes this bound no larger than George's, while the ``D_max``
     floor covers the prefix where that derivation does not apply.
     """
-    components = as_components(source)
-    u = Fraction(total_utilization(components))
-    if u >= 1:
-        return None
-    if not components:
-        return 0
-    numerator = Fraction(0)
-    for c in components:
-        if c.is_recurrent:
-            d0 = Fraction(c.first_deadline)
-            t = Fraction(c.period)
-            numerator += (1 - d0 / t) * Fraction(c.wcet)
-        else:
-            numerator += Fraction(c.wcet)
-    linear = numerator / (1 - u)
-    d_max = Fraction(max(c.first_deadline for c in components))
-    return _exact(max(d_max, linear))
+    return _closed_forms(source)[BoundMethod.SUPERPOSITION]
 
 
 def feasibility_bound(
@@ -149,29 +172,11 @@ def feasibility_bound(
     u = total_utilization(components)
     if u > 1:
         return None
-    if method is BoundMethod.BARUAH:
-        bound = baruah_bound(components)
-    elif method is BoundMethod.GEORGE:
-        bound = george_bound(components)
-    elif method is BoundMethod.SUPERPOSITION:
-        bound = superposition_bound(components)
-    elif method is BoundMethod.BUSY_PERIOD:
+    if method is BoundMethod.BUSY_PERIOD or u == 1:
+        # Closed-form bounds are inapplicable at U == 1: busy period.
         return busy_period_of_components(components)
-    elif method is BoundMethod.BEST:
-        candidates: List[ExactTime] = []
-        for fn in (baruah_bound, george_bound, superposition_bound):
-            value = fn(components)
-            if value is not None:
-                candidates.append(value)
-        if candidates:
-            return min(candidates)
-        return busy_period_of_components(components)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown bound method {method!r}")
-    if bound is None:
-        # Closed-form bound inapplicable at U == 1: use the busy period.
-        return busy_period_of_components(components)
-    return bound
+    closed = closed_form_bounds(DemandKernel(components))
+    return min(closed.values()) if method is BoundMethod.BEST else closed[method]
 
 
 def compare_bounds(source: DemandSource) -> Dict[str, Optional[ExactTime]]:
@@ -181,9 +186,10 @@ def compare_bounds(source: DemandSource) -> Dict[str, Optional[ExactTime]]:
     forms, ``U > 1`` for the busy period.
     """
     components = as_components(source)
+    closed = closed_form_bounds(DemandKernel(components))
     return {
-        "baruah": baruah_bound(components),
-        "george": george_bound(components),
-        "superposition": superposition_bound(components),
+        "baruah": closed[BoundMethod.BARUAH],
+        "george": closed[BoundMethod.GEORGE],
+        "superposition": closed[BoundMethod.SUPERPOSITION],
         "busy_period": busy_period_of_components(components),
     }

@@ -13,14 +13,22 @@ hyperperiod).  Classic result used here: if a synchronous sporadic system
 misses a deadline under EDF, a miss occurs at a deadline inside the first
 synchronous busy period — so ``L`` is a valid feasibility bound, and the
 only one that remains finite at ``U = 1``.
+
+One-shot demand components (bursty event streams) add their cost to
+every step, so at exactly ``U = 1`` with a nonzero one-shot cost the
+iteration never converges (``rbf(L) >= L + one-shot cost``).  There
+:func:`busy_period_of_components` returns ``D* + H`` instead — the
+largest first deadline plus the hyperperiod — an exact bound, because
+``dbf(t + H) - (t + H) = dbf(t) - t`` for every ``t >= D*`` at ``U = 1``.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional
 
 from ..model.components import DemandSource, as_components, total_utilization
-from ..model.numeric import ExactTime, ceil_div
+from ..model.numeric import ExactTime, ceil_div, exact_lcm, to_exact
 from ..model.taskset import TaskSet
 
 __all__ = ["synchronous_busy_period", "busy_period_of_components"]
@@ -55,17 +63,26 @@ def busy_period_of_components(source: DemandSource) -> Optional[ExactTime]:
     point is an upper bound on the true busy period and remains a sound
     feasibility bound.  One-shot components add their cost once.
 
+    At ``U = 1`` with one-shot components no fixed point exists; the
+    result is then the exact bound ``D* + H`` (see the module docstring).
+
     Returns ``None`` when the total utilization exceeds 1.
     """
     components = as_components(source)
     if not components:
         return 0
-    if total_utilization(components) > 1:
+    utilization = total_utilization(components)
+    if utilization > 1:
         return None
     one_shot_cost: ExactTime = sum(
         (c.wcet for c in components if not c.is_recurrent), 0
     )
     recurrent = [c for c in components if c.is_recurrent]
+    if one_shot_cost and utilization == 1:
+        last_deadline = max(c.first_deadline for c in components)
+        return to_exact(
+            last_deadline + reduce(exact_lcm, (c.period for c in recurrent))
+        )
     length: ExactTime = one_shot_cost + sum((c.wcet for c in recurrent), 0)
     if length == 0:
         return 0

@@ -41,14 +41,20 @@ so ``"largest_error"`` is the default here and we read the paper's
   overshoots the staircase most at the failing interval (``O(n)`` scan);
 * ``"fifo"`` — the literal pseudocode reading;
 * ``"largest_utilization"`` — revise the fastest-accumulating component.
+
+The walk runs on the compiled kernel's grid with integer envelope sums
+over :meth:`~repro.kernel.DemandKernel.envelope_weights` ``(H, w)``,
+``w_i / H = C_i / T_i``: the check ``exact + U_ready·I - base > I`` is
+multiplied through by ``H``, and the largest-error key becomes
+``((I - d0) mod T) · w``, ``H`` times ``app(I, tau)`` for every
+component alike, so ``max()`` keeps its order and its ties.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Sequence
 
 from ..engine.context import preflight
 from ..model.components import DemandSource
@@ -86,13 +92,15 @@ def all_approx_test(
     u = ctx.utilization
 
     # The walk runs on the compiled kernel's flat arrays (see
-    # repro.kernel): heap entries live on the kernel grid, the exact
-    # demand accumulates as a machine integer on the integerized path,
-    # and the push sequence numbers reproduce the FIFO tie-breaking of
-    # the component-based implementation bit-exactly.
+    # repro.kernel): heap entries live on the kernel grid, and the push
+    # sequence numbers reproduce the FIFO tie-breaking of the
+    # component-based implementation bit-exactly.  The envelope sums are
+    # ``slope = Σ w`` and ``base = Σ w·anchor``, i.e. ``hyper`` times the
+    # rate sum and the envelope base, so the check runs on integers.
     kernel = ctx.kernel()
     n = kernel.n
-    d0s, periods, wcets, rates = kernel.d0s, kernel.periods, kernel.wcets, kernel.rates
+    d0s, periods, wcets = kernel.d0s, kernel.periods, kernel.wcets
+    hyper, weights = kernel.envelope_weights()
 
     # Backstop for U == 1, where the implicit superposition bound
     # diverges; within U < 1 the test list provably drains on its own.
@@ -108,8 +116,8 @@ def all_approx_test(
     approx_fifo: Deque[int] = deque()
 
     exact_demand: ExactTime = 0
-    u_ready = Fraction(0)
-    approx_base = Fraction(0)
+    slope: ExactTime = 0  # Σ w over approximated components
+    base: ExactTime = 0  # Σ w·anchor over approximated components
     iterations = 0
     intervals = 0
     revisions = 0
@@ -125,9 +133,12 @@ def all_approx_test(
         if last_interval != interval:
             intervals += 1
             last_interval = interval
-        value = exact_demand + u_ready * interval - approx_base if u_ready else exact_demand
 
-        while value > interval:
+        while (
+            (exact_demand - interval) * hyper + slope * interval - base > 0
+            if slope
+            else exact_demand > interval
+        ):
             if not approx_fifo:
                 true_demand = kernel.dbf_scaled(interval)
                 return FeasibilityResult(
@@ -143,10 +154,10 @@ def all_approx_test(
                     ),
                     details={"utilization": u},
                 )
-            j = _pick_revision(revision_policy, approx_fifo, kernel, interval)
-            rate = rates[j]
-            u_ready -= rate
-            approx_base -= rate * approx_at[j]
+            j = _pick_revision(revision_policy, approx_fifo, kernel, weights, interval)
+            w = weights[j]
+            slope -= w
+            base -= w * approx_at[j]
             approx_at[j] = None
             # Only recurrent components are ever approximated, and the
             # walk is ascending, so interval >= d0s[j] here.
@@ -157,13 +168,12 @@ def all_approx_test(
             seq += 1
             revisions += 1
             iterations += 1
-            value = exact_demand + u_ready * interval - approx_base if u_ready else exact_demand
 
         # Check passed: approximate the component from this interval on.
         if periods[idx]:
-            rate = rates[idx]
-            u_ready += rate
-            approx_base += rate * interval
+            w = weights[idx]
+            slope += w
+            base += w * interval
             approx_at[idx] = interval
             approx_fifo.append(idx)
 
@@ -181,22 +191,26 @@ def _pick_revision(
     policy: str,
     approx_fifo: Deque[int],
     kernel,
+    weights: Sequence[ExactTime],
     interval: ExactTime,
 ) -> int:
-    """Remove and return the next component to revise, per *policy*."""
+    """Remove and return the next component to revise, per *policy*.
+
+    Keys use the envelope *weights* (``hyper`` times each rate, one
+    ``hyper`` for all), so they order and tie as rate-based keys would.
+    """
     if policy == RevisionPolicy.FIFO:
         return approx_fifo.popleft()
     if policy == RevisionPolicy.LARGEST_ERROR:
-        # app(I, tau) = frac((I - d0)/T) * C (Lemma 6); only the ordering
-        # matters, so the grid-scaled value serves unchanged.
-        d0s, periods, wcets = kernel.d0s, kernel.periods, kernel.wcets
+        # app(I, tau) = frac((I - d0)/T) * C = ((I - d0) mod T) * rate
+        # (Lemma 6); only the ordering matters, so the grid-scaled value
+        # times the common ``hyper`` serves unchanged.
+        d0s, periods = kernel.d0s, kernel.periods
         best = max(
             approx_fifo,
-            key=lambda j: Fraction((interval - d0s[j]) % periods[j])
-            * wcets[j]
-            / periods[j],
+            key=lambda j: (interval - d0s[j]) % periods[j] * weights[j],
         )
     else:  # LARGEST_UTILIZATION
-        best = max(approx_fifo, key=lambda j: kernel.rates[j])
+        best = max(approx_fifo, key=weights.__getitem__)
     approx_fifo.remove(best)
     return best

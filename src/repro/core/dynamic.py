@@ -26,15 +26,23 @@ counterexample.  Acceptance terminates at the minimum feasibility bound
 An optional ``max_level`` cap yields the paper's "strictly limited
 worst-case run-time" variant: the verdict degrades to UNKNOWN when the
 cap prevents the required revisions.
+
+The walk runs on the compiled kernel's grid (see :mod:`repro.kernel`),
+like All-Approximated: a heap of grid deadlines whose push sequence
+numbers keep coincident deadlines in FIFO order, and envelope sums kept
+as exact integers over the kernel's envelope weights
+(:meth:`~repro.kernel.DemandKernel.envelope_weights`), so no check
+builds a `Fraction`.  Only the level-cap UNKNOWN witness, an
+approximated demand, is one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 from ..analysis.bounds import BoundMethod
-from ..analysis.intervals import IntervalQueue
 from ..engine.context import preflight
 from ..model.components import DemandSource
 from ..model.numeric import ExactTime
@@ -88,50 +96,55 @@ def dynamic_test(
     ctx, early = preflight(source, name, overload_max_level=1)
     if early is not None:
         return early
-    components = ctx.components
     u = ctx.utilization
     bound = ctx.bound(bound_method)
     if bound is None:  # pragma: no cover - U > 1 handled above
         raise AssertionError("no finite bound despite U <= 1")
 
-    n = len(components)
-    queue: IntervalQueue[int] = IntervalQueue()
+    # Heap entries ``(deadline, seq, index)``: seeds are keyed by index,
+    # later pushes by a running sequence number, so coincident deadlines
+    # pop in push order (FIFO).  ``slope = Σ w`` and ``base = Σ w·anchor``
+    # over the approximated components are ``hyper`` times the rate sum
+    # and the envelope base.
+    kernel = ctx.kernel()
+    n = kernel.n
+    d0s, periods, wcets = kernel.d0s, kernel.periods, kernel.wcets
+    hyper, weights = kernel.envelope_weights()
+    bound_s = kernel.inclusive_scaled(bound)
+    heap = [(d0s[idx], idx, idx) for idx in range(n) if d0s[idx] <= bound_s]
+    heapify(heap)
+    seq = n
     jobs_counted: List[int] = [0] * n
-    approximated: List[bool] = [False] * n
     approx_at: List[Optional[ExactTime]] = [None] * n  # Im of each approx comp
-    for idx, comp in enumerate(components):
-        if comp.first_deadline <= bound:
-            queue.push(comp.first_deadline, idx)
 
     level = 1
     exact_demand: ExactTime = 0
-    u_ready = Fraction(0)
-    approx_base = Fraction(0)
+    slope: ExactTime = 0
+    base: ExactTime = 0
     iterations = 0
     intervals = 0
     revisions = 0
     last_interval: Optional[ExactTime] = None
 
-    def current_value(at: ExactTime):
-        return exact_demand + u_ready * Fraction(at) - approx_base
-
-    while queue:
-        interval, idx = queue.pop()
-        if interval > bound:
+    while heap:
+        interval, _, idx = heappop(heap)
+        if interval > bound_s:
             break  # Lemma 3 + bound: everything beyond is covered.
-        comp = components[idx]
-        exact_demand += comp.wcet
+        exact_demand += wcets[idx]
         jobs_counted[idx] += 1
         iterations += 1
         if last_interval != interval:
             intervals += 1
             last_interval = interval
-        value = current_value(interval)
 
-        while value > interval:
-            revivable = [j for j in range(n) if approximated[j]]
+        while (
+            (exact_demand - interval) * hyper + slope * interval - base > 0
+            if slope
+            else exact_demand > interval
+        ):
+            revivable = [j for j in range(n) if approx_at[j] is not None]
             if not revivable:
-                true_demand = ctx.dbf(interval)
+                at = kernel.unscale(interval)
                 return FeasibilityResult(
                     verdict=Verdict.INFEASIBLE,
                     test_name=name,
@@ -141,11 +154,14 @@ def dynamic_test(
                     max_level=level,
                     bound=bound,
                     witness=FailureWitness(
-                        interval=interval, demand=true_demand, exact=True
+                        interval=at, demand=ctx.dbf(at), exact=True
                     ),
                     details={"utilization": u},
                 )
             if max_level is not None and level >= max_level:
+                value = Fraction(
+                    exact_demand * hyper + slope * interval - base, hyper
+                )
                 return FeasibilityResult(
                     verdict=Verdict.UNKNOWN,
                     test_name=name,
@@ -155,8 +171,8 @@ def dynamic_test(
                     max_level=level,
                     bound=bound,
                     witness=FailureWitness(
-                        interval=interval,
-                        demand=_normalize(value),
+                        interval=kernel.unscale(interval),
+                        demand=_normalize(kernel.unscale(value)),
                         exact=False,
                     ),
                     details={"utilization": u, "reason": "level cap reached"},
@@ -168,40 +184,36 @@ def dynamic_test(
             if max_level is not None:
                 level = min(level, max_level)
             # Gamma_rev: approximated components the new level no longer
-            # allows to be approximated at this interval.
-            revived = [
-                j
-                for j in revivable
-                if ctx.max_test_interval(j, level) > interval
-            ]
-            for j in revived:
-                comp_j = components[j]
-                rate = Fraction(comp_j.utilization)
-                u_ready -= rate
-                approx_base -= rate * Fraction(approx_at[j])
-                approximated[j] = False
+            # allows to be approximated at this interval (their Im, the
+            # level-th deadline, lies beyond it).
+            for j in revivable:
+                if d0s[j] + (level - 1) * periods[j] <= interval:
+                    continue
+                w = weights[j]
+                slope -= w
+                base -= w * approx_at[j]
                 approx_at[j] = None
-                jobs_now = comp_j.jobs_up_to(interval)
-                exact_demand += (jobs_now - jobs_counted[j]) * comp_j.wcet
+                # Approximated components are recurrent and anchored at
+                # a checked interval, so interval >= d0s[j] here.
+                jobs_now = (interval - d0s[j]) // periods[j] + 1
+                exact_demand += (jobs_now - jobs_counted[j]) * wcets[j]
                 jobs_counted[j] = jobs_now
-                nxt = comp_j.next_deadline_after(interval)
-                if nxt is not None:
-                    queue.push(nxt, j)
+                heappush(heap, (d0s[j] + jobs_now * periods[j], seq, j))
+                seq += 1
                 revisions += 1
                 iterations += 1
-            if revived:
-                value = current_value(interval)
 
         # The check passed.  Decide the component's continuation.
-        if comp.period is None:
+        period = periods[idx]
+        if not period:
             continue  # one-shot: fully accounted, nothing recurs
         if jobs_counted[idx] < level:
-            queue.push(interval + comp.period, idx)
+            heappush(heap, (interval + period, seq, idx))
+            seq += 1
         else:
-            rate = Fraction(comp.utilization)
-            u_ready += rate
-            approx_base += rate * Fraction(interval)
-            approximated[idx] = True
+            w = weights[idx]
+            slope += w
+            base += w * interval
             approx_at[idx] = interval
 
     return FeasibilityResult(

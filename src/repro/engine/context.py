@@ -5,7 +5,7 @@ normalize the source via :func:`~repro.model.components.as_components`,
 sum the utilization, short-circuit on overload, resolve a feasibility
 bound.  :class:`AnalysisContext` performs that pipeline once and caches
 the expensive intermediates (feasibility bounds, busy period, exact
-``dbf`` evaluations, per-component maximum test intervals) keyed on a
+``dbf`` evaluations, the compiled demand kernel) keyed on a
 canonical fingerprint of the task set, so that
 
 * running several tests on the same system (the experiment batteries,
@@ -110,7 +110,6 @@ class AnalysisContext:
         "_bounds",
         "_busy_period",
         "_dbf_cache",
-        "_max_test_intervals",
         "_kernel",
     )
 
@@ -133,7 +132,6 @@ class AnalysisContext:
         self._bounds: Dict["BoundMethod", Optional[ExactTime]] = {}
         self._busy_period: Optional[ExactTime] = None
         self._dbf_cache: Dict[ExactTime, ExactTime] = {}
-        self._max_test_intervals: Dict[Tuple[int, int], ExactTime] = {}
         self._kernel: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -222,14 +220,11 @@ class AnalysisContext:
 
         Mirrors :func:`repro.analysis.bounds.feasibility_bound`: ``None``
         only when ``U > 1``; closed forms fall back to the busy period at
-        ``U = 1``.  *method* defaults to ``BoundMethod.BEST``.
+        ``U = 1``.  *method* defaults to ``BoundMethod.BEST``.  The three
+        closed forms come from one pass over the compiled kernel and are
+        memoized together.
         """
-        from ..analysis.bounds import (
-            BoundMethod,
-            baruah_bound,
-            george_bound,
-            superposition_bound,
-        )
+        from ..analysis.bounds import BoundMethod, closed_form_bounds
 
         if method is None:
             method = BoundMethod.BEST
@@ -237,30 +232,17 @@ class AnalysisContext:
             return self._bounds[method]
         if self.utilization > 1:
             value: Optional[ExactTime] = None
-        elif method is BoundMethod.BARUAH:
-            value = baruah_bound(self.components)
-        elif method is BoundMethod.GEORGE:
-            value = george_bound(self.components)
-        elif method is BoundMethod.SUPERPOSITION:
-            value = superposition_bound(self.components)
-        elif method is BoundMethod.BUSY_PERIOD:
+        elif method is BoundMethod.BUSY_PERIOD or self.utilization == 1:
+            # Closed-form bounds are inapplicable at U == 1: busy period.
             value = self.busy_period()
-        elif method is BoundMethod.BEST:
-            candidates = [
-                b
-                for b in (
-                    self.bound(BoundMethod.BARUAH),
-                    self.bound(BoundMethod.GEORGE),
-                    self.bound(BoundMethod.SUPERPOSITION),
-                )
-                if b is not None
-            ]
-            value = min(candidates) if candidates else self.busy_period()
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown bound method {method!r}")
-        if value is None and self.utilization <= 1:
-            # Closed-form bound inapplicable at U == 1: busy period.
-            value = self.busy_period()
+        else:
+            closed = closed_form_bounds(self.kernel())
+            self._bounds.update(closed)
+            value = (
+                min(closed.values())
+                if method is BoundMethod.BEST
+                else closed[method]
+            )
         self._bounds[method] = value
         return value
 
@@ -302,26 +284,6 @@ class AnalysisContext:
         if cached is None:
             cached = self.kernel().dbf(t)
             self._dbf_cache[t] = cached
-        return cached
-
-    def max_test_interval(self, index: int, level: int) -> ExactTime:
-        """``Im`` of component *index* at *level* (paper Def. 4), memoized.
-
-        The Dynamic test re-evaluates these for every approximated
-        component on every level switch; the memo turns the inner
-        revision scans into dictionary lookups.
-        """
-        key = (index, level)
-        cached = self._max_test_intervals.get(key)
-        if cached is None:
-            comp = self.components[index]
-            if level < 1:
-                raise ValueError(f"superposition level must be >= 1, got {level}")
-            if comp.period is None:
-                cached = comp.first_deadline
-            else:
-                cached = comp.first_deadline + (level - 1) * comp.period
-            self._max_test_intervals[key] = cached
         return cached
 
     # ------------------------------------------------------------------

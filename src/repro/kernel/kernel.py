@@ -34,6 +34,11 @@ factor without giving up exactness:
   online :class:`~repro.online.AdmissionController` run: the engine
   calls them on the whole staircase, the controller on the window an
   arrival can perturb.
+* **Integer envelopes.**  :meth:`envelope_weights` returns ``(H, w)``
+  with ``H`` the lcm of the grid periods and ``w_i = C_i · H / T_i``,
+  so ``w_i / H`` is the rate ``C_i / T_i`` exactly.  The Dynamic and
+  All-Approximated walks and the closed-form bounds keep their envelope
+  sums as integers scaled by ``H`` instead of `Fraction` sums of rates.
 
 Scaling by a positive constant preserves every comparison the tests
 make (``dbf(I) <= I`` ⇔ ``dbf_s(I_s) <= I_s``), every tie between
@@ -200,6 +205,25 @@ class DemandKernel:
             )
             self._rates = rates
         return rates
+
+    def envelope_weights(self) -> Tuple[ExactTime, Sequence[ExactTime]]:
+        """``(L, w)`` with ``w[i] / L == rates[i]`` exactly.
+
+        On the integer grid ``L`` is the lcm of the periods and ``w[i] =
+        wcets[i] * (L // periods[i])`` (``0`` for one-shots), so envelope
+        sums and slopes stay machine integers scaled by the common ``L``.
+        On the exact fallback grid it is ``(1, rates)``, letting one loop
+        serve both grids.  Built per call, not cached: the weights of a
+        many-period system are wide integers, and contexts stay in the
+        LRU long after their walk.
+        """
+        if self.scale is None:
+            return 1, self.rates
+        periods = self.periods
+        hyper = lcm(*[p for p in periods if p])
+        return hyper, [
+            c * (hyper // p) if p else 0 for c, p in zip(self.wcets, periods)
+        ]
 
     # ------------------------------------------------------------------
     # Grid conversions

@@ -115,16 +115,6 @@ class TestMemoizedQuantities:
             as_components(simple_taskset)
         )
 
-    def test_max_test_interval_matches_definition(self, simple_taskset):
-        from repro.core import max_test_interval
-
-        ctx = AnalysisContext.of(simple_taskset)
-        for idx, comp in enumerate(ctx.components):
-            for level in (1, 2, 5):
-                assert ctx.max_test_interval(idx, level) == max_test_interval(
-                    comp, level
-                )
-
     def test_utilization_is_exact_total(self, simple_taskset):
         ctx = AnalysisContext.of(simple_taskset)
         assert ctx.utilization == simple_taskset.utilization

@@ -14,7 +14,11 @@ the compiled kernel must reproduce the component-based reference
   the pre-kernel walks kept verbatim in this file;
 * verdict / iteration / interval / revision / witness equality for the
   rewired superposition and All-Approximated walks against their
-  pre-kernel component-based loops (also kept verbatim below).
+  pre-kernel component-based loops (also kept verbatim below);
+* full ``FeasibilityResult`` equality for the Dynamic test against its
+  ``IntervalQueue``/``Fraction`` loop, and equal values and types for
+  the closed-form bounds against their ``Fraction`` loops (both in
+  ``reference_walks.py``), also on exact-grid systems and one-shot sets.
 """
 
 import random
@@ -23,17 +27,32 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis.bounds import BoundMethod
+from repro.analysis.bounds import (
+    BoundMethod,
+    baruah_bound,
+    compare_bounds,
+    feasibility_bound,
+    george_bound,
+    superposition_bound,
+)
 from repro.analysis.dbf import dbf as reference_dbf, dbf_points
-from repro.analysis.intervals import IntervalQueue
 from repro.analysis.qpa import largest_deadline_below
-from repro.core import all_approx_test, superposition_test
+from repro.core import all_approx_test, dynamic_test, superposition_test
 from repro.engine import analyze
 from repro.engine.context import AnalysisContext, clear_context_cache
+from repro.generation import example_systems
 from repro.kernel import DemandKernel
 from repro.model.components import DemandComponent, as_components
 
-from .reference_walks import reference_processor_demand, reference_qpa
+from .reference_walks import (
+    IntervalQueue,
+    reference_baruah_bound,
+    reference_dynamic,
+    reference_george_bound,
+    reference_processor_demand,
+    reference_qpa,
+    reference_superposition_bound,
+)
 
 SET_COUNT = 220
 
@@ -432,3 +451,209 @@ def test_superposition_parity_on_the_exact_grid():
                 assert result.witness.interval == w_interval
                 assert result.witness.demand == w_demand
     assert outcomes == {"feasible", "unknown"}
+
+
+# ----------------------------------------------------------------------
+# Integer envelope sums: Dynamic, All-Approximated and the closed-form
+# bounds against their Fraction references, on the random population,
+# exact-grid systems and one-shot sets (some at exactly U = 1).
+# ----------------------------------------------------------------------
+
+_SCHEDULES = ("double", "increment")
+_MAX_LEVELS = (None, 1, 2)
+_DYNAMIC_BOUNDS = (BoundMethod.SUPERPOSITION, BoundMethod.BEST, BoundMethod.BARUAH)
+
+
+def _exact_grid_sets():
+    """Systems whose denominators push the kernel past SCALE_CAP."""
+    rng = random.Random(19790312)
+    primes = [(1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1]
+    sets = []
+    for _ in range(12):
+        comps = [
+            DemandComponent(
+                wcet=Fraction(rng.randint(1, 3), p),
+                first_deadline=Fraction(rng.randint(1, 9), p) + rng.randint(2, 12),
+                period=rng.randint(3, 14),
+            )
+            for p in primes
+        ]
+        comps.extend(_random_components(rng))
+        sets.append(as_components(comps))
+    # Far one-shots put this one on the exact grid while its walk stays
+    # integral: the level-capped UNKNOWN witness demand is the int 4.
+    sets.append(
+        as_components(
+            [
+                DemandComponent(wcet=c, first_deadline=d, period=t)
+                for c, d, t in [(1, 13, 9), (2, 3, 15), (2, 10, 5), (2, 3, 7)]
+            ]
+            + [DemandComponent(wcet=Fraction(1, p), first_deadline=400) for p in primes]
+        )
+    )
+    return sets
+
+
+def _one_shot_sets():
+    """Sets with one-shot components; every third sits at exactly U = 1."""
+    rng = random.Random(20070104)
+    sets = []
+    for index in range(60):
+        if index % 3:
+            comps = list(_random_components(rng))
+        else:
+            comps = []
+            cuts = sorted(Fraction(rng.randint(1, 23), 24) for _ in range(rng.randint(0, 3)))
+            for low, high in zip([Fraction(0)] + cuts, cuts + [Fraction(1)]):
+                if high == low:
+                    continue
+                period = rng.choice([2, 3, 4, 6, 8, 12])
+                comps.append(
+                    DemandComponent(
+                        wcet=(high - low) * period,
+                        first_deadline=rng.randint(1, 2 * period),
+                        period=period,
+                    )
+                )
+        for _ in range(rng.randint(1, 3)):
+            comps.append(
+                DemandComponent(
+                    wcet=_random_value(rng, 1, 3),
+                    first_deadline=_random_value(rng, 1, 30),
+                )
+            )
+        sets.append(as_components(comps))
+    return sets
+
+
+_EXACT_GRID_SETS = _exact_grid_sets()
+_ONE_SHOT_SETS = _one_shot_sets()
+
+#: Sets (tasks as (C, D, T), T None for one-shots) where index-order ties
+#: in the Dynamic walk's later pushes change the result under the given
+#: level schedule; the last one sits at U = 1 with a one-shot component.
+_DYNAMIC_TIE_ORDER_SETS = [
+    ([(3, 5, 7), (3, 7, 10), (3, 13, 14)], "increment"),
+    ([(2, 5, 7), (3, 12, None), (3, 3, 8)], "double"),
+    ([(1, 12, 4), (2, 4, 6), (3, 11, None), (3, 6, 9), (1, 7, 12)], "double"),
+]
+
+
+def _assert_same_result(result, expected, label=None):
+    """Full ``FeasibilityResult`` equality, plus equal types (``int`` vs
+    ``Fraction``) for the bound and the witness demand."""
+    assert result == expected, label
+    assert type(result.bound) is type(expected.bound), label
+    if expected.witness is not None:
+        assert type(result.witness.demand) is type(expected.witness.demand), label
+
+
+def _assert_dynamic_parity(ctx, case):
+    for schedule in _SCHEDULES:
+        for max_level in _MAX_LEVELS:
+            for method in _DYNAMIC_BOUNDS:
+                options = dict(
+                    bound_method=method, max_level=max_level, level_schedule=schedule
+                )
+                _assert_same_result(
+                    dynamic_test(ctx, **options),
+                    reference_dynamic(ctx, **options),
+                    (case, options),
+                )
+
+
+def _assert_all_approx_parity(ctx):
+    for policy in ("largest_error", "fifo", "largest_utilization"):
+        result = all_approx_test(ctx, revision_policy=policy)
+        verdict, w_interval, w_demand, its, ivs, revs = reference_all_approx(
+            ctx, policy
+        )
+        assert result.verdict.value == verdict, policy
+        assert (result.iterations, result.intervals_checked, result.revisions) == (
+            its,
+            ivs,
+            revs,
+        )
+        if w_interval is not None:
+            assert (result.witness.interval, result.witness.demand) == (
+                w_interval,
+                w_demand,
+            )
+
+
+@pytest.mark.parametrize("index", range(SET_COUNT))
+def test_dynamic_parity(index):
+    """Dynamic on the kernel grid vs its IntervalQueue/Fraction loop:
+    full results across level schedules, level caps and bounds."""
+    clear_context_cache()
+    _assert_dynamic_parity(AnalysisContext.of(_POPULATION[index]), index)
+
+
+@pytest.mark.parametrize("population", ["exact_grid", "one_shot"])
+def test_envelope_walk_parity_on_exact_grid_and_one_shot_sets(population):
+    sets = _EXACT_GRID_SETS if population == "exact_grid" else _ONE_SHOT_SETS
+    for index, comps in enumerate(sets):
+        clear_context_cache()
+        ctx = AnalysisContext.of(comps)
+        assert (ctx.kernel().scale is None) == (population == "exact_grid")
+        _assert_dynamic_parity(ctx, (population, index))
+        if ctx.utilization <= 1:
+            _assert_all_approx_parity(ctx)
+
+
+def test_one_shot_sets_include_full_utilization():
+    full = [c for c in _ONE_SHOT_SETS if AnalysisContext.of(c).utilization == 1]
+    assert len(full) >= 15
+    assert all(any(comp.period is None for comp in comps) for comps in full)
+
+
+@pytest.mark.parametrize("spec, schedule", _DYNAMIC_TIE_ORDER_SETS)
+def test_dynamic_ties_pop_in_push_order(spec, schedule):
+    comps = as_components(
+        [DemandComponent(wcet=c, first_deadline=d, period=t) for c, d, t in spec]
+    )
+    clear_context_cache()
+    ctx = AnalysisContext.of(comps)
+    _assert_same_result(
+        dynamic_test(ctx, level_schedule=schedule),
+        reference_dynamic(ctx, level_schedule=schedule),
+    )
+
+
+def _bound_systems():
+    yield from _POPULATION
+    yield from _EXACT_GRID_SETS
+    yield from _ONE_SHOT_SETS
+    for system in example_systems().values():
+        yield as_components(system)
+
+
+_REFERENCE_BOUNDS = {
+    BoundMethod.BARUAH: (baruah_bound, reference_baruah_bound),
+    BoundMethod.GEORGE: (george_bound, reference_george_bound),
+    BoundMethod.SUPERPOSITION: (superposition_bound, reference_superposition_bound),
+}
+
+
+def test_closed_form_bounds_match_the_fraction_loops():
+    """One integer pass per system: equal values *and* equal types (``int``
+    when integral, else ``Fraction``) through every entry point."""
+    types = set()
+    for comps in _bound_systems():
+        clear_context_cache()
+        ctx = AnalysisContext.of(comps)
+        expected = {m: ref(comps) for m, (_, ref) in _REFERENCE_BOUNDS.items()}
+        compared = compare_bounds(comps)
+        for method, (public, _) in _REFERENCE_BOUNDS.items():
+            want = expected[method]
+            for got in (public(comps), compared[method.value]):
+                assert got == want and type(got) is type(want), (method, comps)
+            if want is not None:
+                types.add(type(want))
+                for got in (ctx.bound(method), feasibility_bound(comps, method)):
+                    assert got == want and type(got) is type(want), (method, comps)
+        if expected[BoundMethod.BARUAH] is not None:
+            best = min(expected.values())
+            for got in (ctx.bound(BoundMethod.BEST), feasibility_bound(comps)):
+                assert got == best and type(got) is type(best)
+    assert types == {int, Fraction}

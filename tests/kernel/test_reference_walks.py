@@ -1,6 +1,6 @@
-"""Unit tests for the interval queue."""
+"""Unit tests for the reference walks' interval queue."""
 
-from repro.analysis import IntervalQueue
+from .reference_walks import IntervalQueue
 
 
 class TestIntervalQueue:
