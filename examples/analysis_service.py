@@ -50,8 +50,7 @@ def main() -> None:
         with AnalysisServer(port=0, store=store_path) as server:
             campaign(server.url, sets)
             stats = ServiceClient(server.url).cache_stats()
-            print(f"  store: {stats['store']['rows']} results, "
-                  f"{stats['store']['contexts']} contexts persisted")
+            print(f"  store: {stats['store']['rows']} results persisted")
 
         # A real restart would be a new process; dropping the in-memory
         # context LRU reproduces the same cold start.

@@ -29,10 +29,7 @@ from .context import (
     clear_context_cache,
     context_cache_info,
     fingerprint_of,
-    get_context_backend,
-    persist_context,
     preflight,
-    set_context_backend,
 )
 from .registry import (
     OptionSpec,
@@ -49,9 +46,6 @@ __all__ = [
     "fingerprint_of",
     "context_cache_info",
     "clear_context_cache",
-    "set_context_backend",
-    "get_context_backend",
-    "persist_context",
     "TestKind",
     "OptionSpec",
     "TestDefinition",

@@ -15,15 +15,10 @@ canonical fingerprint of the task set, so that
   module-level context cache instead of recomputing.
 
 The cache is a small LRU — analysis sweeps over millions of *distinct*
-sets stay O(cache size) in memory.
-
-A *persistent* backend (duck-typed: ``load_context(fingerprint)`` /
-``store_context(fingerprint, state)``) can be plugged in with
-:func:`set_context_backend`; the in-memory LRU then layers over it — an
-LRU miss consults the backend and rehydrates the memoized quantities
-(bounds, busy period, exact ``dbf`` evaluations) computed by an earlier
-process.  The analysis service's SQLite result store is the shipped
-backend; anything honouring the two-method contract works.
+sets stay O(cache size) in memory.  It lives and dies with the process:
+across processes, the analysis service's result store keeps verdicts,
+and a new process recomputes the preflight quantities (the closed-form
+bounds are one integer pass over the compiled kernel).
 """
 
 from __future__ import annotations
@@ -58,9 +53,6 @@ __all__ = [
     "fingerprint_of",
     "context_cache_info",
     "clear_context_cache",
-    "set_context_backend",
-    "get_context_backend",
-    "persist_context",
 ]
 
 #: Canonical per-component key: everything a feasibility test can observe.
@@ -84,15 +76,6 @@ _CACHE_MISSES = _obs_counter(
     "repro_engine_context_cache_misses_total",
     "AnalysisContext LRU cache misses.",
 )
-_PERSISTENT_HITS = _obs_counter(
-    "repro_engine_context_persistent_hits_total",
-    "Context misses rehydrated from the persistent backend.",
-)
-
-#: Optional persistent second-level cache behind the in-memory LRU.
-#: Anything with ``load_context(fingerprint) -> Optional[Mapping]`` and
-#: ``store_context(fingerprint, state) -> None`` qualifies.
-_BACKEND: Optional[Any] = None
 
 
 class AnalysisContext:
@@ -154,23 +137,10 @@ class AnalysisContext:
                 _CACHE_HITS.inc()
                 return cached
             _CACHE_MISSES.inc()
-        # Backend I/O happens outside the lock; a concurrent miss on the
-        # same key at worst loads the state twice, which is idempotent.
+        # Built outside the lock; a concurrent miss on the same key at
+        # worst builds a second context, and the first one stored wins.
         ctx = cls(components, fingerprint=key)
-        rehydrated = False
-        if _BACKEND is not None:
-            # A stale or malformed persistent entry must never break an
-            # analysis: rehydration is strictly best-effort.
-            try:
-                state = _BACKEND.load_context(key)
-                if state:
-                    ctx.apply_state(state)
-                    rehydrated = True
-            except Exception:
-                pass
         with _CACHE_LOCK:
-            if rehydrated:
-                _PERSISTENT_HITS.inc()
             existing = _CONTEXTS.get(key)
             if existing is not None:
                 # Another thread populated the key meanwhile; keep its
@@ -259,8 +229,7 @@ class AnalysisContext:
 
         Compiled lazily, once per context — and therefore once per
         distinct task set per process, since contexts are cached under
-        their fingerprint (the in-memory LRU layered over the service's
-        persistent backend).  Every rewired hot loop (processor demand,
+        their fingerprint.  Every rewired hot loop (processor demand,
         QPA, the superposition family, load scans) starts here.
         """
         kernel = self._kernel
@@ -286,69 +255,6 @@ class AnalysisContext:
             self._dbf_cache[t] = cached
         return cached
 
-    # ------------------------------------------------------------------
-    # Persistent backend interchange
-    # ------------------------------------------------------------------
-
-    #: Exact ``dbf`` evaluations exported per context — bounds the row
-    #: size of a persistent backend while keeping the hot intervals.
-    #: Since the kernel layer, the interval-driven tests walk compiled
-    #: flat arrays instead of probing :meth:`dbf`, so this memo mainly
-    #: holds Dynamic-test witness probes and external callers' points;
-    #: verdict-level reuse across processes lives in the service's
-    #: result store, not here.
-    STATE_DBF_CAP = 512
-
-    def export_state(self) -> Dict[str, Any]:
-        """Memoized quantities as a JSON-serializable dict.
-
-        The inverse of :meth:`apply_state`; an empty dict means nothing
-        worth persisting has been computed yet.  Values use the tagged
-        exact-time encoding of :mod:`repro.model.serialization`, so a
-        round trip through a persistent backend is bit-exact.
-        """
-        from ..model.serialization import encode_value
-
-        state: Dict[str, Any] = {}
-        if self._bounds:
-            state["bounds"] = {
-                method.value: encode_value(value)
-                for method, value in self._bounds.items()
-            }
-        if self._busy_period is not None:
-            state["busy_period"] = encode_value(self._busy_period)
-        if self._dbf_cache:
-            # Dicts preserve insertion order, so the tail holds the
-            # intervals probed most recently — the ones a re-run of the
-            # same test walks again — which is what the cap keeps.
-            items = list(self._dbf_cache.items())[-self.STATE_DBF_CAP :]
-            state["dbf"] = [
-                [encode_value(t), encode_value(v)] for t, v in items
-            ]
-        return state
-
-    def apply_state(self, state: Dict[str, Any]) -> None:
-        """Rehydrate memoized quantities exported by :meth:`export_state`.
-
-        Already-computed entries win over persisted ones; unknown bound
-        methods (a newer writer) are skipped rather than rejected.
-        """
-        from ..analysis.bounds import BoundMethod
-        from ..model.serialization import decode_value
-
-        for name, encoded in (state.get("bounds") or {}).items():
-            try:
-                method = BoundMethod(name)
-            except ValueError:
-                continue
-            self._bounds.setdefault(method, decode_value(encoded))
-        busy = state.get("busy_period")
-        if busy is not None and self._busy_period is None:
-            self._busy_period = decode_value(busy)
-        for pair in state.get("dbf") or []:
-            interval, demand = pair
-            self._dbf_cache.setdefault(decode_value(interval), decode_value(demand))
-
     @property
     def min_first_deadline(self) -> Optional[ExactTime]:
         """Smallest first deadline, or ``None`` for an empty system."""
@@ -366,7 +272,7 @@ class AnalysisContext:
 def fingerprint_of(source: DemandSource) -> Fingerprint:
     """Canonical fingerprint of *source* without touching any cache.
 
-    One normalization pass — no LRU churn, no persistent-backend I/O.
+    One normalization pass — no LRU churn, no context built.
     The service layer keys store lookups with this for requests it has
     not decided to execute yet; a context built later for the same
     system reports an identical :attr:`AnalysisContext.fingerprint`.
@@ -415,7 +321,6 @@ def context_cache_info() -> Dict[str, int]:
             "max_size": _CACHE_MAX,
             "hits": _CACHE_HITS.value,
             "misses": _CACHE_MISSES.value,
-            "persistent_hits": _PERSISTENT_HITS.value,
         }
 
 
@@ -425,45 +330,3 @@ def clear_context_cache() -> None:
         _CONTEXTS.clear()
     _CACHE_HITS.reset()
     _CACHE_MISSES.reset()
-    _PERSISTENT_HITS.reset()
-
-
-def set_context_backend(backend: Optional[Any]) -> Optional[Any]:
-    """Install (or with ``None`` remove) the persistent context backend.
-
-    Returns the previously installed backend so callers can restore it.
-    The backend is consulted on LRU misses in :meth:`AnalysisContext.of`
-    and written through :func:`persist_context`; it must expose
-    ``load_context(fingerprint)`` and ``store_context(fingerprint,
-    state)``.
-    """
-    global _BACKEND
-    previous = _BACKEND
-    _BACKEND = backend
-    return previous
-
-
-def get_context_backend() -> Optional[Any]:
-    """The installed persistent context backend, if any."""
-    return _BACKEND
-
-
-def persist_context(source: DemandSource) -> bool:
-    """Write *source*'s memoized context state to the backend.
-
-    Returns ``True`` when a non-empty state was handed to the backend.
-    No-op (``False``) without a backend, for contexts with nothing
-    memoized yet, and on backend write errors — persistence failures
-    must never fail an analysis.
-    """
-    if _BACKEND is None:
-        return False
-    ctx = AnalysisContext.of(source)
-    state = ctx.export_state()
-    if not state:
-        return False
-    try:
-        _BACKEND.store_context(ctx.fingerprint, state)
-    except Exception:
-        return False
-    return True

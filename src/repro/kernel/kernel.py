@@ -49,9 +49,8 @@ exactly (see ``tests/kernel/test_parity_random.py``).
 
 Kernels are compiled once per distinct system: they are cached on
 :class:`~repro.engine.context.AnalysisContext` under the context
-fingerprint, so warm service/batch traffic — and rehydrated contexts
-loaded from the service's persistent backend — pays the compile cost
-once per task set per process.
+fingerprint, so warm service/batch traffic pays the compile cost once
+per task set per process.
 """
 
 from __future__ import annotations

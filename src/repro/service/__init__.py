@@ -3,22 +3,21 @@
 Where :mod:`repro.engine` makes one process fast, this package makes
 analysis a long-lived *service*:
 
-* :class:`~repro.service.store.ResultStore` — SQLite-backed verdict and
-  preflight-state cache keyed by task-set fingerprint, so repeated
+* :class:`~repro.service.store.ResultStore` — SQLite-backed verdict
+  cache keyed by task-set fingerprint, test and options, so repeated
   analyses are O(1) lookups across process lifetimes;
 * :class:`~repro.service.jobs.JobQueue` — asynchronous single and
-  batch-campaign jobs with progress, cancellation, and store
-  write-through, executed in shards via the engine's
-  :class:`~repro.engine.batch.BatchRunner`;
+  batch-campaign jobs with progress and cancellation, executed in
+  shards via the engine's :class:`~repro.engine.batch.BatchRunner`,
+  with one store read and one store write per shard;
 * :class:`~repro.service.api.AnalysisServer` — a stdlib-only HTTP JSON
   API speaking ``repro/taskset-v1`` / ``repro/system-v1`` in and
   ``repro/result-v1`` out;
 * :class:`~repro.service.client.ServiceClient` — the matching client,
   used by the ``repro-edf submit/status/fetch`` CLI.
 
-The store doubles as the engine's pluggable persistent context backend
-(:func:`repro.engine.context.set_context_backend`): the in-memory
-context LRU layers over it, so a restarted server starts warm.
+A restarted server answers the sets it has analyzed before from the
+store; the engine's context LRU starts empty in every process.
 """
 
 from .api import AnalysisServer, ApiError, requests_from_document

@@ -80,7 +80,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
 from ..engine.batch import AnalysisRequest, BatchRunner
-from ..engine.context import context_cache_info, set_context_backend
+from ..engine.context import context_cache_info
 from ..engine.registry import TestRegistry, default_registry
 from ..model.serialization import (
     encode_value,
@@ -432,10 +432,8 @@ class AnalysisServer:
         span_journal: optional path for the finished-span JSONL journal
             (same rotation machinery); detached again on :meth:`close`.
 
-    The server installs its store as the engine's persistent context
-    backend for its lifetime (restored on :meth:`close`), so even
-    analyses running outside the queue in this process benefit from
-    rehydrated preflight state.
+    The job queue reads the store once and writes it once per shard,
+    one transaction each; admission sessions never touch it.
     """
 
     def __init__(
@@ -482,10 +480,6 @@ class AnalysisServer:
             registry=self.registry,
         )
         self.sessions = AdmissionSessionManager()
-        self._previous_backend = (
-            set_context_backend(store) if store is not None else None
-        )
-        self._backend_installed = store is not None
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
         self.httpd.service = self  # type: ignore[attr-defined]
@@ -553,9 +547,6 @@ class AnalysisServer:
         self.queue.shutdown()
         if self.coordinator is not None:
             self.coordinator.close()
-        if self._backend_installed:
-            set_context_backend(self._previous_backend)
-            self._backend_installed = False
         if self._owns_store and self.store is not None:
             self.store.close()
 

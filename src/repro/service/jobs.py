@@ -8,13 +8,13 @@ and each shard goes through :class:`~repro.engine.batch.BatchRunner`
 (so a multi-worker runner fans a shard out over processes while the
 queue stays responsive).
 
-The queue is store-aware.  Before running a shard it consults the
-:class:`~repro.service.store.ResultStore` under the request's
-``(fingerprint, test, resolved options)`` key; hits are answered
-without execution, misses run and are written back, along with the
-memoized context state for in-process runs.  Tests are deterministic,
-so served and computed results are indistinguishable — the job records
-``from_store`` / ``computed`` counts to make the split auditable.
+The queue is store-aware.  Before running a shard it looks the whole
+shard up in the :class:`~repro.service.store.ResultStore` under each
+request's ``(fingerprint, test, resolved options)`` key; hits are
+answered without execution, and the misses run and are written back in
+one batch.  Tests are deterministic, so served and computed results are
+indistinguishable — the job records ``from_store`` / ``computed``
+counts to make the split auditable.
 
 Option validation happens at :meth:`JobQueue.submit` time against the
 registry schema: a bad request fails fast in the caller (the HTTP layer
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.batch import AnalysisRequest, BatchRunner
-from ..engine.context import AnalysisContext, fingerprint_of
+from ..engine.context import fingerprint_of
 from ..engine.registry import TestRegistry, default_registry
 from ..obs import LATENCY_BUCKETS
 from ..obs import continue_trace as _obs_continue_trace
@@ -200,18 +200,18 @@ class JobQueue:
     """FIFO job execution on daemon worker threads.
 
     Args:
-        store: optional persistent result store consulted before and
-            written after every execution.
+        store: optional persistent result store, read once before and
+            written once after each shard.
         workers: concurrent jobs (threads pulling from the queue).
         shard_size: requests per execution shard — the granularity of
             progress updates and cancellation.
         runner: batch runner executing the shards; defaults to an
             in-process runner (``jobs=1``), which keeps every analysis
-            inside this process where the context LRU and the store's
-            write-back see it.  Pass a multi-worker runner to fan each
-            shard out over processes instead.  A runner whose workers'
-            spans live elsewhere (``FleetRunner``) also has
-            ``trace_spans(trace_id)``, which profiled jobs join in.
+            inside this process where the context LRU sees it.  Pass a
+            multi-worker runner to fan each shard out over processes
+            instead.  A runner whose workers' spans live elsewhere
+            (``FleetRunner``) also has ``trace_spans(trace_id)``, which
+            profiled jobs join in.
         registry: test registry for validation; defaults to the shipped
             one.
     """
@@ -605,20 +605,24 @@ class JobQueue:
     def _run_shard(
         self, job: Job, shard: Sequence[Tuple[int, _JobRequest]]
     ) -> None:
+        """Answer *shard* from the store, run the misses, store them:
+        one store read and at most one store write per shard."""
+        cached: List[Optional[FeasibilityResult]] = [None] * len(shard)
+        if self.store is not None:
+            cached = self.store.get_many(
+                [(r.fingerprint, r.test, r.options) for _, r in shard]
+            )
         pending: List[Tuple[int, _JobRequest]] = []
-        for index, request in shard:
-            cached = None
-            if self.store is not None:
-                cached = self.store.get(
-                    request.fingerprint, request.test, request.options
-                )
-            if cached is not None:
-                job.results[index] = cached
-                with self._lock:
-                    job.from_store += 1
-                _REQUESTS_FROM_STORE.inc()
-            else:
+        for (index, request), result in zip(shard, cached):
+            if result is None:
                 pending.append((index, request))
+            else:
+                job.results[index] = result
+        hits = len(shard) - len(pending)
+        if hits:
+            with self._lock:
+                job.from_store += hits
+            _REQUESTS_FROM_STORE.inc(hits)
         if not pending:
             return
         outcomes = self.runner.run(
@@ -630,20 +634,15 @@ class JobQueue:
             )
             for _, request in pending
         )
-        for (index, request), outcome in zip(pending, outcomes):
+        for (index, _), outcome in zip(pending, outcomes):
             job.results[index] = outcome
-            if self.store is not None:
-                self.store.put(
-                    request.fingerprint, request.test, request.options, outcome
-                )
-                # In-process execution leaves the memoized preflight in
-                # this process's LRU — flush it to the store so the next
-                # process starts warm.  (A multi-process runner kept
-                # those memos in its workers; nothing to flush then.)
-                if self.runner.jobs <= 1:
-                    state = AnalysisContext.of(request.source).export_state()
-                    if state:
-                        self.store.store_context(request.fingerprint, state)
+        if self.store is not None:
+            self.store.put_many(
+                [
+                    (r.fingerprint, r.test, r.options, outcome)
+                    for (_, r), outcome in zip(pending, outcomes)
+                ]
+            )
         with self._lock:
             job.computed += len(pending)
         _REQUESTS_COMPUTED.inc(len(pending))

@@ -2,18 +2,12 @@
 
 The engine's :class:`~repro.engine.context.AnalysisContext` LRU makes
 repeated analyses cheap *within* one process; this store makes them
-cheap *across* processes.  Two tables:
-
-* ``results`` — one row per ``(task-set fingerprint, test name,
-  canonical resolved options)`` holding a ``repro/result-v1`` document.
-  Feasibility tests are deterministic, so a stored verdict is the
-  verdict — a hit answers an analysis without running it.
-* ``contexts`` — the exported memoized state of an
-  :class:`AnalysisContext` (bounds, busy period, hot ``dbf`` points)
-  per fingerprint.  The store satisfies the engine's pluggable context
-  backend contract (``load_context`` / ``store_context``), so the
-  in-memory LRU layers over it: a fresh process rehydrates the
-  expensive preflight quantities instead of recomputing them.
+cheap *across* processes.  Its one table, ``results``, holds one row
+per ``(task-set fingerprint, test name, canonical resolved options)``
+with a ``repro/result-v1`` document.  Feasibility tests are
+deterministic, so a stored verdict is the verdict — a hit answers an
+analysis without running it.  (Older files also carry a ``contexts``
+table of memoized preflight state; opening one drops it.)
 
 Keys are content hashes of the *fingerprint* (component parameters in
 source order — exactly what a test can observe), never of file names or
@@ -21,12 +15,21 @@ object identities, so equal systems share rows however they arrive.
 Options are canonicalized post-resolution: submitting a default
 explicitly and omitting it hit the same row.
 
+The job queue reads and writes a whole shard at a time.
+:meth:`ResultStore.get_many` looks every request up under one lock hold
+and bumps the hits' LRU position in one transaction;
+:meth:`ResultStore.put_many` inserts every row and evicts in another.
+:meth:`~ResultStore.get` and :meth:`~ResultStore.put` are their
+one-element cases.  A batch write is all or nothing: a lock retry
+re-runs the whole batch, and a process that dies mid-shard loses that
+shard's rows, whose analyses simply run again on the next request.
+
 The store is a cache, not a ledger: every read path degrades to a miss
 on trouble.  *Corruption* (``sqlite3.DatabaseError`` other than
 ``OperationalError``) moves the database file aside and recreates it; a
 corrupted row is deleted.  *Transient* trouble
 (``sqlite3.OperationalError`` — locked by another process, disk busy,
-read-only filesystem) merely degrades the one operation to a miss or a
+read-only filesystem) merely degrades the one operation to misses or a
 skipped write: a healthy database shared with another process must
 never be quarantined for being busy.  Eviction keeps the row count under
 ``max_rows``, dropping least-recently-used entries first (``last_used``
@@ -46,7 +49,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..model.serialization import encode_value, result_from_dict, result_to_dict
 from ..obs import counter as _obs_counter
@@ -94,12 +97,10 @@ CREATE TABLE IF NOT EXISTS results (
     PRIMARY KEY (fingerprint, test, options)
 );
 CREATE INDEX IF NOT EXISTS idx_results_lru ON results (last_used);
-CREATE TABLE IF NOT EXISTS contexts (
-    fingerprint TEXT PRIMARY KEY,
-    state       TEXT NOT NULL,
-    last_used   INTEGER NOT NULL
-);
+DROP TABLE IF EXISTS contexts;
 """
+
+_KEY = "fingerprint=? AND test=? AND options=?"
 
 
 def fingerprint_key(fingerprint: Any) -> str:
@@ -125,7 +126,7 @@ def canonical_options(options: Mapping[str, Any]) -> str:
 
 
 class ResultStore:
-    """SQLite-backed verdict and context cache (see module docstring).
+    """SQLite-backed verdict cache (see module docstring).
 
     Args:
         path: database file; parent directories are created.
@@ -203,7 +204,9 @@ class ResultStore:
 
         ``PRAGMA busy_timeout`` already makes SQLite wait; this layer
         covers the residue (timeout elapsed, or a deferred lock upgrade
-        that ``busy_timeout`` does not apply to).  Non-lock
+        that ``busy_timeout`` does not apply to).  A failed attempt is
+        rolled back whole before the next one, so *operation* must make
+        the whole transaction, commit included.  Non-lock
         ``OperationalError``s and the final failed attempt propagate to
         the caller's existing best-effort/recovery handling.
         """
@@ -215,15 +218,19 @@ class ResultStore:
                 message = str(err).lower()
                 if "locked" not in message and "busy" not in message:
                     raise
-                try:
-                    assert self._conn is not None
-                    self._conn.rollback()
-                except sqlite3.Error:
-                    pass
+                self._rollback()
                 if attempt == self.locked_retries:
                     raise
                 _STORE_LOCKED_RETRIES.inc()
                 time.sleep(0.05 * (2 ** (attempt - 1)))
+
+    def _rollback(self) -> None:
+        """Abandon the open transaction, if any.  Caller holds the lock."""
+        try:
+            assert self._conn is not None
+            self._conn.rollback()
+        except sqlite3.Error:
+            pass
 
     def _quarantine(self) -> None:
         """Move a corrupted database aside so a fresh one can be created."""
@@ -256,10 +263,7 @@ class ResultStore:
         row = self._conn.execute(
             "SELECT MAX(last_used) FROM results"
         ).fetchone()
-        ctx_row = self._conn.execute(
-            "SELECT MAX(last_used) FROM contexts"
-        ).fetchone()
-        return max(row[0] or 0, ctx_row[0] or 0)
+        return row[0] or 0
 
     def close(self) -> None:
         with self._lock:
@@ -288,59 +292,71 @@ class ResultStore:
         *options* must be registry-resolved; a hit bumps the row's LRU
         position and per-row hit counter.
         """
-        key = fingerprint_key(fingerprint)
-        opts = canonical_options(options)
+        return self.get_many([(fingerprint, test, options)])[0]
+
+    def get_many(
+        self, entries: Sequence[Tuple[Any, str, Mapping[str, Any]]]
+    ) -> List[Optional[FeasibilityResult]]:
+        """Stored results for the ``(fingerprint, test, options)``
+        *entries*, ``None`` for each miss.
+
+        One lock hold for the whole batch.  The hits' LRU bumps (in
+        request order) and the deletion of corrupted rows, which count
+        as misses, share one transaction.
+        """
+        keys = [
+            (fingerprint_key(fingerprint), test, canonical_options(options))
+            for fingerprint, test, options in entries
+        ]
+        results: List[Optional[FeasibilityResult]] = [None] * len(keys)
         with self._lock:
             if self._conn is None:
                 raise RuntimeError("store is closed")
+            rows = []
             try:
-                row = self._conn.execute(
-                    "SELECT result FROM results WHERE fingerprint=? AND "
-                    "test=? AND options=?",
-                    (key, test, opts),
-                ).fetchone()
+                for key in keys:
+                    rows.append(
+                        self._conn.execute(
+                            f"SELECT result FROM results WHERE {_KEY}", key
+                        ).fetchone()
+                    )
             except sqlite3.OperationalError:
-                row = None  # transient (locked/busy): just a miss
+                pass  # transient (locked/busy): the rest are misses
             except sqlite3.DatabaseError:
                 self._recover()
-                row = None
-            if row is None:
-                self._misses += 1
-                _STORE_MISSES.inc()
-                return None
-            try:
-                result = result_from_dict(json.loads(row[0]))
-            except Exception:
-                # A corrupted row is worthless: drop it, report a miss.
-                self._misses += 1
-                _STORE_MISSES.inc()
+            bumps = []
+            broken = []
+            for index, (key, row) in enumerate(zip(keys, rows)):
+                if row is None:
+                    continue
                 try:
-                    self._conn.execute(
-                        "DELETE FROM results WHERE fingerprint=? AND "
-                        "test=? AND options=?",
-                        (key, test, opts),
+                    results[index] = result_from_dict(json.loads(row[0]))
+                except Exception:
+                    # A corrupted row is worthless: drop it, report a miss.
+                    broken.append(key)
+                    continue
+                self._tick += 1
+                bumps.append((self._tick, *key))
+            self._hits += len(bumps)
+            self._misses += len(keys) - len(bumps)
+            _STORE_HITS.inc(len(bumps))
+            _STORE_MISSES.inc(len(keys) - len(bumps))
+            if bumps or broken:
+                try:
+                    self._conn.executemany(
+                        f"DELETE FROM results WHERE {_KEY}", broken
+                    )
+                    self._conn.executemany(
+                        "UPDATE results SET last_used=?, hits=hits+1 "
+                        f"WHERE {_KEY}",
+                        bumps,
                     )
                     self._conn.commit()
                 except sqlite3.OperationalError:
-                    pass
+                    self._rollback()  # the LRU bump is best-effort
                 except sqlite3.DatabaseError:
                     self._recover()
-                return None
-            self._hits += 1
-            _STORE_HITS.inc()
-            self._tick += 1
-            try:
-                self._conn.execute(
-                    "UPDATE results SET last_used=?, hits=hits+1 WHERE "
-                    "fingerprint=? AND test=? AND options=?",
-                    (self._tick, key, test, opts),
-                )
-                self._conn.commit()
-            except sqlite3.OperationalError:
-                pass  # the LRU bump is best-effort
-            except sqlite3.DatabaseError:
-                self._recover()
-            return result
+        return results
 
     def put(
         self,
@@ -350,24 +366,49 @@ class ResultStore:
         result: FeasibilityResult,
     ) -> None:
         """Insert or refresh the stored result for the triple."""
-        key = fingerprint_key(fingerprint)
-        opts = canonical_options(options)
-        document = json.dumps(result_to_dict(result), separators=(",", ":"))
+        self.put_many([(fingerprint, test, options, result)])
+
+    def put_many(
+        self,
+        entries: Sequence[Tuple[Any, str, Mapping[str, Any], FeasibilityResult]],
+    ) -> None:
+        """Insert or refresh every ``(fingerprint, test, options,
+        result)`` of *entries* in one transaction.
+
+        Rows keep their hit counters and take LRU positions in entry
+        order; eviction runs once, after the whole batch.  A write that
+        stays locked past the retries is dropped whole.
+        """
+        encoded = [
+            (
+                fingerprint_key(fingerprint),
+                test,
+                canonical_options(options),
+                json.dumps(result_to_dict(result), separators=(",", ":")),
+            )
+            for fingerprint, test, options, result in entries
+        ]
+        if not encoded:
+            return
+        now = time.time()
         with self._lock:
             if self._conn is None:
                 raise RuntimeError("store is closed")
-            self._tick += 1
+            rows = []
+            for key, test, opts, document in encoded:
+                self._tick += 1
+                rows.append(
+                    (key, test, opts, document, now, self._tick, key, test, opts)
+                )
 
             def write() -> None:
                 assert self._conn is not None
-                self._conn.execute(
+                self._conn.executemany(
                     "INSERT OR REPLACE INTO results "
                     "(fingerprint, test, options, result, created_at, "
                     "last_used, hits) VALUES (?,?,?,?,?,?,"
-                    "COALESCE((SELECT hits FROM results WHERE fingerprint=? "
-                    "AND test=? AND options=?), 0))",
-                    (key, test, opts, document, time.time(), self._tick,
-                     key, test, opts),
+                    f"COALESCE((SELECT hits FROM results WHERE {_KEY}), 0))",
+                    rows,
                 )
                 self._evict_locked()
                 self._conn.commit()
@@ -375,7 +416,7 @@ class ResultStore:
             try:
                 self._write_retrying(write)
             except sqlite3.OperationalError:
-                pass  # still failing (locked/read-only): drop this write
+                pass  # still failing (locked/read-only): drop this batch
             except sqlite3.DatabaseError:
                 self._recover()
 
@@ -394,81 +435,17 @@ class ResultStore:
             _STORE_EVICTIONS.inc(excess)
 
     # ------------------------------------------------------------------
-    # Context backend contract (repro.engine.context)
-    # ------------------------------------------------------------------
-
-    def load_context(self, fingerprint: Any) -> Optional[Dict[str, Any]]:
-        """Stored :meth:`AnalysisContext.export_state` payload, if any."""
-        key = fingerprint_key(fingerprint)
-        with self._lock:
-            if self._conn is None:
-                return None
-            try:
-                row = self._conn.execute(
-                    "SELECT state FROM contexts WHERE fingerprint=?", (key,)
-                ).fetchone()
-            except sqlite3.OperationalError:
-                return None
-            except sqlite3.DatabaseError:
-                self._recover()
-                return None
-            if row is None:
-                return None
-            try:
-                state = json.loads(row[0])
-            except ValueError:
-                try:
-                    self._conn.execute(
-                        "DELETE FROM contexts WHERE fingerprint=?", (key,)
-                    )
-                    self._conn.commit()
-                except sqlite3.OperationalError:
-                    pass
-                except sqlite3.DatabaseError:
-                    self._recover()
-                return None
-            return state if isinstance(state, dict) else None
-
-    def store_context(self, fingerprint: Any, state: Mapping[str, Any]) -> None:
-        """Persist an exported context state (last writer wins)."""
-        key = fingerprint_key(fingerprint)
-        document = json.dumps(dict(state), separators=(",", ":"))
-        with self._lock:
-            if self._conn is None:
-                return
-            self._tick += 1
-
-            def write() -> None:
-                assert self._conn is not None
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO contexts "
-                    "(fingerprint, state, last_used) VALUES (?,?,?)",
-                    (key, document, self._tick),
-                )
-                self._conn.commit()
-
-            try:
-                self._write_retrying(write)
-            except sqlite3.OperationalError:
-                pass  # still failing: drop this write
-            except sqlite3.DatabaseError:
-                self._recover()
-
-    # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Session hit/miss counters plus persistent row counts."""
+        """Session hit/miss counters plus the persistent row count."""
         with self._lock:
-            rows = contexts = 0
+            rows = 0
             if self._conn is not None:
                 try:
                     (rows,) = self._conn.execute(
                         "SELECT COUNT(*) FROM results"
-                    ).fetchone()
-                    (contexts,) = self._conn.execute(
-                        "SELECT COUNT(*) FROM contexts"
                     ).fetchone()
                 except sqlite3.OperationalError:
                     pass
@@ -477,20 +454,18 @@ class ResultStore:
             return {
                 "path": str(self.path),
                 "rows": rows,
-                "contexts": contexts,
                 "max_rows": self.max_rows,
                 "hits": self._hits,
                 "misses": self._misses,
             }
 
     def clear(self) -> None:
-        """Drop every stored result and context."""
+        """Drop every stored result."""
         with self._lock:
             if self._conn is None:
                 return
             try:
                 self._conn.execute("DELETE FROM results")
-                self._conn.execute("DELETE FROM contexts")
                 self._conn.commit()
             except sqlite3.OperationalError:
                 pass

@@ -69,21 +69,6 @@ class TestRestartPersistence:
             r.iterations for r in original
         ]
 
-    def test_restarted_server_rehydrates_contexts(self, tmp_path, simple_taskset):
-        store_path = tmp_path / "store.sqlite"
-        with AnalysisServer(port=0, store=store_path) as first:
-            ServiceClient(first.url).run([simple_taskset], "qpa")
-
-        clear_context_cache()
-
-        with AnalysisServer(port=0, store=store_path) as second:
-            client = ServiceClient(second.url)
-            # A *different* test on the same set: result-store miss, but
-            # the preflight state (bounds, busy period) comes back warm.
-            client.run([simple_taskset], "processor-demand")
-            context = client.cache_stats()["context"]
-            assert context["persistent_hits"] >= 1
-
 
 class TestBatchCampaignParity:
     def test_100_set_campaign_matches_direct_batchrunner(self, tmp_path):

@@ -171,6 +171,34 @@ class TestStoreIntegration:
             finally:
                 q.shutdown()
 
+    def test_one_commit_per_shard(self, tmp_path):
+        """A 32-set job (one shard) commits once on a fresh store: one
+        batched write.  Its replay after a restart commits once too: one
+        batched LRU bump for the 32 hits."""
+        sets = [generate_taskset(n=6, utilization=0.8, seed=i) for i in range(32)]
+        path = tmp_path / "s.sqlite"
+
+        def run_job():
+            with ResultStore(path) as store:
+                statements = []
+                store._conn.set_trace_callback(statements.append)
+                q = JobQueue(store=store, shard_size=32)
+                try:
+                    job = q.submit(_requests(sets, "qpa"))
+                    snapshot = q.wait(job, timeout=60)
+                finally:
+                    q.shutdown()
+            assert snapshot["state"] == JobState.DONE
+            return snapshot, statements.count("COMMIT")
+
+        snapshot, commits = run_job()
+        assert snapshot["computed"] == 32
+        assert commits == 1
+        clear_context_cache()  # restart: only the SQLite file survives
+        snapshot, commits = run_job()
+        assert snapshot["from_store"] == 32
+        assert commits == 1
+
 
 class TestProgress:
     def test_progress_advances_by_shards(self):

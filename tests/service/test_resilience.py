@@ -144,53 +144,91 @@ class TestStoreLocking:
     def test_write_lands_after_lock_released(self, tmp_path):
         """busy_timeout=0 forces the app-level retry loop to do the
         waiting: the lock is held past the first attempt and released
-        before the budget runs out."""
+        before the budget runs out.  Every row of the batch lands."""
         path = tmp_path / "s.sqlite"
-        fingerprint, result = _sample()
         with ResultStore(path, busy_timeout=0, locked_retries=5) as store:
-            blocker = sqlite3.connect(path, check_same_thread=False)
-            blocker.execute("BEGIN IMMEDIATE")
-            release = threading.Timer(0.12, blocker.commit)
-            release.start()
-            try:
-                store.put(fingerprint, "qpa", {}, result)
-            finally:
-                release.join()
-                blocker.close()
-            cached = store.get(fingerprint, "qpa", {})
-            assert cached is not None
-            assert cached.verdict == result.verdict
+            for rows, write in _writes(store):
+                blocker = sqlite3.connect(path, check_same_thread=False)
+                blocker.execute("BEGIN IMMEDIATE")
+                release = threading.Timer(0.12, blocker.commit)
+                release.start()
+                try:
+                    write()
+                finally:
+                    release.join()
+                    blocker.close()
+                for fingerprint, test, options, result in rows:
+                    cached = store.get(fingerprint, test, options)
+                    assert cached is not None
+                    assert cached.verdict == result.verdict
 
     def test_persistent_lock_drops_write_gracefully(self, tmp_path):
         path = tmp_path / "s.sqlite"
-        fingerprint, result = _sample()
         with ResultStore(path, busy_timeout=0, locked_retries=2) as store:
-            blocker = sqlite3.connect(path, check_same_thread=False)
-            blocker.execute("BEGIN IMMEDIATE")
-            try:
-                store.put(fingerprint, "qpa", {}, result)  # must not raise
-            finally:
-                blocker.rollback()
-                blocker.close()
-            assert store.get(fingerprint, "qpa", {}) is None
-            # The store stays usable once the lock clears.
-            store.put(fingerprint, "qpa", {}, result)
-            assert store.get(fingerprint, "qpa", {}) is not None
+            for rows, write in _writes(store):
+                blocker = sqlite3.connect(path, check_same_thread=False)
+                blocker.execute("BEGIN IMMEDIATE")
+                try:
+                    write()  # must not raise
+                finally:
+                    blocker.rollback()
+                    blocker.close()
+                assert _stored(store, rows) == [False] * len(rows)
+                # The store stays usable once the lock clears.
+                write()
+                assert _stored(store, rows) == [True] * len(rows)
 
-    def test_store_context_retries_too(self, tmp_path):
+    def test_locked_commit_rolls_back_only_its_own_batch(self, tmp_path):
+        """A reader's shared lock lets the INSERTs run but fails every
+        COMMIT: the batch is rolled back whole, retried whole, then
+        dropped, and rows committed by an earlier call stay."""
         path = tmp_path / "s.sqlite"
-        fingerprint, _ = _sample()
-        with ResultStore(path, busy_timeout=0, locked_retries=5) as store:
-            blocker = sqlite3.connect(path, check_same_thread=False)
-            blocker.execute("BEGIN IMMEDIATE")
-            release = threading.Timer(0.12, blocker.commit)
-            release.start()
+        earlier, later = _batch(0), _batch(3)
+        with ResultStore(path, busy_timeout=0, locked_retries=2) as store:
+            store.put_many(earlier)
+            reader = sqlite3.connect(
+                path, isolation_level=None, check_same_thread=False
+            )
+            reader.execute("BEGIN")
+            reader.execute("SELECT COUNT(*) FROM results").fetchone()
             try:
-                store.store_context(fingerprint, {"qpa_state": {"t": 1}})
+                store.put_many(later)  # must not raise
             finally:
-                release.join()
-                blocker.close()
-            assert store.load_context(fingerprint) is not None
+                reader.execute("COMMIT")
+                reader.close()
+            assert _stored(store, earlier) == [True] * len(earlier)
+            assert _stored(store, later) == [False] * len(later)
+            store.put_many(later)
+            assert _stored(store, later) == [True] * len(later)
+
+
+def _batch(first: int, count: int = 3) -> list:
+    """*count* distinct ``put_many`` rows, numbered from *first*."""
+    _, result = _sample()
+    return [
+        (
+            AnalysisContext.of(TaskSet.of((1, 5 + i, 10 + i))).fingerprint,
+            "qpa",
+            {},
+            result,
+        )
+        for i in range(first, first + count)
+    ]
+
+
+def _writes(store: ResultStore):
+    """The write shapes under a lock: one row through ``put``, then a
+    multi-row ``put_many``.  Yields each one's rows and a callable that
+    writes them."""
+    fingerprint, result = _sample()
+    single = (fingerprint, "qpa", {}, result)
+    yield [single], lambda: store.put(*single)
+    batch = _batch(0)
+    yield batch, lambda: store.put_many(batch)
+
+
+def _stored(store: ResultStore, rows: list) -> list:
+    return [store.get(*row[:3]) is not None for row in rows]
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine import AnalysisContext, analyze, clear_context_cache
 from repro.model import TaskSet
+from repro.model.serialization import result_to_dict
 from repro.service import ResultStore, canonical_options, fingerprint_key
 
 
@@ -25,6 +26,15 @@ def store(tmp_path):
 
 def _fingerprint(tasks):
     return AnalysisContext.of(tasks).fingerprint
+
+
+def _distinct(count):
+    """Fingerprints of *count* distinct one-task systems."""
+    return [_fingerprint(TaskSet.of((1, i + 5, i + 10))) for i in range(count)]
+
+
+def _last_used(store):
+    return dict(store._conn.execute("SELECT fingerprint, last_used FROM results"))
 
 
 class TestKeying:
@@ -131,6 +141,116 @@ class TestEviction:
             ResultStore(tmp_path / "s.sqlite", max_rows=0)
 
 
+class TestBatches:
+    def test_put_many_evicts_like_single_puts(self, tmp_path, simple_taskset):
+        result = analyze(simple_taskset, "devi")
+        entries = [(fp, "devi", {}, result) for fp in _distinct(10)]
+        with ResultStore(tmp_path / "single.sqlite", max_rows=4) as single:
+            for entry in entries:
+                single.put(*entry)
+            kept_single = _last_used(single)
+        with ResultStore(tmp_path / "batch.sqlite", max_rows=4) as batch:
+            batch.put_many(entries)
+            kept_batch = _last_used(batch)
+        assert kept_batch == kept_single
+        assert set(kept_batch) == {fingerprint_key(e[0]) for e in entries[-4:]}
+
+    def test_get_many_bumps_hits_in_request_order(self, store, simple_taskset):
+        result = analyze(simple_taskset, "devi")
+        fps = _distinct(6)
+        store.put_many([(fp, "devi", {}, result) for fp in fps[:5]])
+        asked = [fps[3], fps[5], fps[0], fps[4]]  # fps[5] was never stored
+        got = store.get_many([(fp, "devi", {}) for fp in asked])
+        assert [r is not None for r in got] == [True, False, True, True]
+        assert got[0].verdict == result.verdict
+        last_used = _last_used(store)
+        bumped = [last_used[fingerprint_key(fp)] for fp in (fps[3], fps[0], fps[4])]
+        untouched = [last_used[fingerprint_key(fp)] for fp in (fps[1], fps[2])]
+        assert bumped == sorted(bumped)
+        assert min(bumped) > max(untouched)
+        hits = dict(store._conn.execute("SELECT fingerprint, hits FROM results"))
+        assert sorted(hits.values()) == [0, 0, 1, 1, 1]
+        assert (store.stats()["hits"], store.stats()["misses"]) == (3, 1)
+
+    def test_get_many_drops_corrupt_rows_in_its_one_commit(
+        self, tmp_path, simple_taskset
+    ):
+        path = tmp_path / "store.sqlite"
+        result = analyze(simple_taskset, "devi")
+        good, bad = _distinct(2)
+        with ResultStore(path) as store:
+            store.put_many([(good, "devi", {}, result), (bad, "devi", {}, result)])
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "UPDATE results SET result='{broken json' WHERE fingerprint=?",
+                (fingerprint_key(bad),),
+            )
+        conn.close()
+        with ResultStore(path) as store:
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            got = store.get_many([(bad, "devi", {}), (good, "devi", {})])
+            assert got[0] is None and got[1] is not None
+            assert statements.count("COMMIT") == 1
+            assert store.stats()["rows"] == 1  # the bad row was deleted
+            assert (store.stats()["hits"], store.stats()["misses"]) == (1, 1)
+
+
+#: The schema of store files written before the ``contexts`` table of
+#: persisted preflight state was removed.
+_OLD_SCHEMA = """
+CREATE TABLE results (
+    fingerprint TEXT NOT NULL,
+    test        TEXT NOT NULL,
+    options     TEXT NOT NULL,
+    result      TEXT NOT NULL,
+    created_at  REAL NOT NULL,
+    last_used   INTEGER NOT NULL,
+    hits        INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (fingerprint, test, options)
+);
+CREATE INDEX idx_results_lru ON results (last_used);
+CREATE TABLE contexts (
+    fingerprint TEXT PRIMARY KEY,
+    state       TEXT NOT NULL,
+    last_used   INTEGER NOT NULL
+);
+"""
+
+
+class TestOldStoreFiles:
+    def test_old_file_keeps_results_and_loses_contexts(
+        self, tmp_path, simple_taskset
+    ):
+        path = tmp_path / "old.sqlite"
+        result = analyze(simple_taskset, "qpa")
+        key = fingerprint_key(_fingerprint(simple_taskset))
+        with sqlite3.connect(path) as conn:
+            conn.executescript(_OLD_SCHEMA)
+            conn.execute(
+                "INSERT INTO results VALUES (?,?,?,?,?,?,?)",
+                (key, "qpa", canonical_options({}),
+                 json.dumps(result_to_dict(result)), 0.0, 1, 0),
+            )
+            conn.execute(
+                "INSERT INTO contexts VALUES (?,?,?)",
+                (key, json.dumps({"busy_period": 10}), 2),
+            )
+        conn.close()
+        with ResultStore(path) as store:
+            restored = store.get(_fingerprint(simple_taskset), "qpa", {})
+            assert restored is not None
+            assert restored.verdict == result.verdict
+            assert restored.iterations == result.iterations
+            tables = {
+                name
+                for (name,) in store._conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type='table'"
+                )
+            }
+        assert tables == {"results"}
+
+
 class TestCorruptionRecovery:
     def test_corrupt_file_is_quarantined(self, tmp_path, simple_taskset):
         path = tmp_path / "store.sqlite"
@@ -163,56 +283,3 @@ class TestCorruptionRecovery:
             # and the slot is usable again
             store.put(fp, "devi", {}, result)
             assert store.get(fp, "devi", {}) is not None
-
-    def test_corrupt_context_row_is_dropped(self, tmp_path, simple_taskset):
-        path = tmp_path / "store.sqlite"
-        fp = _fingerprint(simple_taskset)
-        with ResultStore(path) as store:
-            store.store_context(fp, {"busy_period": 10})
-        with sqlite3.connect(path) as conn:
-            conn.execute("UPDATE contexts SET state='}{'")
-            conn.commit()
-        with ResultStore(path) as store:
-            assert store.load_context(fp) is None
-            assert store.stats()["contexts"] == 0
-
-
-class TestContextBackendContract:
-    def test_context_state_round_trip(self, tmp_path, simple_taskset):
-        from repro.analysis.bounds import BoundMethod
-
-        ctx = AnalysisContext.of(simple_taskset)
-        ctx.bound(BoundMethod.BARUAH)
-        ctx.busy_period()
-        ctx.dbf(10)
-        state = ctx.export_state()
-        fp = ctx.fingerprint
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            store.store_context(fp, state)
-            restored = store.load_context(fp)
-        clear_context_cache()
-        fresh = AnalysisContext.of(simple_taskset)
-        fresh.apply_state(restored)
-        assert fresh.bound(BoundMethod.BARUAH) == ctx.bound(BoundMethod.BARUAH)
-        assert fresh.busy_period() == ctx.busy_period()
-        assert fresh.dbf(10) == ctx.dbf(10)
-
-    def test_lru_layers_over_backend(self, tmp_path, simple_taskset):
-        """A fresh process (cleared LRU) rehydrates contexts from the store."""
-        from repro.engine import context_cache_info, set_context_backend
-
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            previous = set_context_backend(store)
-            try:
-                ctx = AnalysisContext.of(simple_taskset)
-                ctx.busy_period()
-                assert store.load_context(ctx.fingerprint) is None
-                from repro.engine.context import persist_context
-
-                assert persist_context(simple_taskset)
-                clear_context_cache()  # "restart"
-                again = AnalysisContext.of(simple_taskset)
-                assert again._busy_period is not None  # rehydrated, not recomputed
-                assert context_cache_info()["persistent_hits"] == 1
-            finally:
-                set_context_backend(previous)
