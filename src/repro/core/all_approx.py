@@ -42,21 +42,23 @@ so ``"largest_error"`` is the default here and we read the paper's
 * ``"fifo"`` — the literal pseudocode reading;
 * ``"largest_utilization"`` — revise the fastest-accumulating component.
 
-The walk runs on the compiled kernel's grid with integer envelope sums
-over :meth:`~repro.kernel.DemandKernel.envelope_weights` ``(H, w)``,
-``w_i / H = C_i / T_i``: the check ``exact + U_ready·I - base > I`` is
-multiplied through by ``H``, and the largest-error key becomes
+The walk is the kernel's :class:`~repro.kernel.kernel.EnvelopeWalk` at
+level 1, the loop ``SuperPos(x)`` and the Dynamic test run too; this
+module is its failure policy: name one approximated component to
+revise, or stop INFEASIBLE when none is left.  The walk's ``approx``
+dict keeps insertion order, which is the FIFO order.  Its envelope sums
+are integers over :meth:`~repro.kernel.DemandKernel.envelope_weights`
+``(H, w)``, ``w_i / H = C_i / T_i``, so the largest-error key becomes
 ``((I - d0) mod T) · w``, ``H`` times ``app(I, tau)`` for every
-component alike, so ``max()`` keeps its order and its ties.
+component alike, and ``max()`` keeps its order and its ties.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heapify, heappop, heappush
-from typing import Deque, List, Optional, Sequence
+from math import inf
 
 from ..engine.context import preflight
+from ..kernel.kernel import EnvelopeWalk
 from ..model.components import DemandSource
 from ..model.numeric import ExactTime
 from ..result import FailureWitness, FeasibilityResult, Verdict
@@ -91,126 +93,45 @@ def all_approx_test(
         return early
     u = ctx.utilization
 
-    # The walk runs on the compiled kernel's flat arrays (see
-    # repro.kernel): heap entries live on the kernel grid, and the push
-    # sequence numbers reproduce the FIFO tie-breaking of the
-    # component-based implementation bit-exactly.  The envelope sums are
-    # ``slope = Σ w`` and ``base = Σ w·anchor``, i.e. ``hyper`` times the
-    # rate sum and the envelope base, so the check runs on integers.
     kernel = ctx.kernel()
-    n = kernel.n
-    d0s, periods, wcets = kernel.d0s, kernel.periods, kernel.wcets
-    hyper, weights = kernel.envelope_weights()
-
+    d0s, periods = kernel.d0s, kernel.periods
     # Backstop for U == 1, where the implicit superposition bound
     # diverges; within U < 1 the test list provably drains on its own.
-    backstop: Optional[ExactTime] = None
-    if u == 1:
-        backstop = kernel.inclusive_scaled(ctx.busy_period())
+    hi = kernel.inclusive_scaled(ctx.busy_period()) if u == 1 else inf
+    walk = EnvelopeWalk(kernel, 1, 0, hi)
+    weights = walk.weights
 
-    heap = [(d0s[idx], idx, idx) for idx in range(n)]
-    heapify(heap)
-    seq = n
-    jobs_counted: List[int] = [0] * n
-    approx_at: List[Optional[ExactTime]] = [None] * n
-    approx_fifo: Deque[int] = deque()
+    def revise(walk: EnvelopeWalk, interval: ExactTime):
+        approx = walk.approx
+        if not approx:
+            return interval
+        if revision_policy == RevisionPolicy.FIFO:
+            return [next(iter(approx))]
+        if revision_policy == RevisionPolicy.LARGEST_ERROR:
+            # app(I, tau) = frac((I - d0)/T) * C = ((I - d0) mod T) * rate
+            # (Lemma 6), times the common ``hyper`` for every component
+            # alike, so max() keeps its order and its ties.
+            return [
+                max(approx, key=lambda j: (interval - d0s[j]) % periods[j] * weights[j])
+            ]
+        return [max(approx, key=weights.__getitem__)]
 
-    exact_demand: ExactTime = 0
-    slope: ExactTime = 0  # Σ w over approximated components
-    base: ExactTime = 0  # Σ w·anchor over approximated components
-    iterations = 0
-    intervals = 0
-    revisions = 0
-    last_interval: Optional[ExactTime] = None
-
-    while heap:
-        interval, _, idx = heappop(heap)
-        if backstop is not None and interval > backstop:
-            break  # busy-period bound: nothing beyond can fail first
-        exact_demand += wcets[idx]
-        jobs_counted[idx] += 1
-        iterations += 1
-        if last_interval != interval:
-            intervals += 1
-            last_interval = interval
-
-        while (
-            (exact_demand - interval) * hyper + slope * interval - base > 0
-            if slope
-            else exact_demand > interval
-        ):
-            if not approx_fifo:
-                true_demand = kernel.dbf_scaled(interval)
-                return FeasibilityResult(
-                    verdict=Verdict.INFEASIBLE,
-                    test_name=name,
-                    iterations=iterations,
-                    intervals_checked=intervals,
-                    revisions=revisions,
-                    witness=FailureWitness(
-                        interval=kernel.unscale(interval),
-                        demand=kernel.unscale(true_demand),
-                        exact=True,
-                    ),
-                    details={"utilization": u},
-                )
-            j = _pick_revision(revision_policy, approx_fifo, kernel, weights, interval)
-            w = weights[j]
-            slope -= w
-            base -= w * approx_at[j]
-            approx_at[j] = None
-            # Only recurrent components are ever approximated, and the
-            # walk is ascending, so interval >= d0s[j] here.
-            jobs_now = (interval - d0s[j]) // periods[j] + 1
-            exact_demand += (jobs_now - jobs_counted[j]) * wcets[j]
-            jobs_counted[j] = jobs_now
-            heappush(heap, (d0s[j] + jobs_now * periods[j], seq, j))
-            seq += 1
-            revisions += 1
-            iterations += 1
-
-        # Check passed: approximate the component from this interval on.
-        if periods[idx]:
-            w = weights[idx]
-            slope += w
-            base += w * interval
-            approx_at[idx] = interval
-            approx_fifo.append(idx)
-
-    return FeasibilityResult(
-        verdict=Verdict.FEASIBLE,
+    interval = walk.run(revise)
+    counts = dict(
         test_name=name,
-        iterations=iterations,
-        intervals_checked=intervals,
-        revisions=revisions,
+        iterations=walk.iterations,
+        intervals_checked=walk.intervals,
+        revisions=walk.revisions,
         details={"utilization": u},
     )
-
-
-def _pick_revision(
-    policy: str,
-    approx_fifo: Deque[int],
-    kernel,
-    weights: Sequence[ExactTime],
-    interval: ExactTime,
-) -> int:
-    """Remove and return the next component to revise, per *policy*.
-
-    Keys use the envelope *weights* (``hyper`` times each rate, one
-    ``hyper`` for all), so they order and tie as rate-based keys would.
-    """
-    if policy == RevisionPolicy.FIFO:
-        return approx_fifo.popleft()
-    if policy == RevisionPolicy.LARGEST_ERROR:
-        # app(I, tau) = frac((I - d0)/T) * C = ((I - d0) mod T) * rate
-        # (Lemma 6); only the ordering matters, so the grid-scaled value
-        # times the common ``hyper`` serves unchanged.
-        d0s, periods = kernel.d0s, kernel.periods
-        best = max(
-            approx_fifo,
-            key=lambda j: (interval - d0s[j]) % periods[j] * weights[j],
-        )
-    else:  # LARGEST_UTILIZATION
-        best = max(approx_fifo, key=weights.__getitem__)
-    approx_fifo.remove(best)
-    return best
+    if interval is None:
+        return FeasibilityResult(verdict=Verdict.FEASIBLE, **counts)
+    return FeasibilityResult(
+        verdict=Verdict.INFEASIBLE,
+        witness=FailureWitness(
+            interval=kernel.unscale(interval),
+            demand=kernel.unscale(kernel.dbf_scaled(interval)),
+            exact=True,
+        ),
+        **counts,
+    )

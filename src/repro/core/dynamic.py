@@ -27,23 +27,23 @@ An optional ``max_level`` cap yields the paper's "strictly limited
 worst-case run-time" variant: the verdict degrades to UNKNOWN when the
 cap prevents the required revisions.
 
-The walk runs on the compiled kernel's grid (see :mod:`repro.kernel`),
-like All-Approximated: a heap of grid deadlines whose push sequence
-numbers keep coincident deadlines in FIFO order, and envelope sums kept
-as exact integers over the kernel's envelope weights
-(:meth:`~repro.kernel.DemandKernel.envelope_weights`), so no check
+The walk is the kernel's :class:`~repro.kernel.kernel.EnvelopeWalk`,
+the loop ``SuperPos(x)`` and All-Approximated run too; this module is
+its failure policy: raise ``walk.level`` per the schedule and the cap
+(UNKNOWN at the cap) and return ``Gamma_rev`` in index order for the
+walk to revise.  The walk's envelope sums are exact integers over the
+kernel's envelope weights, behind the shared float screen, so no check
 builds a `Fraction`.  Only the level-cap UNKNOWN witness, an
 approximated demand, is one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from typing import List, Optional
+from typing import Optional
 
 from ..analysis.bounds import BoundMethod
 from ..engine.context import preflight
+from ..kernel.kernel import EnvelopeWalk
 from ..model.components import DemandSource
 from ..model.numeric import ExactTime
 from ..result import FailureWitness, FeasibilityResult, Verdict
@@ -101,134 +101,54 @@ def dynamic_test(
     if bound is None:  # pragma: no cover - U > 1 handled above
         raise AssertionError("no finite bound despite U <= 1")
 
-    # Heap entries ``(deadline, seq, index)``: seeds are keyed by index,
-    # later pushes by a running sequence number, so coincident deadlines
-    # pop in push order (FIFO).  ``slope = Σ w`` and ``base = Σ w·anchor``
-    # over the approximated components are ``hyper`` times the rate sum
-    # and the envelope base.
     kernel = ctx.kernel()
-    n = kernel.n
-    d0s, periods, wcets = kernel.d0s, kernel.periods, kernel.wcets
-    hyper, weights = kernel.envelope_weights()
-    bound_s = kernel.inclusive_scaled(bound)
-    heap = [(d0s[idx], idx, idx) for idx in range(n) if d0s[idx] <= bound_s]
-    heapify(heap)
-    seq = n
-    jobs_counted: List[int] = [0] * n
-    approx_at: List[Optional[ExactTime]] = [None] * n  # Im of each approx comp
+    d0s, periods = kernel.d0s, kernel.periods
+    doubling = level_schedule == LevelSchedule.DOUBLE
 
-    level = 1
-    exact_demand: ExactTime = 0
-    slope: ExactTime = 0
-    base: ExactTime = 0
-    iterations = 0
-    intervals = 0
-    revisions = 0
-    last_interval: Optional[ExactTime] = None
+    def raise_level(walk: EnvelopeWalk, interval: ExactTime):
+        approximated = sorted(walk.approx)
+        if not approximated:
+            return Verdict.INFEASIBLE, interval
+        level = walk.level
+        if max_level is not None and level >= max_level:
+            return Verdict.UNKNOWN, interval
+        level = level * 2 if doubling else level + 1
+        if max_level is not None:
+            level = min(level, max_level)
+        walk.level = level
+        # Gamma_rev: approximated components the new level no longer
+        # allows to be approximated at this interval (their Im, the
+        # level-th deadline, lies beyond it).
+        return [j for j in approximated if d0s[j] + (level - 1) * periods[j] > interval]
 
-    while heap:
-        interval, _, idx = heappop(heap)
-        if interval > bound_s:
-            break  # Lemma 3 + bound: everything beyond is covered.
-        exact_demand += wcets[idx]
-        jobs_counted[idx] += 1
-        iterations += 1
-        if last_interval != interval:
-            intervals += 1
-            last_interval = interval
-
-        while (
-            (exact_demand - interval) * hyper + slope * interval - base > 0
-            if slope
-            else exact_demand > interval
-        ):
-            revivable = [j for j in range(n) if approx_at[j] is not None]
-            if not revivable:
-                at = kernel.unscale(interval)
-                return FeasibilityResult(
-                    verdict=Verdict.INFEASIBLE,
-                    test_name=name,
-                    iterations=iterations,
-                    intervals_checked=intervals,
-                    revisions=revisions,
-                    max_level=level,
-                    bound=bound,
-                    witness=FailureWitness(
-                        interval=at, demand=ctx.dbf(at), exact=True
-                    ),
-                    details={"utilization": u},
-                )
-            if max_level is not None and level >= max_level:
-                value = Fraction(
-                    exact_demand * hyper + slope * interval - base, hyper
-                )
-                return FeasibilityResult(
-                    verdict=Verdict.UNKNOWN,
-                    test_name=name,
-                    iterations=iterations,
-                    intervals_checked=intervals,
-                    revisions=revisions,
-                    max_level=level,
-                    bound=bound,
-                    witness=FailureWitness(
-                        interval=kernel.unscale(interval),
-                        demand=_normalize(kernel.unscale(value)),
-                        exact=False,
-                    ),
-                    details={"utilization": u, "reason": "level cap reached"},
-                )
-            if level_schedule == LevelSchedule.DOUBLE:
-                level *= 2
-            else:
-                level += 1
-            if max_level is not None:
-                level = min(level, max_level)
-            # Gamma_rev: approximated components the new level no longer
-            # allows to be approximated at this interval (their Im, the
-            # level-th deadline, lies beyond it).
-            for j in revivable:
-                if d0s[j] + (level - 1) * periods[j] <= interval:
-                    continue
-                w = weights[j]
-                slope -= w
-                base -= w * approx_at[j]
-                approx_at[j] = None
-                # Approximated components are recurrent and anchored at
-                # a checked interval, so interval >= d0s[j] here.
-                jobs_now = (interval - d0s[j]) // periods[j] + 1
-                exact_demand += (jobs_now - jobs_counted[j]) * wcets[j]
-                jobs_counted[j] = jobs_now
-                heappush(heap, (d0s[j] + jobs_now * periods[j], seq, j))
-                seq += 1
-                revisions += 1
-                iterations += 1
-
-        # The check passed.  Decide the component's continuation.
-        period = periods[idx]
-        if not period:
-            continue  # one-shot: fully accounted, nothing recurs
-        if jobs_counted[idx] < level:
-            heappush(heap, (interval + period, seq, idx))
-            seq += 1
-        else:
-            w = weights[idx]
-            slope += w
-            base += w * interval
-            approx_at[idx] = interval
-
-    return FeasibilityResult(
-        verdict=Verdict.FEASIBLE,
+    walk = EnvelopeWalk(kernel, 1, 0, kernel.inclusive_scaled(bound))
+    stop = walk.run(raise_level)
+    counts = dict(
         test_name=name,
-        iterations=iterations,
-        intervals_checked=intervals,
-        revisions=revisions,
-        max_level=level,
+        iterations=walk.iterations,
+        intervals_checked=walk.intervals,
+        revisions=walk.revisions,
+        max_level=walk.level,
         bound=bound,
-        details={"utilization": u},
     )
-
-
-def _normalize(value) -> ExactTime:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
+    if stop is None:
+        return FeasibilityResult(
+            verdict=Verdict.FEASIBLE, details={"utilization": u}, **counts
+        )
+    verdict, interval = stop
+    at = kernel.unscale(interval)
+    if verdict is Verdict.INFEASIBLE:
+        return FeasibilityResult(
+            verdict=verdict,
+            witness=FailureWitness(interval=at, demand=ctx.dbf(at), exact=True),
+            details={"utilization": u},
+            **counts,
+        )
+    return FeasibilityResult(
+        verdict=verdict,
+        witness=FailureWitness(
+            interval=at, demand=walk.demand(interval), exact=False
+        ),
+        details={"utilization": u, "reason": "level cap reached"},
+        **counts,
+    )

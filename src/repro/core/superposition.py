@@ -19,6 +19,12 @@ feasibility bound.  It is sufficient: acceptance proves feasibility, and
 raising ``x`` strictly widens the accepted region until it reaches the
 exact processor demand test.  ``SuperPos(1)`` equals Devi's test on
 constrained-deadline systems (paper Lemma 2).
+
+The check walk is the kernel's :class:`~repro.kernel.kernel.EnvelopeWalk`
+with the simplest failure policy, stop at the first failed check.  The
+exact Dynamic Error and All-Approximated tests (:mod:`repro.core.dynamic`,
+:mod:`repro.core.all_approx`) are the same walk with policies that
+revise approximations instead (paper Lemmas 5 and 6).
 """
 
 from __future__ import annotations
@@ -133,12 +139,14 @@ def superposition_test(
     cross the capacity line (paper Lemma 3/4), so these checks suffice.
 
     The walk is :meth:`repro.kernel.DemandKernel.superpos_scan` over the
-    whole staircase (window floor 0) — the same walk the online
-    admission controller runs on the window an arrival perturbs.  It
-    runs on the compiled kernel's flat arrays (integerized when the
-    system admits a finite scale) and pops coincident deadlines in the
-    component-based implementation's FIFO order, so iteration counts
-    and witnesses are bit-exact.
+    whole staircase (window floor 0): the kernel's
+    :class:`~repro.kernel.kernel.EnvelopeWalk` stopping at its first
+    failed check, the loop the Dynamic and All-Approximated tests run
+    with their revision policies, and the walk the online admission
+    controller runs on the window an arrival perturbs.  It runs on the
+    compiled kernel's flat arrays with integer envelope sums, and pops
+    coincident deadlines in the component-based implementation's FIFO
+    order, so iteration counts and witnesses are bit-exact.
 
     Verdicts: FEASIBLE on acceptance, INFEASIBLE only when ``U > 1``,
     UNKNOWN otherwise (a failed sufficient test proves nothing).

@@ -113,7 +113,10 @@ class OptionSpec:
                     f"invalid value {value!r} for option {self.name!r} "
                     f"of test {test!r}: {err}"
                 ) from None
-        if not isinstance(value, self.types):
+        # bool subclasses int: JSON ``true`` is no level or interval.
+        if not isinstance(value, self.types) or (
+            isinstance(value, bool) and bool not in self.types
+        ):
             expected = "/".join(t.__name__ for t in self.types)
             raise ValueError(
                 f"option {self.name!r} of test {test!r} expects {expected}, "

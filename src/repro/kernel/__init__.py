@@ -23,10 +23,11 @@ from .backend import (
     set_backend,
 )
 from .incremental import IncrementalKernel
-from .kernel import BackwardDeadlineWalker, DemandKernel, SCALE_CAP
+from .kernel import BackwardDeadlineWalker, DemandKernel, EnvelopeWalk, SCALE_CAP
 
 __all__ = [
     "DemandKernel",
+    "EnvelopeWalk",
     "IncrementalKernel",
     "BackwardDeadlineWalker",
     "SCALE_CAP",

@@ -28,6 +28,15 @@ mutable:
 All read primitives are inherited unchanged from `DemandKernel` — the
 flat attributes are lists instead of tuples, which every inherited loop
 (indexing, ``zip``, ``bisect``, heap setup slices) handles identically.
+The one override is :meth:`~IncrementalKernel.envelope_weights`, which
+hands the envelope walk the maintained `Fraction` rates over ``H = 1``
+instead of integer weights over the lcm ``H`` of the periods.  Churn
+changes that lcm with every new period, so ``(H, w)`` would be rebuilt
+per event, and it is wide: on a 1000-task U = 0.85 system of the
+admission benchmark ``H`` has 6,400–7,000 bits, and building ``(H, w)``
+takes 2.7–3.0 ms, about three windowed filter walks (median 1.0 ms);
+at 500 tasks, ~3,800 bits and 0.8 ms against 0.6 ms (Intel Xeon,
+Python 3.11).
 """
 
 from __future__ import annotations
@@ -91,6 +100,11 @@ class IncrementalKernel(DemandKernel):
             ]
             self._rates = rates
         return rates
+
+    def envelope_weights(self):
+        """``(1, rates)``: the maintained `Fraction` rates over a unit
+        ``H``, on every grid."""
+        return 1, self.rates
 
     # ------------------------------------------------------------------
     # Mutation

@@ -27,18 +27,22 @@ factor without giving up exactness:
   demand test), :meth:`prev_deadline` plus the stateful
   :class:`BackwardDeadlineWalker` (QPA's backward steps), and
   :meth:`demand_profile` / :meth:`best_ratio` (load and plotting scans).
-* **One walk per question.**  :meth:`superpos_scan` (the ``SuperPos(x)``
-  heap walk, windowed to ``[lo, hi]``) and :meth:`qpa` with ``floor=``
-  (the backward walk, stopping FEASIBLE below the floor) are the walks
-  both the engine tests (``superposition_test``, ``qpa_test``) and the
-  online :class:`~repro.online.AdmissionController` run: the engine
-  calls them on the whole staircase, the controller on the window an
-  arrival can perturb.
+* **One walk per question.**  :class:`EnvelopeWalk` is the one
+  ``SuperPos`` walk: ``SuperPos(x)`` (:meth:`superpos_scan`, windowed
+  to ``[lo, hi]``), the Dynamic Error test and the All-Approximated
+  test are failure policies over its single loop (stop; raise the level
+  and revise; revise one component).  :meth:`qpa` with ``floor=`` is
+  the backward walk, stopping FEASIBLE below the floor.  The engine
+  tests run these walks on the whole staircase, the online
+  :class:`~repro.online.AdmissionController` runs :meth:`superpos_scan`
+  and :meth:`qpa` on the window an arrival can perturb.
 * **Integer envelopes.**  :meth:`envelope_weights` returns ``(H, w)``
   with ``H`` the lcm of the grid periods and ``w_i = C_i · H / T_i``,
-  so ``w_i / H`` is the rate ``C_i / T_i`` exactly.  The Dynamic and
-  All-Approximated walks and the closed-form bounds keep their envelope
-  sums as integers scaled by ``H`` instead of `Fraction` sums of rates.
+  so ``w_i / H`` is the rate ``C_i / T_i`` exactly.  The envelope walk
+  and the closed-form bounds keep their envelope sums as integers
+  scaled by ``H`` instead of `Fraction` sums of rates.  The
+  incremental kernel returns ``(1, rates)`` instead (see
+  :mod:`repro.kernel.incremental`); the walk's loop serves both.
 
 Scaling by a positive constant preserves every comparison the tests
 make (``dbf(I) <= I`` ⇔ ``dbf_s(I_s) <= I_s``), every tie between
@@ -59,7 +63,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heapreplace
 from math import lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..model.components import DemandComponent
 from ..model.numeric import ExactTime, Time, to_exact
@@ -74,7 +78,7 @@ from .backend import (
     record_fallback,
 )
 
-__all__ = ["DemandKernel", "BackwardDeadlineWalker", "SCALE_CAP"]
+__all__ = ["DemandKernel", "EnvelopeWalk", "BackwardDeadlineWalker", "SCALE_CAP"]
 
 # Pre-bound per-primitive handles: the dispatch methods below are the
 # hot seam every feasibility test funnels through, so each records one
@@ -134,8 +138,8 @@ class DemandKernel:
             strictly positive, so ``0`` is an unambiguous sentinel that
             keeps the hot loops branching on truthiness only).
         rates: per-component utilization ``C/T`` as `Fraction` (``0``
-            for one-shot components) — scale-invariant, shared by the
-            superposition bookkeeping.
+            for one-shot components) — scale-invariant; the envelope
+            weights on the exact grid and on incremental kernels.
 
     All public methods accept and return values in *original* time
     units; the ``*_scaled`` variants expose the internal grid for the
@@ -193,8 +197,8 @@ class DemandKernel:
     @property
     def rates(self) -> Tuple[Fraction, ...]:
         """Per-component ``C/T`` as `Fraction` (0 for one-shot), built on
-        first use — only the superposition-family loops need them, and
-        ``n`` `Fraction` constructions would otherwise tax every
+        first use — only envelope walks off the integer ``(H, w)`` need
+        them, and ``n`` `Fraction` constructions would otherwise tax every
         processor-demand/QPA compile."""
         rates = self._rates
         if rates is None:
@@ -592,20 +596,8 @@ class DemandKernel:
     ) -> Tuple[Optional[ExactTime], Optional[ExactTime], int, int]:
         """``SuperPos(level)`` over the change points in ``[lo, hi]``.
 
-        Walks the exact deadlines of each component up to its ``Im``
-        (the *level*-th job) in globally ascending order, keeping the
-        approximated demand as ``exact_jobs + U_ready * I - approx_base``
-        (``U_ready`` sums the rates of components past their ``Im``,
-        ``approx_base`` anchors their linear envelopes), and checks it
-        against the capacity line at every popped deadline.  Coincident
-        deadlines pop in push order (FIFO), the tie order of the
-        component-based reference walk, so iteration counts and
-        witnesses match it exactly.
-
-        The walk starts seeded with its state at the window floor:
-        components whose level-th job falls below *lo* enter already
-        switched to their envelopes, the others with their below-window
-        jobs pre-counted.  With ``lo = 0`` this is the full test of
+        The :class:`EnvelopeWalk` at a fixed *level*, stopping at its
+        first failed check.  With ``lo = 0`` this is the full test of
         :func:`repro.core.superposition.superposition_test`; a window is
         sound only under the caller's invariant that every change point
         below *lo* already passes (the admission controller's
@@ -618,181 +610,243 @@ class DemandKernel:
         """
         if level < 1:
             raise ValueError(f"superposition level must be >= 1, got {level}")
-        if not self.n:
-            return None, None, 0, 0
-        lo_s = self.exclusive_scaled(lo) if lo else 0
-        hi_s = self.inclusive_scaled(hi)
-        result = None
-        if self.scale is not None and hi_s.bit_length() < 500:
-            try:
-                result = self._superpos_scan_int(level, lo_s, hi_s)
-            except OverflowError:
-                pass  # a demand too wide for the float screen: walk exactly
-        if result is None:
-            result = self._superpos_scan_exact(level, lo_s, hi_s)
-        interval, demand, iterations, intervals = result
+        walk = EnvelopeWalk(
+            self,
+            level,
+            self.exclusive_scaled(lo) if lo else 0,
+            self.inclusive_scaled(hi),
+        )
+        interval = walk.run(_stop)
         if interval is None:
-            return result
-        demand = self.unscale(demand)
-        if isinstance(demand, Fraction) and demand.denominator == 1:
-            demand = demand.numerator
-        return self.unscale(interval), demand, iterations, intervals
+            return None, None, walk.iterations, walk.intervals
+        return (
+            self.unscale(interval),
+            walk.demand(interval),
+            walk.iterations,
+            walk.intervals,
+        )
 
-    def _superpos_seed(
-        self, level: int, lo_s: ExactTime, hi_s: ExactTime, k: Optional[int]
-    ):
-        """Walk state at the grid window floor *lo_s*.
 
-        Returns ``(heap, queued, exact_demand, u_ready, approx_base)``:
-        one heap entry per component with an in-window deadline, keyed
-        by its index as push sequence (the seeds are pushed in index
-        order), per-component jobs queued so far, and the demand
-        aggregates of the jobs below the floor.  *k* picks the entry
-        format: ``deadline * k + index`` ints for the integer walk,
-        ``(deadline, index)`` tuples when ``None``.
-        """
-        d0s, periods, wcets = self.d0s, self.periods, self.wcets
-        rates = self.rates
-        heap: list = []
-        queued = [0] * self.n
-        exact_demand: ExactTime = 0
-        u_ready = Fraction(0)
-        approx_base = Fraction(0)
-        for idx in range(self.n):
-            d0 = d0s[idx]
-            if d0 > hi_s:
-                continue
-            if d0 >= lo_s:
-                heap.append(d0 * k + idx if k else (d0, idx))
-                queued[idx] = 1
-                continue
+def _stop(walk: "EnvelopeWalk", interval: ExactTime) -> ExactTime:
+    """The ``SuperPos(x)`` failure policy: stop at the first failure."""
+    return interval
+
+
+class EnvelopeWalk:
+    """The superposition walk of paper Section 3.4, one state for three
+    tests.
+
+    ``SuperPos(x)``, Dynamic Error and All-Approximated are the same
+    walk: pop the grid deadlines in ascending order, count each job's
+    demand exactly until its component has *level* jobs counted, then
+    switch the component to its linear envelope anchored at the deadline
+    just checked, and check the approximated demand
+
+    ``exact + Σ w·(I − anchor) / H  <=  I``
+
+    at every popped deadline ``I``.  They differ only in what a failed
+    check does, which :meth:`run` leaves to an ``on_fail`` policy.
+
+    State (all on the kernel's grid):
+
+    * ``heap`` of ``(deadline, seq, index)`` entries.  Seeds are keyed
+      by their index, later pushes by a running sequence number, so
+      coincident deadlines pop in push order (FIFO), the tie order of
+      the component-based reference walks.
+    * ``counted`` jobs per component and their ``exact`` demand.
+    * ``slope = Σ w`` and ``base = Σ w·anchor`` over the approximated
+      components, with ``(hyper, weights)`` from
+      :meth:`DemandKernel.envelope_weights`: integers on a compiled
+      kernel, `Fraction` rates over ``1`` on an incremental one.
+    * ``approx``: approximated component → anchor, in insertion order
+      (All-Approximated's FIFO order; ``sorted()`` gives Dynamic's index
+      order).
+    * ``level`` (a policy may raise it), ``iterations``, ``intervals``
+      and ``revisions``.
+
+    A float screen passes a check outright only when it clears the
+    capacity line by a margin (1e-6 relative) far above the rounding
+    error of the float sums; every closer check is decided on the exact
+    sums, so acceptance stays a proof and witnesses stay exact.  The
+    float sums only grow between failures and are recomputed from the
+    exact sums after each one.  A value too wide for a float turns the
+    screen off for the rest of the walk.
+
+    A window floor ``lo > 0`` seeds the walk with its state there:
+    components whose level-th job falls below *lo* enter already
+    switched to their envelopes (anchored at that job, and not listed in
+    ``approx``), the others with their below-window jobs counted.
+    Pre-switched components cannot be revised, so windowed walks serve
+    only policies that stop at the first failure.  Deadlines above *hi*
+    are never pushed (``math.inf`` bounds nothing).
+    """
+
+    def __init__(
+        self, kernel: DemandKernel, level: int, lo: ExactTime, hi: ExactTime
+    ) -> None:
+        periods, wcets = kernel.periods, kernel.wcets
+        hyper, weights = kernel.envelope_weights()
+        counted = [0] * kernel.n
+        exact: ExactTime = 0
+        slope: ExactTime = 0
+        base: ExactTime = 0
+        # Seeds from the by-deadline view: in-window first deadlines,
+        # then each below-window component's state at the floor.
+        pairs, keys = kernel._sorted_pairs, kernel._sorted_keys
+        start = bisect_left(keys, lo)
+        heap = [(d0, idx, idx) for d0, idx in pairs[start : bisect_right(keys, hi)]]
+        for d0, idx in pairs[:start]:
             p = periods[idx]
             if not p:
-                exact_demand += wcets[idx]
+                exact += wcets[idx]
+                counted[idx] = 1
                 continue
-            below = -((d0 - lo_s) // p)  # jobs with deadline < lo_s
+            below = -((d0 - lo) // p)  # jobs with deadline < lo
             if below >= level:
-                exact_demand += level * wcets[idx]
-                rate = rates[idx]
-                if rate:
-                    u_ready += rate
-                    approx_base += rate * (d0 + (level - 1) * p)
+                exact += level * wcets[idx]
+                counted[idx] = level
+                w = weights[idx]
+                slope += w
+                base += w * (d0 + (level - 1) * p)
                 continue
-            exact_demand += below * wcets[idx]
+            exact += below * wcets[idx]
+            counted[idx] = below
             nxt = d0 + below * p
-            if nxt <= hi_s:
-                heap.append(nxt * k + idx if k else (nxt, idx))
-                queued[idx] = below + 1
+            if nxt <= hi:
+                heap.append((nxt, idx, idx))
         heapify(heap)
-        return heap, queued, exact_demand, u_ready, approx_base
+        self.kernel = kernel
+        self.level = level
+        self.hi = hi
+        self.heap = heap
+        self.counted = counted
+        self.exact = exact
+        self.hyper = hyper
+        self.weights = weights
+        self.slope = slope
+        self.base = base
+        self.approx = {}
+        self.iterations = 0
+        self.intervals = 0
+        self.revisions = 0
+        self._seq = kernel.n
 
-    def _superpos_scan_int(self, level: int, lo_s: int, hi_s: int):
-        """Integer-grid walk: encoded-int heap, float-screened checks.
-
-        Heap entries are single ints ``deadline * k + seq``: seeds use
-        their index as push sequence, later pushes ``n, n + 1, ...``,
-        and ``owner[seq]`` maps back to the component (``k = n * level``
-        exceeds every sequence number: a component pushes at most
-        ``level - 1`` jobs past its seed), so ties pop in push order.
-        The envelope comparison runs on floats first: a point passes
-        outright only when it clears the capacity line by a margin (1e-6
-        relative) far above any accumulated rounding error (~1e-12);
-        anything closer is re-decided in exact `Fraction` arithmetic, so
-        acceptance stays a proof and witnesses stay exact.
-        """
-        n = self.n
-        k = n * level
-        heap, queued, exact_demand, u_ready, approx_base = self._superpos_seed(
-            level, lo_s, hi_s, k
+    def demand(self, interval: ExactTime) -> ExactTime:
+        """Approximated demand at the grid *interval*, in original units,
+        exact (an `int` when integral)."""
+        hyper = self.hyper
+        value = self.kernel.unscale(
+            Fraction(self.exact * hyper + self.slope * interval - self.base, hyper)
         )
-        wcets, rates = self.wcets, self.rates
-        owner = list(range(n))
-        strides = [p * k for p in self.periods]
-        limit = (hi_s + 1) * k  # e + stride < limit  ⟺  deadline + p <= hi_s
-        have_env = bool(u_ready)
-        u_f = float(u_ready)
-        base_f = float(approx_base)
-        iterations = intervals = 0
+        if isinstance(value, Fraction) and value.denominator == 1:
+            return value.numerator
+        return value
+
+    def run(self, on_fail: Callable[["EnvelopeWalk", ExactTime], Any]) -> Any:
+        """Walk until the heap drains (returns ``None``) or *on_fail*
+        stops it.
+
+        At a failed check at grid interval ``I`` the walk calls
+        ``on_fail(walk, I)`` with its state current.  A list return
+        names components to revise: each leaves its envelope, its demand
+        becomes exact up to ``I`` (the Lemma 6 correction), its next
+        deadline after ``I`` is pushed (``NextInt``, Lemma 5), and each
+        counts one iteration and one revision; then the check runs
+        again.  Any other return value stops the walk and is returned.
+        """
+        d0s, periods, wcets = self.kernel.d0s, self.kernel.periods, self.kernel.wcets
+        hyper, weights = self.hyper, self.weights
+        heap, counted, approx, hi = self.heap, self.counted, self.approx, self.hi
+        level = self.level
+        exact, slope, base = self.exact, self.slope, self.base
+        iterations, intervals = self.iterations, self.intervals
+        revisions, seq = self.revisions, self._seq
+        try:  # hf == 0.0: the screen is off
+            hf = float(hyper)
+            uf, bf = float(slope) / hf, float(base) / hf
+        except OverflowError:
+            hf = uf = bf = 0.0
+        # A flag, not ``slope`` itself: the truth test of a `Fraction`
+        # slope is a method call at every step.
+        enveloped = bool(slope)
         last = None
         while heap:
-            entry = heap[0]
-            seq = entry % k
-            interval = entry // k
-            idx = owner[seq]
-            exact_demand += wcets[idx]
-            if queued[idx] < level:
-                stride = strides[idx]
-                if stride and entry + stride < limit:
-                    heapreplace(heap, entry - seq + stride + len(owner))
-                    owner.append(idx)
-                    queued[idx] += 1
+            interval, _, idx = heap[0]
+            exact += wcets[idx]
+            counted[idx] += 1
+            iterations += 1
+            if interval != last:
+                intervals += 1
+                last = interval
+            while True:
+                if not enveloped:
+                    if exact <= interval:
+                        break
+                else:
+                    if hf:
+                        try:
+                            # base >= 0, so the margin needs no abs().
+                            gross = exact + uf * interval
+                            if gross - bf + 1e-6 * (gross + bf + 1.0) < interval:
+                                break
+                        except OverflowError:
+                            hf = 0.0
+                    if (exact - interval) * hyper + slope * interval <= base:
+                        break
+                self.exact, self.slope, self.base = exact, slope, base
+                self.iterations, self.intervals = iterations, intervals
+                self.revisions, self._seq = revisions, seq
+                verdict = on_fail(self, interval)
+                if type(verdict) is not list:
+                    return verdict
+                level = self.level
+                for j in verdict:
+                    w = weights[j]
+                    slope -= w
+                    base -= w * approx.pop(j)
+                    p = periods[j]
+                    jobs = (interval - d0s[j]) // p + 1
+                    exact += (jobs - counted[j]) * wcets[j]
+                    counted[j] = jobs
+                    nxt = d0s[j] + jobs * p
+                    if nxt <= hi:
+                        heappush(heap, (nxt, seq, j))
+                        seq += 1
+                    revisions += 1
+                    iterations += 1
+                enveloped = bool(slope)
+                if hf:
+                    try:
+                        uf, bf = float(slope) / hf, float(base) / hf
+                    except OverflowError:
+                        hf = 0.0
+            # The check passed: count the next job, or switch.
+            p = periods[idx]
+            if counted[idx] < level:
+                if p and interval + p <= hi:
+                    heapreplace(heap, (interval + p, seq, idx))
+                    seq += 1
                 else:
                     heappop(heap)
             else:
                 heappop(heap)
-                rate = rates[idx]
-                if rate:
-                    u_ready += rate
-                    approx_base += rate * interval
-                    u_f = float(u_ready)
-                    base_f = float(approx_base)
-                    have_env = True
-            iterations += 1
-            if interval != last:
-                intervals += 1
-                last = interval
-            if have_env:
-                # approx_base >= 0, so the margin needs no abs().
-                gross = exact_demand + u_f * interval
-                if gross - base_f + 1e-6 * (gross + base_f + 1.0) >= interval:
-                    value = exact_demand + u_ready * interval - approx_base
-                    if value > interval:
-                        return interval, value, iterations, intervals
-            elif exact_demand > interval:
-                return interval, exact_demand, iterations, intervals
-        return None, None, iterations, intervals
-
-    def _superpos_scan_exact(
-        self, level: int, lo_s: ExactTime, hi_s: ExactTime
-    ):
-        """Exact-arithmetic walk: ``(deadline, seq)`` tuple heap with the
-        same push sequences, every comparison in exact `int`/`Fraction`
-        arithmetic (the exact fallback grid, and grids too wide for the
-        float screen)."""
-        heap, queued, exact_demand, u_ready, approx_base = self._superpos_seed(
-            level, lo_s, hi_s, None
-        )
-        periods, wcets, rates = self.periods, self.wcets, self.rates
-        owner = list(range(self.n))
-        iterations = intervals = 0
-        last = None
-        while heap:
-            interval, seq = heappop(heap)
-            idx = owner[seq]
-            exact_demand += wcets[idx]
-            if queued[idx] < level:
-                p = periods[idx]
-                if p and interval + p <= hi_s:
-                    heappush(heap, (interval + p, len(owner)))
-                    owner.append(idx)
-                    queued[idx] += 1
-            else:
-                rate = rates[idx]
-                if rate:
-                    u_ready += rate
-                    approx_base += rate * interval
-            iterations += 1
-            if interval != last:
-                intervals += 1
-                last = interval
-            value = (
-                exact_demand + u_ready * interval - approx_base
-                if u_ready
-                else exact_demand
-            )
-            if value > interval:
-                return interval, value, iterations, intervals
-        return None, None, iterations, intervals
+                if p:
+                    w = weights[idx]
+                    slope += w
+                    base += w * interval
+                    approx[idx] = interval
+                    enveloped = True
+                    if hf:
+                        try:
+                            wf = float(w) / hf
+                            uf += wf
+                            bf += wf * interval
+                        except OverflowError:
+                            hf = 0.0
+        self.exact, self.slope, self.base = exact, slope, base
+        self.iterations, self.intervals = iterations, intervals
+        self.revisions, self._seq = revisions, seq
+        return None
 
 
 class BackwardDeadlineWalker:

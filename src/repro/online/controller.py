@@ -22,7 +22,12 @@ staged pipeline whose per-event cost is far below a from-scratch
    exact stage dirties the window; the next full filter pass that
    succeeds re-establishes it.  The walk is the kernel's
    :meth:`~repro.kernel.DemandKernel.superpos_scan`, the one the engine's
-   ``superpos`` test runs with the window floor at 0.
+   ``superpos`` test runs with the window floor at 0.  On the live
+   :class:`~repro.kernel.incremental.IncrementalKernel` its envelope
+   sums are the maintained `Fraction` rates (``H = 1``), since churn
+   keeps changing the lcm of the periods an integer ``H`` would need;
+   the walk's float screen decides every check that clears the capacity
+   line by a margin, and only closer ones touch the `Fraction` sums.
 3. **Exact confirmation** — QPA restricted to the perturbed demand
    window.  The controller's invariant is that the admitted system is
    exactly feasible, i.e. ``dbf(t) <= t`` for *all* ``t``; an arrival

@@ -75,6 +75,20 @@ class TestLookupErrors:
         with pytest.raises(ValueError, match="expects int"):
             analyze(simple_taskset, "superpos", level="three")
 
+    @pytest.mark.parametrize(
+        "test, option",
+        [
+            ("superpos", "level"),
+            ("dynamic", "max_level"),
+            ("processor-demand", "max_interval"),
+        ],
+    )
+    def test_bool_is_not_an_int_option(self, simple_taskset, test, option):
+        options = {"level": 2} if test == "superpos" else {}
+        options[option] = True
+        with pytest.raises(ValueError, match=f"option '{option}'.*got bool"):
+            analyze(simple_taskset, test, **options)
+
     def test_option_choices_checked(self, simple_taskset):
         with pytest.raises(ValueError, match="must be one of"):
             analyze(simple_taskset, "all-approx", revision_policy="random")

@@ -208,8 +208,6 @@ class TestSuperposScan:
                 [DemandComponent(1, 1, 2), DemandComponent(wcet=huge, first_deadline=2)]
             )
         )
-        with pytest.raises(OverflowError):
-            kernel._superpos_scan_int(1, 0, 10)
         assert kernel.superpos_scan(1, 0, 10) == (2, huge + Fraction(3, 2), 2, 2)
 
     def test_rejects_level_zero_and_accepts_empty_systems(self):

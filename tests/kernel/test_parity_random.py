@@ -18,7 +18,11 @@ the compiled kernel must reproduce the component-based reference
 * full ``FeasibilityResult`` equality for the Dynamic test against its
   ``IntervalQueue``/``Fraction`` loop, and equal values and types for
   the closed-form bounds against their ``Fraction`` loops (both in
-  ``reference_walks.py``), also on exact-grid systems and one-shot sets.
+  ``reference_walks.py``), also on exact-grid systems and one-shot sets;
+* equal results and types for ``superpos_scan`` over the two envelope
+  representations the walk serves (the compiled kernel's integer
+  weights, the incremental kernel's `Fraction` rates) at several window
+  floors.
 """
 
 import random
@@ -41,7 +45,7 @@ from repro.core import all_approx_test, dynamic_test, superposition_test
 from repro.engine import analyze
 from repro.engine.context import AnalysisContext, clear_context_cache
 from repro.generation import example_systems
-from repro.kernel import DemandKernel
+from repro.kernel import DemandKernel, IncrementalKernel
 from repro.model.components import DemandComponent, as_components
 
 from .reference_walks import (
@@ -392,26 +396,7 @@ def test_superposition_ties_pop_in_push_order(spec, level):
         ivs,
     )
     assert (result.witness.interval, result.witness.demand) == (w_interval, w_demand)
-    kernel = ctx.kernel()
-    bound_s = kernel.inclusive_scaled(bound)
-    assert kernel._superpos_scan_exact(level, 0, bound_s) == kernel._superpos_scan_int(
-        level, 0, bound_s
-    )
-
-
-@pytest.mark.parametrize("index", range(0, SET_COUNT, 4))
-def test_superpos_scan_integer_and_exact_walks_agree_on_windows(index):
-    """The float-screened integer walk and the exact tuple walk pop in
-    the same FIFO order from the same window seeds: identical results
-    for every window floor, not only the engine's ``lo = 0``."""
-    kernel = DemandKernel(_POPULATION[index])
-    hi_s = kernel.inclusive_scaled(80)
-    floors = sorted({0, *kernel.d0s[:4], max(kernel.d0s) + 1})
-    for level in (1, 3):
-        for lo_s in floors:
-            assert kernel._superpos_scan_int(
-                level, lo_s, hi_s
-            ) == kernel._superpos_scan_exact(level, lo_s, hi_s), (index, level, lo_s)
+    _assert_same_superpos_scans(comps, level, [0], bound)
 
 
 def test_superposition_parity_on_the_exact_grid():
@@ -537,6 +522,36 @@ _DYNAMIC_TIE_ORDER_SETS = [
     ([(2, 5, 7), (3, 12, None), (3, 3, 8)], "double"),
     ([(1, 12, 4), (2, 4, 6), (3, 11, None), (3, 6, 9), (1, 7, 12)], "double"),
 ]
+
+
+def _assert_same_superpos_scans(comps, level, floors, hi):
+    """``superpos_scan`` over the compiled kernel's integer ``(H, w)``
+    and over the incremental kernel's `Fraction` rates: equal results,
+    equal types, at every window floor."""
+    compiled, incremental = DemandKernel(comps), IncrementalKernel(comps)
+    for lo in floors:
+        expected = compiled.superpos_scan(level, lo, hi)
+        got = incremental.superpos_scan(level, lo, hi)
+        assert got == expected, (level, lo)
+        assert [type(v) for v in got] == [type(v) for v in expected], (level, lo)
+
+
+_WINDOW_SYSTEMS = (
+    [pytest.param(_POPULATION[i], id=str(i)) for i in range(0, SET_COUNT, 4)]
+    + [pytest.param(s, id=f"exact-grid-{i}") for i, s in enumerate(_EXACT_GRID_SETS)]
+    + [pytest.param(s, id=f"one-shot-{i}") for i, s in enumerate(_ONE_SHOT_SETS)]
+)
+
+
+@pytest.mark.parametrize("comps", _WINDOW_SYSTEMS)
+def test_superpos_scan_agrees_across_envelope_representations(comps):
+    """Both envelope representations pop in the same FIFO order from the
+    same window seeds: identical results for every window floor, not
+    only the engine's ``lo = 0``."""
+    deadlines = [c.first_deadline for c in comps]
+    floors = sorted({0, *deadlines[:4], max(deadlines) + 1})
+    for level in (1, 3):
+        _assert_same_superpos_scans(comps, level, floors, 80)
 
 
 def _assert_same_result(result, expected, label=None):

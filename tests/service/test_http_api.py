@@ -111,6 +111,28 @@ class TestErrors:
         assert err.value.status == 400
         assert "level" in err.value.message
 
+    @pytest.mark.parametrize(
+        "test, option",
+        [
+            ("superpos", "level"),
+            ("dynamic", "max_level"),
+            ("processor-demand", "max_interval"),
+        ],
+    )
+    def test_bool_options_are_400(self, client, simple_taskset, test, option):
+        options = {"level": 2} if test == "superpos" else {}
+        options[option] = True
+        with pytest.raises(ServiceError) as err:
+            client.submit_document(
+                {
+                    "test": test,
+                    "options": options,
+                    "taskset": taskset_to_dict(simple_taskset),
+                }
+            )
+        assert err.value.status == 400
+        assert option in err.value.message and "bool" in err.value.message
+
     def test_results_of_unfinished_job_conflict(self, simple_taskset):
         import threading
 
