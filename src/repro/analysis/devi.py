@@ -13,10 +13,19 @@ tasks and identical on constrained-deadline systems.  The test module
 ``tests/integration/test_devi_superpos_equivalence.py`` verifies both
 facts mechanically.
 
-The implementation keeps the two prefix sums incrementally and compares
-exactly (the condition is multiplied through by ``D_k`` to avoid
-divisions), so one task costs one comparison — ``n`` iterations for an
-accepted set of ``n`` tasks, matching the paper's Table 1 accounting.
+The implementation runs on the compiled kernel's grid with its integer
+envelope weights ``(H, w)`` (``w_i / H = C_i / T_i``, see
+:meth:`~repro.kernel.DemandKernel.envelope_weights`).  The condition is
+multiplied through by ``D_k · H``::
+
+    D_k * sum_{i<=k} w_i  +  sum_{i<=k} (T_i - min(T_i, D_i)) * w_i  <=  D_k * H
+
+(a one-shot adds ``C_i · H`` to the second sum), so both prefix sums
+stay machine integers and a rejection builds one `Fraction`, the
+witness demand.  On the kernel's exact fallback grid ``(H, w)`` is
+``(1, rates)`` and the same loop runs on `Fraction` rates.  One task
+costs one comparison — ``n`` iterations for an accepted set of ``n``
+tasks, matching the paper's Table 1 accounting.
 """
 
 from __future__ import annotations
@@ -43,35 +52,36 @@ def devi_test(source: DemandSource) -> FeasibilityResult:
     )
     if early is not None:
         return early
-    components = ctx.components
     u = ctx.utilization
-    ordered = sorted(
-        components, key=lambda c: (c.first_deadline, c.period or 0, c.wcet)
-    )
-    rate_sum = Fraction(0)  # sum C_i / T_i over the prefix
-    slack_sum = Fraction(0)  # sum ((T_i - min(T_i, D_i)) / T_i) * C_i
+    kernel = ctx.kernel()
+    hyper, weights = kernel.envelope_weights()
+    rate_sum = 0  # sum w_i over the prefix: H * sum C_i / T_i
+    slack_sum = 0  # sum (T_i - min(T_i, D_i)) * w_i, one-shots C_i * H
     iterations = 0
-    for comp in ordered:
-        d = comp.first_deadline
-        c = Fraction(comp.wcet)
-        if comp.period is None:
-            # One-shot: no recurring rate; the whole cost is demand.
-            slack_sum += c
+    # Sorting the grid tuples keeps the (D, T or 0, C) order, and ties
+    # on all of them are interchangeable.
+    for d, p, c, w in sorted(
+        zip(kernel.d0s, kernel.periods, kernel.wcets, weights)
+    ):
+        if p:
+            rate_sum += w
+            if p > d:
+                slack_sum += (p - d) * w
         else:
-            t = Fraction(comp.period)
-            rate_sum += c / t
-            clamped = min(t, Fraction(d))
-            slack_sum += (t - clamped) / t * c
+            # One-shot: no recurring rate; the whole cost is demand.
+            slack_sum += c * hyper
         iterations += 1
-        # Condition (multiplied by D_k):  D_k * rate + slack <= D_k
-        if d * rate_sum + slack_sum > d:
-            demand = d * rate_sum + slack_sum
+        # Condition (multiplied by D_k * H):  D_k * sum w + slack <= D_k * H
+        if d * rate_sum + slack_sum > d * hyper:
+            demand = Fraction(d * rate_sum + slack_sum, hyper * (kernel.scale or 1))
             return FeasibilityResult(
                 verdict=Verdict.UNKNOWN,
                 test_name="devi",
                 iterations=iterations,
                 intervals_checked=iterations,
-                witness=FailureWitness(interval=d, demand=demand, exact=False),
+                witness=FailureWitness(
+                    interval=kernel.unscale(d), demand=demand, exact=False
+                ),
                 details={"utilization": u},
             )
     return FeasibilityResult(

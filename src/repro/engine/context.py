@@ -14,6 +14,12 @@ canonical fingerprint of the task set, so that
   the same candidate twice, repeated CLI calls on a cached set) hits the
   module-level context cache instead of recomputing.
 
+The cache lookup happens before normalization: :func:`fingerprint_of`
+reads the key straight off the source's task and component entries, so
+a hit (every test of a battery after the first, each handed its own equal
+`TaskSet`) builds no `DemandComponent` and no rate.  Only a miss
+normalizes the source and sums its utilization, on integers.
+
 The cache is a small LRU — analysis sweeps over millions of *distinct*
 sets stay O(cache size) in memory.  It lives and dies with the process:
 across processes, the analysis service's result store keeps verdicts,
@@ -36,6 +42,7 @@ from ..model.components import (
     total_utilization,
 )
 from ..model.numeric import ExactTime, Time, to_exact
+from ..model.task import SporadicTask
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..result import FeasibilityResult, Verdict
@@ -97,20 +104,10 @@ class AnalysisContext:
     )
 
     def __init__(
-        self,
-        components: Tuple[DemandComponent, ...],
-        fingerprint: Optional[Fingerprint] = None,
+        self, components: Tuple[DemandComponent, ...], fingerprint: Fingerprint
     ) -> None:
         self.components = components
-        # The cache lookup in :meth:`of` already derived the key; reuse
-        # it instead of walking the components a second time per miss.
-        self.fingerprint: Fingerprint = (
-            fingerprint
-            if fingerprint is not None
-            else tuple(
-                (c.wcet, c.first_deadline, c.period, c.source) for c in components
-            )
-        )
+        self.fingerprint = fingerprint
         self.utilization = total_utilization(components)
         self._bounds: Dict["BoundMethod", Optional[ExactTime]] = {}
         self._busy_period: Optional[ExactTime] = None
@@ -123,13 +120,13 @@ class AnalysisContext:
 
     @classmethod
     def of(cls, source: DemandSource) -> "AnalysisContext":
-        """Normalize *source* into a context, reusing the LRU cache."""
+        """The cached context of *source*, found by its fingerprint;
+        *source* is normalized only on a miss."""
         if isinstance(source, AnalysisContext):
             return source
-        components = tuple(as_components(source))
-        key: Fingerprint = tuple(
-            (c.wcet, c.first_deadline, c.period, c.source) for c in components
-        )
+        if iter(source) is source:  # an iterator: read it once
+            source = tuple(source)
+        key = fingerprint_of(source)
         with _CACHE_LOCK:
             cached = _CONTEXTS.get(key)
             if cached is not None:
@@ -139,7 +136,7 @@ class AnalysisContext:
             _CACHE_MISSES.inc()
         # Built outside the lock; a concurrent miss on the same key at
         # worst builds a second context, and the first one stored wins.
-        ctx = cls(components, fingerprint=key)
+        ctx = cls(tuple(as_components(source)), key)
         with _CACHE_LOCK:
             existing = _CONTEXTS.get(key)
             if existing is not None:
@@ -272,17 +269,34 @@ class AnalysisContext:
 def fingerprint_of(source: DemandSource) -> Fingerprint:
     """Canonical fingerprint of *source* without touching any cache.
 
-    One normalization pass — no LRU churn, no context built.
-    The service layer keys store lookups with this for requests it has
-    not decided to execute yet; a context built later for the same
-    system reports an identical :attr:`AnalysisContext.fingerprint`.
+    The key ``as_components(source)`` would give, read in one pass
+    straight off task and component entries: no `DemandComponent` is
+    built for a task, no LRU churn, no context.  Only ``to_components()``
+    entries go through :func:`as_components`, and so do unsupported
+    entries, which it rejects with its usual `ModelError`.  The service
+    layer keys store lookups with this for requests it has not decided
+    to execute yet; a context built later for the same system reports an
+    identical :attr:`AnalysisContext.fingerprint`.
     """
     if isinstance(source, AnalysisContext):
         return source.fingerprint
-    return tuple(
-        (c.wcet, c.first_deadline, c.period, c.source)
-        for c in as_components(source)
-    )
+    key = []
+    for index, entry in enumerate(source):
+        if isinstance(entry, DemandComponent):
+            if entry.wcet > 0:
+                key.append(
+                    (entry.wcet, entry.first_deadline, entry.period, entry.source)
+                )
+        elif isinstance(entry, SporadicTask):
+            if entry.wcet > 0:
+                name = entry.name or f"tau{index + 1}"
+                key.append((entry.wcet, entry.deadline, entry.period, name))
+        else:
+            key.extend(
+                (c.wcet, c.first_deadline, c.period, c.source)
+                for c in as_components((entry,))
+            )
+    return tuple(key)
 
 
 def preflight(

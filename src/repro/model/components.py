@@ -21,11 +21,11 @@ implemented once and support both task models unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
-from .numeric import ExactTime, Time, floor_div, to_exact
+from .numeric import ExactTime, Time, floor_div, rate_sum, to_exact
 from .task import SporadicTask
 from .taskset import TaskSet
 from .validation import ModelError
@@ -45,17 +45,12 @@ class DemandComponent:
         period: distance between consecutive deadlines, or ``None`` for a
             one-shot component contributing a single deadline.
         source: label of the originating task, for diagnostics.
-        utilization: long-run demand rate ``C/T`` (0 for one-shot
-            components).  Computed once at construction — it is read in
-            preflight, bound, load and packing loops, where rebuilding
-            two `Fraction` objects per access added up.
     """
 
     wcet: ExactTime
     first_deadline: ExactTime
     period: Optional[ExactTime] = None
     source: str = ""
-    utilization: ExactTime = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "wcet", to_exact(self.wcet))
@@ -71,12 +66,15 @@ class DemandComponent:
         if self.period is not None:
             if self.period <= 0:
                 raise ModelError(f"component period must be > 0, got {self.period}")
-            ratio = Fraction(self.wcet) / Fraction(self.period)
-            object.__setattr__(
-                self,
-                "utilization",
-                ratio.numerator if ratio.denominator == 1 else ratio,
-            )
+
+    @property
+    def utilization(self) -> ExactTime:
+        """Long-run demand rate ``C/T`` (0 for one-shot components),
+        exact, computed when read."""
+        if self.period is None:
+            return 0
+        ratio = Fraction(self.wcet) / Fraction(self.period)
+        return ratio.numerator if ratio.denominator == 1 else ratio
 
     @property
     def is_recurrent(self) -> bool:
@@ -202,8 +200,6 @@ def as_components(source: DemandSource) -> List[DemandComponent]:
 
 
 def total_utilization(components: Sequence[DemandComponent]) -> ExactTime:
-    """Exact sum of component utilizations."""
-    total = Fraction(0)
-    for c in components:
-        total += Fraction(c.utilization)
-    return total.numerator if total.denominator == 1 else total
+    """Exact sum of component utilizations (one-shots add 0), summed
+    on integers by :func:`~repro.model.numeric.rate_sum`."""
+    return rate_sum((c.wcet, c.period) for c in components if c.period is not None)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Tuple, Union
 
 #: Any value accepted as a time quantity at the public API boundary.
 Time = Union[int, float, Fraction]
@@ -33,6 +33,7 @@ __all__ = [
     "frac_part",
     "exact_lcm",
     "exact_gcd",
+    "rate_sum",
     "as_float",
 ]
 
@@ -114,6 +115,26 @@ def exact_lcm(a: ExactTime, b: ExactTime) -> ExactTime:
     den = math.gcd(fa.denominator, fb.denominator)
     result = Fraction(num, den)
     return result.numerator if result.denominator == 1 else result
+
+
+def rate_sum(pairs: Iterable[Tuple[ExactTime, ExactTime]]) -> ExactTime:
+    """Exact ``Σ c / t`` over ``(c, t)`` pairs (an ``int`` when integral).
+
+    Integer pairs sum as ``Σ c · (H // t)`` over ``H = lcm(t)`` in machine
+    ``int`` with one `Fraction` at the end; a rational parameter anywhere
+    falls back to a `Fraction` sum.  The terms are as wide as ``H`` (7,000
+    bits for a thousand random periods), so they are summed one at a time,
+    never held in a list.
+    """
+    pairs = list(pairs)
+    if all(type(c) is int and type(t) is int for c, t in pairs):
+        hyper = math.lcm(*[t for _, t in pairs])
+        total = Fraction(sum(c * (hyper // t) for c, t in pairs), hyper)
+    else:
+        total = Fraction(0)
+        for c, t in pairs:
+            total += Fraction(c) / Fraction(t)
+    return total.numerator if total.denominator == 1 else total
 
 
 def as_float(value: Time) -> float:

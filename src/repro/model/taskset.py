@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union, overload
 
-from .numeric import ExactTime, Time, exact_lcm, to_exact
+from .numeric import ExactTime, Time, exact_lcm, rate_sum, to_exact
 from .task import SporadicTask
 from .validation import TaskSetError
 
@@ -104,10 +104,7 @@ class TaskSet(Sequence[SporadicTask]):
     @cached_property
     def utilization(self) -> ExactTime:
         """Total utilization :math:`U = \\sum C_i / T_i` (exact)."""
-        total = Fraction(0)
-        for t in self._tasks:
-            total += Fraction(t.wcet) / Fraction(t.period)
-        return total.numerator if total.denominator == 1 else total
+        return rate_sum((t.wcet, t.period) for t in self._tasks)
 
     @cached_property
     def total_wcet(self) -> ExactTime:

@@ -64,7 +64,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..analysis.busy_period import busy_period_of_components
 from ..core.epsilon import epsilon_to_level
 from ..kernel.incremental import IncrementalKernel
-from ..model.components import DemandComponent, DemandSource, as_components
+from ..model.components import (
+    DemandComponent,
+    DemandSource,
+    as_components,
+    total_utilization,
+)
 from ..model.numeric import ExactTime, Time, to_exact
 from ..model.task import SporadicTask
 from ..model.validation import ModelError
@@ -453,7 +458,7 @@ class AdmissionController:
         self, components: Tuple[DemandComponent, ...]
     ) -> None:
         """Verify and adopt the construction-time system in one piece."""
-        if sum((Fraction(c.utilization) for c in components), Fraction(0)) > 1:
+        if total_utilization(components) > 1:
             raise ModelError(
                 "initial system is infeasible (U > 1); an admission "
                 "controller must start from a feasible system"

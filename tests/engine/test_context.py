@@ -1,6 +1,10 @@
 """Unit tests for the shared preflight pipeline (AnalysisContext)."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis import dbf, feasibility_bound
 from repro.analysis.bounds import BoundMethod
@@ -9,9 +13,18 @@ from repro.engine import (
     AnalysisContext,
     clear_context_cache,
     context_cache_info,
+    fingerprint_of,
     preflight,
 )
-from repro.model import TaskSet, as_components
+from repro.model import (
+    DemandComponent,
+    EventStream,
+    EventStreamTask,
+    ModelError,
+    SporadicTask,
+    TaskSet,
+    as_components,
+)
 from repro.result import Verdict
 
 
@@ -90,6 +103,103 @@ class TestContextCache:
         ctx = AnalysisContext.of(simple_taskset)
         assert fingerprint == ctx.fingerprint
         assert fingerprint_of(ctx) == ctx.fingerprint
+
+
+def _as_component_keys(source):
+    return tuple(
+        (c.wcet, c.first_deadline, c.period, c.source) for c in as_components(source)
+    )
+
+
+_positive = st.one_of(
+    st.integers(1, 60),
+    st.fractions(min_value=Fraction(1, 8), max_value=60, max_denominator=12),
+    st.sampled_from([0.5, 2.25, 7.75]),
+)
+_wcet = st.one_of(st.just(0), _positive)
+_names = st.sampled_from(["", "", "a", "b", "c"])
+_tasks = st.builds(
+    SporadicTask, wcet=_wcet, deadline=_positive, period=_positive, name=_names
+)
+_components = st.builds(
+    DemandComponent,
+    wcet=_wcet,
+    first_deadline=_positive,
+    period=st.one_of(st.none(), _positive),
+    source=_names,
+)
+_stream_tasks = st.builds(
+    EventStreamTask,
+    stream=st.builds(
+        EventStream.burst,
+        count=st.integers(1, 3),
+        spacing=st.integers(1, 3),
+        period=st.integers(10, 40),
+    ),
+    wcet=_wcet,
+    deadline=_positive,
+    name=_names,
+)
+_tasksets = st.lists(
+    st.tuples(_wcet, _positive, _positive, st.booleans()), max_size=8
+).map(
+    lambda rows: TaskSet(
+        SporadicTask(c, d, t, name=f"n{i}" if named else "")
+        for i, (c, d, t, named) in enumerate(rows)
+    )
+)
+_sources = st.one_of(
+    _tasksets,
+    st.lists(_tasks, max_size=8),
+    st.lists(_components, max_size=8),
+    st.lists(_stream_tasks, max_size=3),
+    st.lists(st.one_of(_tasks, _components, _stream_tasks), max_size=8),
+)
+
+
+class TestFingerprint:
+    @given(_sources)
+    def test_fingerprint_is_the_component_key(self, source):
+        assert fingerprint_of(source) == _as_component_keys(source)
+
+    @pytest.mark.parametrize("bad", [42, "task", (1, 2, 3)])
+    def test_bad_entries_raise_the_same_model_error(self, bad):
+        source = [SporadicTask(1, 5, 10), bad]
+        with pytest.raises(ModelError) as expected:
+            as_components(source)
+        with pytest.raises(ModelError) as got:
+            fingerprint_of(source)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(ModelError) as via_context:
+            AnalysisContext.of(source)
+        assert str(via_context.value) == str(expected.value)
+
+    def test_cache_hits_build_no_components(self, monkeypatch):
+        """Equal but distinct task sets (one per test of a battery) find
+        the first one's context by its fingerprint alone."""
+        tasks = [(2, 6, 10), (3, 11, 16), (5, 25, 25), (0, 4, 8)]
+        first = AnalysisContext.of(TaskSet.of(*tasks))
+        built = []
+        original = DemandComponent.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(DemandComponent, "__post_init__", counting)
+        for _ in range(3):
+            assert AnalysisContext.of(TaskSet.of(*tasks)) is first
+        assert built == []
+        assert context_cache_info()["hits"] == 3
+
+    def test_generator_source_is_read_once(self):
+        tasks = [SporadicTask(2, 6, 10), SporadicTask(3, 11, 16, name="x")]
+        ctx = AnalysisContext.of(t for t in tasks)
+        assert ctx.components == tuple(as_components(tasks))
+        assert ctx.fingerprint == fingerprint_of(tasks)
+        assert AnalysisContext.of(iter(tasks)) is ctx
+        clear_context_cache()
+        assert AnalysisContext.of(t for t in tasks).fingerprint == ctx.fingerprint
 
 
 class TestMemoizedQuantities:

@@ -112,6 +112,17 @@ def test_analyze_dynamic_loads_no_other_subcommand_layer(tmp_path):
     assert loaded == set()
 
 
+def test_analyze_devi_compiles_a_kernel_without_numpy(tmp_path):
+    path = _taskset_file(tmp_path, **SEED3)
+    completed, loaded = _main_in_fresh_process(
+        ["analyze", path, "--test", "devi", "--cache-stats"]
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith("devi: unknown iterations=25")
+    assert "calls=0 fallbacks=0" in completed.stdout
+    assert loaded == set()
+
+
 def test_service_error_maps_to_exit_2_without_a_traceback():
     completed = _run(["status", "--url", "http://127.0.0.1:9"])
     assert completed.returncode == 2

@@ -4,8 +4,8 @@ These are the component-based loops the interval-driven tests ran
 before the compiled-kernel layer (``IntervalQueue`` over
 ``DemandComponent`` method calls; per-step ``largest_deadline_below``
 rescans), the Dynamic Error test's ``IntervalQueue``/``Fraction`` loop,
-and the per-bound ``Fraction`` loops of the closed-form feasibility
-bounds.  The randomized parity suite
+Devi's ``Fraction`` prefix loop over the sorted components, and the
+per-bound ``Fraction`` loops of the closed-form feasibility bounds.  The randomized parity suite
 (``tests/kernel/test_parity_random.py``) and the speedup benchmark
 (``benchmarks/test_kernel_micro.py``) consume this module, so the
 parity oracle and the benchmark baseline can never drift apart.
@@ -37,6 +37,7 @@ __all__ = [
     "reference_processor_demand",
     "reference_qpa",
     "reference_dynamic",
+    "reference_devi",
     "reference_baruah_bound",
     "reference_george_bound",
     "reference_superposition_bound",
@@ -270,6 +271,54 @@ def reference_dynamic(
         revisions=revisions,
         max_level=level,
         bound=bound,
+        details={"utilization": u},
+    )
+
+
+def reference_devi(source: DemandSource) -> FeasibilityResult:
+    """Devi's test as a ``Fraction`` prefix loop over the components
+    sorted by ``(D, T or 0, C)`` (full ``FeasibilityResult``)."""
+    ctx, early = preflight(
+        source, "devi", overload_iterations=1, overload_reason=None
+    )
+    if early is not None:
+        return early
+    components = ctx.components
+    u = ctx.utilization
+    ordered = sorted(
+        components, key=lambda c: (c.first_deadline, c.period or 0, c.wcet)
+    )
+    rate_sum = Fraction(0)  # sum C_i / T_i over the prefix
+    slack_sum = Fraction(0)  # sum ((T_i - min(T_i, D_i)) / T_i) * C_i
+    iterations = 0
+    for comp in ordered:
+        d = comp.first_deadline
+        c = Fraction(comp.wcet)
+        if comp.period is None:
+            # One-shot: no recurring rate; the whole cost is demand.
+            slack_sum += c
+        else:
+            t = Fraction(comp.period)
+            rate_sum += c / t
+            clamped = min(t, Fraction(d))
+            slack_sum += (t - clamped) / t * c
+        iterations += 1
+        # Condition (multiplied by D_k):  D_k * rate + slack <= D_k
+        if d * rate_sum + slack_sum > d:
+            demand = d * rate_sum + slack_sum
+            return FeasibilityResult(
+                verdict=Verdict.UNKNOWN,
+                test_name="devi",
+                iterations=iterations,
+                intervals_checked=iterations,
+                witness=FailureWitness(interval=d, demand=demand, exact=False),
+                details={"utilization": u},
+            )
+    return FeasibilityResult(
+        verdict=Verdict.FEASIBLE,
+        test_name="devi",
+        iterations=iterations,
+        intervals_checked=iterations,
         details={"utilization": u},
     )
 

@@ -22,7 +22,11 @@ the compiled kernel must reproduce the component-based reference
 * equal results and types for ``superpos_scan`` over the two envelope
   representations the walk serves (the compiled kernel's integer
   weights, the incremental kernel's `Fraction` rates) at several window
-  floors.
+  floors;
+* full ``FeasibilityResult`` equality for Devi's test on the kernel grid
+  against its ``Fraction`` prefix loop (``reference_walks.py``), with
+  the witness interval's and demand's types, on the random population,
+  exact-grid systems, one-shot sets and tie-order sets.
 """
 
 import random
@@ -40,6 +44,7 @@ from repro.analysis.bounds import (
     superposition_bound,
 )
 from repro.analysis.dbf import dbf as reference_dbf, dbf_points
+from repro.analysis.devi import devi_test
 from repro.analysis.qpa import largest_deadline_below
 from repro.core import all_approx_test, dynamic_test, superposition_test
 from repro.engine import analyze
@@ -51,6 +56,7 @@ from repro.model.components import DemandComponent, as_components
 from .reference_walks import (
     IntervalQueue,
     reference_baruah_bound,
+    reference_devi,
     reference_dynamic,
     reference_george_bound,
     reference_processor_demand,
@@ -672,3 +678,69 @@ def test_closed_form_bounds_match_the_fraction_loops():
             for got in (ctx.bound(BoundMethod.BEST), feasibility_bound(comps)):
                 assert got == best and type(got) is type(best)
     assert types == {int, Fraction}
+
+
+# ----------------------------------------------------------------------
+# Devi on the kernel grid: integer prefix sums scaled by D_k·H against
+# the Fraction prefix loop it replaced.
+# ----------------------------------------------------------------------
+
+#: Sets (tasks as (C, D, T), T None for one-shots) whose tied first
+#: deadlines fail mid-group: the ``(D, T or 0, C)`` order decides the
+#: failing iteration (source order would stop one comparison earlier or
+#: later).  Ties on ``T``, on ``C`` and against a one-shot, with ``D > T``
+#: tasks among them.
+_DEVI_TIE_ORDER_SETS = [
+    ([(2, 10, 200), (19, 20, 40), (2, 20, 10)], 3),
+    ([(2, 10, 200), (19, 20, 40), (1, 20, 40)], 3),
+    ([(2, 10, 200), (2, 20, 10), (19, 20, None)], 2),
+]
+
+_DEVI_SYSTEMS = (
+    [pytest.param(comps, id=str(i)) for i, comps in enumerate(_POPULATION)]
+    + [pytest.param(s, id=f"exact-grid-{i}") for i, s in enumerate(_EXACT_GRID_SETS)]
+    + [pytest.param(s, id=f"one-shot-{i}") for i, s in enumerate(_ONE_SHOT_SETS)]
+)
+
+
+def _assert_devi_parity(comps):
+    clear_context_cache()
+    ctx = AnalysisContext.of(comps)
+    result, expected = devi_test(ctx), reference_devi(ctx)
+    _assert_same_result(result, expected)
+    if expected.witness is not None:
+        assert type(result.witness.interval) is type(expected.witness.interval)
+        assert type(result.witness.demand) is Fraction
+    return result
+
+
+@pytest.mark.parametrize("comps", _DEVI_SYSTEMS)
+def test_devi_parity(comps):
+    _assert_devi_parity(comps)
+
+
+@pytest.mark.parametrize("spec, iterations", _DEVI_TIE_ORDER_SETS)
+def test_devi_tied_deadlines_keep_the_sorted_order(spec, iterations):
+    comps = as_components(
+        [DemandComponent(wcet=c, first_deadline=d, period=t) for c, d, t in spec]
+    )
+    result = _assert_devi_parity(comps)
+    assert result.verdict.value == "unknown"
+    assert result.iterations == iterations
+
+
+def test_devi_rows_cover_ties_late_deadlines_and_both_verdicts():
+    systems = [p.values[0] for p in _DEVI_SYSTEMS]
+    assert any(
+        len({c.first_deadline for c in comps}) < len(comps) for comps in systems
+    )
+    assert any(
+        c.period is not None and c.first_deadline > c.period
+        for comps in systems
+        for c in comps
+    )
+    verdicts = set()
+    for comps in systems:
+        clear_context_cache()
+        verdicts.add(devi_test(comps).verdict.value)
+    assert verdicts == {"feasible", "unknown", "infeasible"}  # U > 1 too

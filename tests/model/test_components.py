@@ -78,6 +78,54 @@ class TestAsComponents:
         comps = as_components(TaskSet.of((1, 2, 4), (1, 4, 4)))
         assert total_utilization(comps) == Fraction(1, 2)
 
+    def test_total_utilization_one_shots_add_zero(self):
+        comps = [component(1, 4, 4), DemandComponent(wcet=5, first_deadline=9)]
+        assert total_utilization(comps) == Fraction(1, 4)
+        comps.append(component(3, 6, 4))
+        assert total_utilization(comps) == 1 and type(total_utilization(comps)) is int
+        assert total_utilization([DemandComponent(wcet=5, first_deadline=9)]) == 0
+
+    def test_total_utilization_matches_component_rates(self):
+        comps = [
+            component(3, 5, 7),
+            component(Fraction(1, 3), 2, Fraction(5, 2)),
+            component(0.5, 4, 9),
+            DemandComponent(wcet=2, first_deadline=3),
+        ]
+        expected = sum((Fraction(c.utilization) for c in comps), Fraction(0))
+        assert total_utilization(comps) == expected
+        assert total_utilization([]) == 0 and type(total_utilization([])) is int
+
+
+class TestUtilization:
+    def test_rate_is_not_built_at_construction(self):
+        c = component(3, 5, 6)
+        assert "utilization" not in vars(c)
+        assert c.utilization == Fraction(1, 2)
+        assert "utilization" not in vars(c)
+
+    @pytest.mark.parametrize(
+        "c, t, expected",
+        [
+            (3, 6, Fraction(1, 2)),
+            (4, 2, 2),
+            (Fraction(1, 2), Fraction(1, 4), 2),
+            (0.5, 3, Fraction(1, 6)),
+        ],
+    )
+    def test_value_and_type(self, c, t, expected):
+        rate = component(c, 5, t).utilization
+        assert rate == expected and type(rate) is type(expected)
+
+    def test_one_shot_rate_is_int_zero(self):
+        rate = DemandComponent(wcet=3, first_deadline=5).utilization
+        assert rate == 0 and type(rate) is int
+
+    def test_rate_is_not_a_field(self):
+        a = component()
+        assert a == component() and hash(a) == hash(component())
+        assert "utilization" not in repr(a)
+
 
 class TestDemandFunctions:
     def test_dbf_matches_task(self):

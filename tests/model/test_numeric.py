@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -15,8 +16,10 @@ from repro.model.numeric import (
     floor_div,
     frac_part,
     is_exact,
+    rate_sum,
     to_exact,
 )
+from repro.model import numeric
 
 
 class TestToExact:
@@ -117,6 +120,62 @@ class TestLcmGcd:
         m = exact_lcm(a, b)
         assert (Fraction(m) / Fraction(a)).denominator == 1
         assert (Fraction(m) / Fraction(b)).denominator == 1
+
+
+def _fraction_sum(pairs):
+    total = Fraction(0)
+    for c, t in pairs:
+        total += Fraction(c) / Fraction(t)
+    return total
+
+
+_int_pairs = st.lists(
+    st.tuples(st.integers(0, 500), st.integers(1, 100_000)), max_size=60
+)
+
+
+class TestRateSum:
+    @given(_int_pairs)
+    def test_integer_path_equals_the_fraction_sum(self, pairs):
+        got = rate_sum(pairs)
+        expected = _fraction_sum(pairs)
+        assert got == expected
+        assert type(got) is (int if expected.denominator == 1 else Fraction)
+
+    def test_integral_sum_is_an_int(self):
+        assert rate_sum([(1, 2), (1, 4), (1, 4)]) == 1
+        assert type(rate_sum([(1, 2), (1, 4), (1, 4)])) is int
+        assert type(rate_sum([(1, 3), (1, 2)])) is Fraction
+
+    def test_empty_sum_is_int_zero(self):
+        assert rate_sum([]) == 0 and type(rate_sum([])) is int
+        assert rate_sum(iter([])) == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 9), st.fractions(0, 9, max_denominator=7)),
+                st.one_of(
+                    st.integers(1, 40),
+                    st.fractions(Fraction(1, 7), 40, max_denominator=7),
+                ),
+            ).map(lambda pair: tuple(map(to_exact, pair))),
+            max_size=12,
+        )
+    )
+    def test_rational_parameters_take_the_fraction_fallback(self, pairs):
+        expected = _fraction_sum(pairs)
+        if any(type(v) is Fraction for pair in pairs for v in pair):
+            real = numeric.math
+            numeric.math = SimpleNamespace(lcm=None)  # the int path would fail
+            try:
+                got = rate_sum(pairs)
+            finally:
+                numeric.math = real
+        else:
+            got = rate_sum(pairs)
+        assert got == expected
+        assert type(got) is (int if expected.denominator == 1 else Fraction)
 
 
 def test_as_float():

@@ -57,6 +57,11 @@ class TestAggregates:
         assert ts.utilization == 1
         assert type(ts.utilization) is int
 
+    def test_utilization_with_rational_and_zero_cost_tasks(self):
+        ts = TaskSet.of((Fraction(1, 3), 2, 2), (0, 5, 7), (0.5, 3, 3), (2, 9, 12))
+        assert ts.utilization == Fraction(1, 6) + Fraction(1, 6) + Fraction(1, 6)
+        assert TaskSet([]).utilization == 0
+
     def test_extrema(self):
         ts = TaskSet.of((1, 5, 10), (2, 3, 20))
         assert ts.max_deadline == 5
