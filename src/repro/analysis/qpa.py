@@ -20,8 +20,9 @@ integer sweeps, and the ``max{ d : d < t }`` steps go through a
 :class:`~repro.kernel.BackwardDeadlineWalker`, which caches one stride
 candidate per component between backward steps instead of rescanning all
 components per step — on the integerized fast path and on the exact
-fallback path alike.  :func:`largest_deadline_below` below is the
-component-based reference the parity suite checks the walker against.
+fallback path alike.  The parity suite checks the walker against a
+component-based full rescan (``largest_deadline_below`` in
+``tests/kernel/reference_walks.py``).
 
 Iterations count the ``dbf`` evaluations — the comparable unit of work to
 "test intervals checked" in the forward tests.
@@ -29,41 +30,12 @@ Iterations count the ``dbf`` evaluations — the comparable unit of work to
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..engine.context import preflight
 from ..model.components import DemandSource
-from ..model.numeric import ExactTime
 from ..result import FailureWitness, FeasibilityResult, Verdict
 from .bounds import BoundMethod
 
-__all__ = ["qpa_test", "largest_deadline_below"]
-
-
-def largest_deadline_below(components, limit: ExactTime) -> Optional[ExactTime]:
-    """Largest synchronous absolute deadline strictly below *limit*.
-
-    Component-based reference implementation (one full scan per call),
-    kept as the oracle the kernel's backward walker is validated
-    against; the test itself no longer calls it.
-    """
-    best: Optional[ExactTime] = None
-    for c in components:
-        if c.first_deadline >= limit:
-            continue
-        if c.period is None:
-            candidate = c.first_deadline
-        else:
-            # Largest d0 + k*T < limit.
-            steps = (limit - c.first_deadline) // c.period
-            candidate = c.first_deadline + int(steps) * c.period
-            if candidate >= limit:
-                candidate -= c.period
-        if candidate >= limit:  # pragma: no cover - defensive
-            continue
-        if best is None or candidate > best:
-            best = candidate
-    return best
+__all__ = ["qpa_test"]
 
 
 def qpa_test(

@@ -23,7 +23,6 @@ then registry and batch, which only depend on context lazily.
 """
 
 from .batch import AnalysisRequest, BatchRunner, default_jobs
-from .campaign import processor_demand_many
 from .context import (
     AnalysisContext,
     clear_context_cache,
@@ -55,5 +54,4 @@ __all__ = [
     "AnalysisRequest",
     "BatchRunner",
     "default_jobs",
-    "processor_demand_many",
 ]

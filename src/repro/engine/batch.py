@@ -29,7 +29,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.processor_demand import processor_demand_test
 from ..model.components import DemandSource
 from ..obs import ITERATION_BUCKETS
 from ..obs import capture_worker_baseline as _obs_capture_baseline
@@ -41,7 +40,6 @@ from ..obs import histogram as _obs_histogram
 from ..obs import merge_worker_telemetry as _obs_merge_telemetry
 from ..obs import span as _obs_span
 from ..result import FeasibilityResult
-from .campaign import processor_demand_many
 from .registry import TestRegistry, default_registry
 
 __all__ = ["AnalysisRequest", "BatchRunner", "default_jobs"]
@@ -229,42 +227,11 @@ class BatchRunner:
     def _run_sequential(
         self, batch: Sequence[AnalysisRequest]
     ) -> List[FeasibilityResult]:
-        entries = self._resolve_batch(batch)
-        results: List[Optional[FeasibilityResult]] = [None] * len(batch)
-        # Campaign fast path: runs of processor-demand requests sharing
-        # one option signature execute as a single batched kernel
-        # campaign (bit-identical results; see engine.campaign).
-        campaigns: Dict[Any, List[int]] = {}
-        for index, (request, (runner, options)) in enumerate(zip(batch, entries)):
-            if runner is processor_demand_test:
-                try:
-                    key: Any = tuple(sorted(options.items()))
-                except TypeError:  # unhashable option value
-                    key = None
-                if key is not None:
-                    campaigns.setdefault(key, []).append(index)
-                    continue
+        results = []
+        for request, (runner, options) in zip(batch, self._resolve_batch(batch)):
             with _obs_span("engine.analyze", test=request.test):
-                results[index] = runner(request.source, **options)
-        for indices in campaigns.values():
-            _, options = entries[indices[0]]
-            if len(indices) >= 2:
-                with _obs_span(
-                    "engine.campaign",
-                    test="processor-demand",
-                    systems=len(indices),
-                ):
-                    outcomes = processor_demand_many(
-                        [batch[i].source for i in indices], **options
-                    )
-            else:
-                with _obs_span("engine.analyze", test="processor-demand"):
-                    outcomes = [
-                        processor_demand_test(batch[indices[0]].source, **options)
-                    ]
-            for index, outcome in zip(indices, outcomes):
-                results[index] = outcome
-        return results  # type: ignore[return-value]
+                results.append(runner(request.source, **options))
+        return results
 
     def _run_parallel(
         self, batch: Sequence[AnalysisRequest]

@@ -15,7 +15,6 @@ from .backend import (
     BackendUnsupported,
     KernelBackend,
     PurePythonBackend,
-    analyze_many,
     available_backends,
     backend_info,
     get_backend,
@@ -34,7 +33,6 @@ __all__ = [
     "BackendUnsupported",
     "KernelBackend",
     "PurePythonBackend",
-    "analyze_many",
     "available_backends",
     "backend_info",
     "get_backend",

@@ -7,7 +7,11 @@ separate concern.  This module is the seam: a
 arguments and returns grid-scaled results, and the kernel's public
 methods dispatch every hot primitive (``dbf_batch``,
 ``first_overflow``, ``best_ratio``, ``count_steps``, the QPA walk)
-through the active backend.
+through the active backend, one system per call.  The kernel methods
+own the telemetry (the primitive counters; for the PDA and QPA walks
+also the ``kernel.pda``/``kernel.qpa`` spans and iteration histograms),
+so a walk is traced and counted the same way whichever backend runs it
+and whichever entry point asked for it.
 
 Two backends ship:
 
@@ -37,7 +41,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import counter as _obs_counter
-from ..obs import span as _obs_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from fractions import Fraction
@@ -53,7 +56,6 @@ __all__ = [
     "backend_info",
     "get_backend",
     "set_backend",
-    "analyze_many",
 ]
 
 
@@ -118,16 +120,6 @@ class KernelBackend:
         """Unfolded job count with deadline at or below the bound."""
         raise BackendUnsupported(self.name)
 
-    def analyze_many(
-        self, pairs: Sequence[Tuple["DemandKernel", "ExactTime"]]
-    ) -> List[Tuple[Optional["ExactTime"], Optional["ExactTime"], int]]:
-        """``first_overflow_scaled`` over many compiled systems at once.
-
-        The campaign primitive behind batched processor-demand analysis
-        (:func:`repro.engine.campaign.processor_demand_many`).
-        """
-        raise BackendUnsupported(self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -156,11 +148,6 @@ class PurePythonBackend(KernelBackend):
 
     def count_steps_scaled(self, kernel, bound_scaled):
         return kernel._count_steps_scaled_py(bound_scaled)
-
-    def analyze_many(self, pairs):
-        return [
-            kernel._first_overflow_scaled_py(bound) for kernel, bound in pairs
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -272,31 +259,3 @@ def record_call() -> None:
 
 def record_fallback() -> None:
     _FALLBACKS.inc()
-
-
-def analyze_many(
-    pairs: Sequence[Tuple["DemandKernel", "ExactTime"]]
-) -> List[Tuple[Optional["ExactTime"], Optional["ExactTime"], int]]:
-    """Run ``first_overflow_scaled`` over many compiled systems at once.
-
-    The module-level campaign entry point: dispatches to the active
-    backend's :meth:`KernelBackend.analyze_many` (the numpy backend
-    sweeps all systems' candidate grids simultaneously) and falls back
-    to sequential per-kernel pure-python walks when the backend
-    declines.  Results align with *pairs* and are bit-identical to
-    calling ``kernel.first_overflow_scaled(bound)`` per system.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    record_call()
-    backend = get_backend()
-    with _obs_span("backend.analyze_many", backend=backend.name, systems=len(pairs)):
-        try:
-            return backend.analyze_many(pairs)
-        except BackendUnsupported:
-            record_fallback()
-            return [
-                kernel._first_overflow_scaled_py(bound)
-                for kernel, bound in pairs
-            ]

@@ -13,11 +13,6 @@ giving up exactness:
   first overflow is found with a vectorized compare, and the
   accumulated demand carries into the next window — early exit, and
   iteration counts identical to the sequential heap walk;
-* ``analyze_many`` runs that windowed sweep over *many* compiled
-  systems in one dispatch, degrading to the exact walk per system —
-  the campaign primitive behind batched processor-demand analysis,
-  partition verification and min-core searches (see the method comment
-  for why a lockstep stacked-cumsum variant was rejected);
 * the QPA backward walk keeps its exact ``t``-sequence (every ``t`` is
   produced by the same recurrence, so witnesses and iteration counts
   match the pure-python walk bit-for-bit) while the per-step work is
@@ -30,6 +25,12 @@ giving up exactness:
   integer-compare tournament (cross-multiplied ``int64`` compares, no
   float rounding on any decision path; floats only *nominate* a
   candidate that integer comparisons then confirm).
+
+Each call serves one system.  A lockstep many-system sweep (every
+system's window jobs stacked, lexsorted and folded by one segmented
+cumsum per round) lost to per-system sweeps on every population tried,
+5- to 1000-task systems in 100-system batches: its per-round python
+bookkeeping outweighed the numpy work it shared.
 
 Every entry point guards its inputs: scaled parameters, search bounds
 and the peak demand must fit ``int64`` with headroom (:data:`INT64_CAP`)
@@ -52,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from importlib.util import find_spec
-from typing import List, Optional, Tuple
+from typing import List
 
 from .backend import BackendUnsupported, KernelBackend
 
@@ -188,30 +189,6 @@ class NumpyBackend(KernelBackend):
             0,
         )
         return int(counts.sum())
-
-    # ------------------------------------------------------------------
-    # Campaign primitive
-    # ------------------------------------------------------------------
-
-    def analyze_many(self, pairs):
-        # One windowed sweep per system, falling back per system.  A
-        # lockstep variant (stack every active system's window jobs,
-        # lexsort by (system, deadline), one segmented cumsum per round)
-        # was measured against this and lost at every population shape
-        # tried — 5- to 1000-task systems, 100-system campaigns — because
-        # its per-round python bookkeeping for every *active* system
-        # exceeds the whole per-system sweep; the numpy work it amortizes
-        # was never the bottleneck.  Campaign batching still pays off one
-        # level up: processor_demand_many shares preflight and issues a
-        # single backend dispatch for the whole campaign.
-        results: List[Optional[Tuple]] = []
-        for kernel, bound in pairs:
-            try:
-                results.append(self.first_overflow_scaled(kernel, bound))
-            except BackendUnsupported:
-                # Outside the vectorized envelope: exact per-system walk.
-                results.append(kernel._first_overflow_scaled_py(bound))
-        return results
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@
   ``repro_span_seconds{span="engine.analyze"}`` histogram.  Nesting is
   tracked through a :mod:`contextvars` variable, so a span opened inside
   a worker thread or an asyncio task sees the right parent: the
-  canonical chain here is ``engine.analyze`` → ``kernel.qpa`` →
-  ``backend.analyze_many``.  Span *events* (category ``trace``) carry
+  canonical chain here is ``engine.batch`` → ``engine.analyze`` →
+  ``kernel.qpa``/``kernel.pda``.  Span *events* (category ``trace``) carry
   the full structure — name, parent, depth, duration, attributes — but
   are **off by default**: the histogram costs two ``perf_counter`` reads
   and one observe, which the hot paths tolerate, while a per-span event

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..engine.campaign import processor_demand_many
+from ..analysis.processor_demand import processor_demand_test
 from ..result import FeasibilityResult
 from ..sim.oracle import simulate_feasibility
 from .platform import PartitionedSystem
@@ -95,18 +95,12 @@ def verify_partition(
         )
     run_exact = method in ("exact", "both")
     run_sim = method in ("simulation", "both")
-    subsets = [system.core_tasks(core) for core in range(system.cores)]
-    # All non-empty cores' exact checks run as one batched kernel
-    # campaign (bit-identical to per-core processor_demand_test calls).
-    exact_by_core: Dict[int, FeasibilityResult] = {}
-    if run_exact:
-        occupied = [core for core, subset in enumerate(subsets) if len(subset)]
-        outcomes = processor_demand_many([subsets[core] for core in occupied])
-        exact_by_core = dict(zip(occupied, outcomes))
     verdicts = []
-    for core, subset in enumerate(subsets):
-        exact = exact_by_core.get(core)
-        sim = None
+    for core in range(system.cores):
+        subset = system.core_tasks(core)
+        exact = sim = None
+        if len(subset) and run_exact:
+            exact = processor_demand_test(subset)
         if len(subset) and run_sim:
             sim = simulate_feasibility(subset)
         verdicts.append(

@@ -1,10 +1,18 @@
 """Trace propagation and telemetry merge through BatchRunner
 (repro.engine.batch)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.engine import AnalysisRequest, BatchRunner
+from repro.engine import (
+    AnalysisRequest,
+    BatchRunner,
+    clear_context_cache,
+    context_cache_info,
+)
 from repro.engine.batch import _execute_chunk
+from repro.generation import generate_taskset
 from repro.obs import (
     format_traceparent,
     merge_worker_telemetry,
@@ -29,6 +37,17 @@ def _engine_counters(test="qpa"):
     return (
         analyses.labels(test).value,
         iterations.labels(test).raw(),
+    )
+
+
+def _pda_counters():
+    """(``repro_kernel_pda_iterations`` count, ``first_overflow`` calls)."""
+    return (
+        registry().get("repro_kernel_pda_iterations").count,
+        registry()
+        .get("repro_kernel_primitive_calls_total")
+        .labels("first_overflow")
+        .value,
     )
 
 
@@ -164,17 +183,54 @@ class TestBatchTracePropagation:
         analyze = [r for r in mine if r["name"] == "engine.analyze"]
         assert len(analyze) == len(requests)
 
-    def test_sequential_campaign_span(self, rng):
+    def test_sequential_processor_demand_spans(self, rng):
+        """A sequential processor-demand batch is traced and counted
+        like the same number of direct analyses: one ``engine.analyze``
+        span per request, each with its ``kernel.pda`` walk."""
         sets = _population(rng, count=3)
         requests = [
             AnalysisRequest(source=ts, test="processor-demand")
             for ts in sets
         ]
+        before = _pda_counters()
         cursor = span_log().last_seq
-        with span("test.campaign.root") as root:
+        with span("test.batch.root") as root:
             BatchRunner(jobs=1).run(requests)
         records, _ = span_log().since(cursor, limit=1 << 30)
+        after = _pda_counters()
         mine = [r for r in records if r["trace_id"] == root.trace_id]
-        campaign = [r for r in mine if r["name"] == "engine.campaign"]
-        assert len(campaign) == 1
-        assert campaign[0]["attrs"]["systems"] == 3
+        assert Counter(r["name"] for r in mine) == {
+            "test.batch.root": 1,
+            "engine.batch": 1,
+            "engine.analyze": 3,
+            "engine.preflight": 3,
+            "kernel.pda": 3,
+        }
+        for record in mine:
+            if record["name"] == "engine.analyze":
+                children = [
+                    r["name"] for r in mine if r["parent_id"] == record["span_id"]
+                ]
+                assert children.count("kernel.pda") == 1
+        assert [b - a for a, b in zip(before, after)] == [3, 3]
+
+
+class TestBatchContextCache:
+    def test_sequential_battery_misses_once_per_set(self, monkeypatch):
+        """Each set's requests run back to back, so a battery needs one
+        context per set even when the LRU holds fewer sets than the
+        batch."""
+        monkeypatch.setattr("repro.engine.context._CACHE_MAX", 4)
+        clear_context_cache()
+        sets = [
+            generate_taskset(n=5, utilization=0.9, seed=seed)
+            for seed in range(6)
+        ]
+        requests = [
+            AnalysisRequest(source=ts, test=test)
+            for ts in sets
+            for test in ("devi", "processor-demand")
+        ]
+        BatchRunner(jobs=1).run(requests)
+        assert context_cache_info()["misses"] == 6
+        clear_context_cache()

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.analysis.bounds import BoundMethod
-from repro.analysis.qpa import largest_deadline_below
 from repro.core import max_test_interval
 from repro.engine.context import preflight
 from repro.model.components import DemandSource, as_components, total_utilization
@@ -34,6 +33,7 @@ from repro.result import FailureWitness, FeasibilityResult, Verdict
 
 __all__ = [
     "IntervalQueue",
+    "largest_deadline_below",
     "reference_processor_demand",
     "reference_qpa",
     "reference_dynamic",
@@ -82,6 +82,32 @@ class IntervalQueue(Generic[T]):
 
     def __bool__(self) -> bool:
         return bool(self._heap)
+
+
+def largest_deadline_below(components, limit: ExactTime) -> Optional[ExactTime]:
+    """Largest synchronous absolute deadline strictly below *limit*.
+
+    Component-based reference (one full scan per call): the oracle the
+    kernel's backward walker is checked against, and the step of the
+    QPA reference below.
+    """
+    best: Optional[ExactTime] = None
+    for c in components:
+        if c.first_deadline >= limit:
+            continue
+        if c.period is None:
+            candidate = c.first_deadline
+        else:
+            # Largest d0 + k*T < limit.
+            steps = (limit - c.first_deadline) // c.period
+            candidate = c.first_deadline + int(steps) * c.period
+            if candidate >= limit:
+                candidate -= c.period
+        if candidate >= limit:  # pragma: no cover - defensive
+            continue
+        if best is None or candidate > best:
+            best = candidate
+    return best
 
 
 def reference_processor_demand(ctx, bound):

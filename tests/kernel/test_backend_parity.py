@@ -27,7 +27,7 @@ import pytest
 
 from repro.analysis.bounds import BoundMethod
 from repro.analysis.processor_demand import processor_demand_test
-from repro.engine import analyze, processor_demand_many
+from repro.engine import BatchRunner, analyze
 from repro.engine.context import AnalysisContext, clear_context_cache
 from repro.kernel import (
     SCALE_CAP,
@@ -36,7 +36,6 @@ from repro.kernel import (
     IncrementalKernel,
     KernelBackend,
     PurePythonBackend,
-    analyze_many,
     available_backends,
     backend_info,
     get_backend,
@@ -176,8 +175,6 @@ def test_abstract_backend_declines_everything():
         backend.first_overflow_scaled(kernel, 10)
     with pytest.raises(BackendUnsupported):
         backend.qpa_scaled(kernel, 10)
-    with pytest.raises(BackendUnsupported):
-        backend.analyze_many([(kernel, 10)])
 
 
 def test_dispatch_counters_track_calls_and_fallbacks():
@@ -327,53 +324,55 @@ def test_fallback_sets_stay_bit_exact(comps_factory, bound):
     assert info["fallbacks"] == info["calls"]
 
 
+def _near_int64_walkable_components():
+    """A near-int64 set at ``U <= 1``: the preflight lets it reach the
+    walk, which the numpy backend must decline."""
+    big = 1 << 62
+    return as_components(
+        [
+            DemandComponent(wcet=3, first_deadline=5, period=17),
+            DemandComponent(wcet=3, first_deadline=big + 1, period=big),
+            DemandComponent(wcet=2, first_deadline=4, period=9),
+        ]
+    )
+
+
 @needs_numpy
-def test_mixed_campaign_partially_vectorizes():
-    """analyze_many with supported and unsupported kernels interleaved."""
-    systems = [_POPULATION[0], _near_int64_components(), _POPULATION[1]]
-    bound = 200
+def test_mixed_batch_partially_vectorizes():
+    """A processor-demand batch interleaving systems numpy sweeps with
+    systems it declines returns the same results on both backends."""
+    small = [c for c in _POPULATION if AnalysisContext.of(c).utilization <= 1]
+    systems = [
+        small[0],
+        _near_int64_walkable_components(),
+        small[1],
+        _vectorized_qpa_components(0, 5),
+    ]
+    runner = BatchRunner(jobs=1)
     set_backend("python")
-    kernels = [DemandKernel(c) for c in systems]
-    expected = analyze_many(
-        [(k, k.inclusive_scaled(bound)) for k in kernels]
-    )
+    clear_context_cache()
+    expected = runner.map(systems, "processor-demand", max_interval=200)
     set_backend("numpy")
-    kernels = [DemandKernel(c) for c in systems]
-    assert (
-        analyze_many([(k, k.inclusive_scaled(bound)) for k in kernels])
-        == expected
-    )
+    clear_context_cache()
+    reset_backend_stats()
+    assert runner.map(systems, "processor-demand", max_interval=200) == expected
+    info = backend_info()
+    assert 0 < info["fallbacks"] < info["calls"]
 
 
 # ----------------------------------------------------------------------
-# Campaign primitives
+# Batches: every processor-demand request runs its own kernel walk
 # ----------------------------------------------------------------------
 
 
-def test_processor_demand_many_matches_sequential():
+def test_processor_demand_batch_matches_sequential():
     sources = [_POPULATION[i] for i in range(0, 24, 2)]
     expected = [processor_demand_test(s) for s in sources]
     for name in BACKENDS:
         set_backend(name)
         clear_context_cache()
-        assert processor_demand_many(sources) == expected, name
-
-
-def test_processor_demand_many_empty_and_single():
-    assert processor_demand_many([]) == []
-    source = _POPULATION[2]
-    assert processor_demand_many([source]) == [processor_demand_test(source)]
-
-
-def test_analyze_many_iteration_counts_match_per_kernel_walks():
-    bound = 90
-    for name in BACKENDS:
-        set_backend(name)
-        kernels = [DemandKernel(c) for c in _POPULATION[:20]]
-        pairs = [(k, k.inclusive_scaled(bound)) for k in kernels]
-        batched = analyze_many(pairs)
-        singly = [k.first_overflow_scaled(b) for k, b in pairs]
-        assert batched == singly, name
+        got = BatchRunner(jobs=1).map(sources, "processor-demand")
+        assert got == expected, name
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,6 @@ from repro.analysis.bounds import (
 )
 from repro.analysis.dbf import dbf as reference_dbf, dbf_points
 from repro.analysis.devi import devi_test
-from repro.analysis.qpa import largest_deadline_below
 from repro.core import all_approx_test, dynamic_test, superposition_test
 from repro.engine import analyze
 from repro.engine.context import AnalysisContext, clear_context_cache
@@ -55,6 +54,7 @@ from repro.model.components import DemandComponent, as_components
 
 from .reference_walks import (
     IntervalQueue,
+    largest_deadline_below,
     reference_baruah_bound,
     reference_devi,
     reference_dynamic,

@@ -273,3 +273,20 @@ class TestPriorities:
             queue.submit(_requests([simple_taskset]), priority="urgent")
         with pytest.raises(ValueError, match="priority"):
             queue.submit(_requests([simple_taskset]), priority=True)
+
+
+class TestProfile:
+    def test_processor_demand_job_profiles_each_walk(self, queue):
+        """A multi-set processor-demand job reports the same rows per
+        set as a one-set job: one analysis and one walk each."""
+        sets = [generate_taskset(n=4, utilization=0.8, seed=i) for i in range(3)]
+        job_id = queue.submit(_requests(sets, "processor-demand"), profile=True)
+        assert queue.wait(job_id, timeout=30)["state"] == JobState.DONE
+        report = queue.get(job_id).profile_report
+        counts = {row["span"]: row["count"] for row in report["rows"]}
+        assert counts == {
+            "engine.batch": 1,
+            "engine.analyze": 3,
+            "engine.preflight": 3,
+            "kernel.pda": 3,
+        }
