@@ -208,7 +208,7 @@ def _ratio_above_u_exists(
             "pass a larger exact_decision_limit to force the scan"
         )
 
-    # One bulk ratio scan over the busy window (backend-dispatched);
+    # One bulk ratio scan over the busy window (on the kernel);
     # any ratio above u proves existence, and the scan's maximum also
     # gives the caller's refinement loop its best possible start.
     best = kernel.best_ratio(busy, u)

@@ -59,8 +59,8 @@ def qpa_test(
 
     # The forward tests check deadlines <= bound; QPA starts just past the
     # bound so the same closed range is covered.  The whole walk runs on
-    # the kernel (dispatched through the active execution backend; the
-    # t-sequence is backend-invariant, see DemandKernel.qpa).
+    # the kernel (on numpy's loop or the python loop by walk size; the
+    # t-sequence is the same on both, see DemandKernel.qpa).
     status, interval, demand, iterations = kernel.qpa(bound)
     if status == "empty":
         return FeasibilityResult(

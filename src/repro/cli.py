@@ -58,7 +58,7 @@ from .engine import (
     default_registry,
 )
 from .generation import TRACE_SCENARIOS
-from .kernel import backend_info, set_backend
+from .kernel import backend_info
 from .model import (
     SporadicTask,
     TaskSet,
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--profile",
         action="store_true",
-        help="print a per-stage span profile (preflight/kernel/backend) "
+        help="print a per-stage span profile (preflight/kernel) "
         "after the run",
     )
     p_analyze.add_argument(
@@ -152,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally write the profile report as JSON",
     )
     _add_metrics_out_option(p_analyze)
-    _add_kernel_backend_option(p_analyze)
 
     p_generate = sub.add_parser("generate", help="generate a random task set")
     p_generate.add_argument("--tasks", type=int, required=True)
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the engine's context-cache counters after the run",
     )
     _add_metrics_out_option(p_exp)
-    _add_kernel_backend_option(p_exp)
 
     p_load = sub.add_parser(
         "load", help="exact system load and sensitivity of a task set"
@@ -271,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the engine's context-cache counters after the run",
     )
-    _add_kernel_backend_option(p_part)
 
     p_serve = sub.add_parser(
         "serve",
@@ -771,16 +768,6 @@ def _add_metrics_out_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel-backend",
-        default="auto",
-        choices=("auto", "python", "numpy"),
-        help="kernel execution backend: auto picks numpy when installed "
-        "(the 'fast' extra), python pins the pure-python reference loops",
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -808,8 +795,6 @@ def _service_error() -> tuple:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command in ("analyze", "experiment", "partition"):
-        # Raises ValueError (exit 2 via main) for "numpy" without numpy.
-        set_backend(getattr(args, "kernel_backend", None) or "auto")
         command = {
             "analyze": _cmd_analyze,
             "experiment": _cmd_experiment,
@@ -887,11 +872,11 @@ def _print_cache_stats(args: argparse.Namespace) -> None:
         f"context cache: hits={info['hits']} misses={info['misses']} "
         f"size={info['size']}/{info['max_size']}{note}"
     )
-    backend = backend_info()
+    kernel = backend_info()
+    numpy = "installed" if kernel["numpy"] else "not installed"
     print(
-        f"kernel backend: {backend['active']} "
-        f"(available: {', '.join(backend['available'])}) "
-        f"calls={backend['calls']} fallbacks={backend['fallbacks']}"
+        f"kernel walks: calls={kernel['calls']} "
+        f"fallbacks={kernel['fallbacks']} (numpy {numpy})"
     )
 
 

@@ -48,7 +48,7 @@ __all__ = ["AnalysisRequest", "BatchRunner", "default_jobs"]
 # batched runs dispatch to test runners directly, bypassing
 # TestRegistry.run(), so the parent records every request here after
 # results land.  (Workers additionally ship their own registry deltas
-# home — kernel/backend counters, spans, events — merged below; these
+# home — kernel counters, spans, events — merged below; these
 # two engine-level families stay parent-recorded so sequential and
 # parallel runs report bit-identical counts.)
 _ANALYSES = _obs_counter(

@@ -4,25 +4,23 @@ See :mod:`repro.kernel.kernel` for the design; obtain a cached instance
 for a system via :meth:`repro.engine.context.AnalysisContext.kernel`,
 or compile directly from components with ``DemandKernel(components)``.
 
-Execution of the hot primitives is pluggable (see
-:mod:`repro.kernel.backend`): the pure-python loops are the always-on
-reference, and :mod:`repro.kernel.vectorized` provides a numpy backend
-auto-selected when numpy is installed.  Select explicitly with
-:func:`set_backend`; inspect with :func:`backend_info`.
+Each walk has two loops: the pure-python loop, always available and the
+reference, and numpy's int64 loop in :mod:`repro.kernel.vectorized`.
+The kernel runs numpy's loop when numpy is installed and the walk is
+long enough to pay for it, and the python loop otherwise; there is
+nothing to select.  :func:`backend_info` reports whether numpy is
+installed and how many walks ran and fell back.
 """
 
-from .backend import (
-    BackendUnsupported,
-    KernelBackend,
-    PurePythonBackend,
-    available_backends,
-    backend_info,
-    get_backend,
-    reset_backend_stats,
-    set_backend,
-)
 from .incremental import IncrementalKernel
-from .kernel import BackwardDeadlineWalker, DemandKernel, EnvelopeWalk, SCALE_CAP
+from .kernel import (
+    SCALE_CAP,
+    BackwardDeadlineWalker,
+    DemandKernel,
+    EnvelopeWalk,
+    backend_info,
+    reset_walk_counters,
+)
 
 __all__ = [
     "DemandKernel",
@@ -30,12 +28,6 @@ __all__ = [
     "IncrementalKernel",
     "BackwardDeadlineWalker",
     "SCALE_CAP",
-    "BackendUnsupported",
-    "KernelBackend",
-    "PurePythonBackend",
-    "available_backends",
     "backend_info",
-    "get_backend",
-    "reset_backend_stats",
-    "set_backend",
+    "reset_walk_counters",
 ]

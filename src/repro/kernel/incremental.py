@@ -151,7 +151,7 @@ class IncrementalKernel(DemandKernel):
         self._sorted_pairs.insert(at, (d0_s, index))
         self._sorted_keys.insert(at, d0_s)
         self._sorted_triples.insert(at, (d0_s, period_s, wcet_s))
-        self._vec_cache = None
+        self._job_rate = self._vec_cache = None
         return index
 
     def remove_span(self, start: int, count: int = 1) -> None:
@@ -182,7 +182,7 @@ class IncrementalKernel(DemandKernel):
         self._sorted_pairs = pairs
         self._sorted_keys = keys
         self._sorted_triples = triples
-        self._vec_cache = None
+        self._job_rate = self._vec_cache = None
 
     # ------------------------------------------------------------------
     # Internal helpers

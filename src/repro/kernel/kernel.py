@@ -22,11 +22,18 @@ factor without giving up exactness:
   wcets)`` in source order, plus a by-first-deadline sorted view for
   binary searches — no per-step attribute or method dispatch.
 * **Loop-free-of-lookup primitives.**  The hot operations are provided
-  as tight loops over the flat arrays: :meth:`dbf` / :meth:`dbf_batch`,
+  as tight loops over the flat arrays: :meth:`dbf`,
   :meth:`first_overflow` (the merged forward walk of the processor
   demand test), :meth:`prev_deadline` plus the stateful
   :class:`BackwardDeadlineWalker` (QPA's backward steps), and
   :meth:`demand_profile` / :meth:`best_ratio` (load and plotting scans).
+* **Two loops per walk, chosen by size.**  :meth:`first_overflow`,
+  :meth:`qpa`, :meth:`best_ratio` and :meth:`count_steps` run numpy's
+  int64 loops (:mod:`repro.kernel.vectorized`) when numpy is installed
+  and the walk is long enough to amortize them (``n + bound · Σ 1/T``
+  reaches :data:`_MIN_VECTOR_JOBS`), and their python loops otherwise.
+  The python loops are the reference: a call numpy's loops decline
+  re-runs them, and both return bit-identical results.
 * **One walk per question.**  :class:`EnvelopeWalk` is the one
   ``SuperPos`` walk: ``SuperPos(x)`` (:meth:`superpos_scan`, windowed
   to ``[lo, hi]``), the Dynamic Error test and the All-Approximated
@@ -61,9 +68,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
+from importlib.util import find_spec
 from math import lcm
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..model.components import DemandComponent
 from ..model.numeric import ExactTime, Time, to_exact
@@ -71,18 +80,19 @@ from ..obs import ITERATION_BUCKETS
 from ..obs import counter as _obs_counter
 from ..obs import histogram as _obs_histogram
 from ..obs import span as _obs_span
-from .backend import (
-    BackendUnsupported,
-    get_backend,
-    record_call,
-    record_fallback,
-)
 
-__all__ = ["DemandKernel", "EnvelopeWalk", "BackwardDeadlineWalker", "SCALE_CAP"]
+__all__ = [
+    "DemandKernel",
+    "EnvelopeWalk",
+    "BackwardDeadlineWalker",
+    "SCALE_CAP",
+    "backend_info",
+    "reset_walk_counters",
+]
 
-# Pre-bound per-primitive handles: the dispatch methods below are the
-# hot seam every feasibility test funnels through, so each records one
-# counter bump (and, for the walking primitives, one iteration-count
+# Pre-bound per-primitive handles: the walk methods below are the hot
+# seam every feasibility test funnels through, so each records one
+# counter bump (and, for the PDA and QPA walks, one iteration-count
 # observation — the paper's own efficiency metric) with no label
 # resolution or formatting per call.
 _PRIMITIVE_CALLS = _obs_counter(
@@ -90,7 +100,6 @@ _PRIMITIVE_CALLS = _obs_counter(
     "Kernel primitive invocations, by primitive.",
     labelnames=("primitive",),
 )
-_DBF_BATCH_CALLS = _PRIMITIVE_CALLS.labels("dbf_batch")
 _FIRST_OVERFLOW_CALLS = _PRIMITIVE_CALLS.labels("first_overflow")
 _QPA_CALLS = _PRIMITIVE_CALLS.labels("qpa")
 _BEST_RATIO_CALLS = _PRIMITIVE_CALLS.labels("best_ratio")
@@ -105,6 +114,29 @@ _PDA_ITERATIONS = _obs_histogram(
     "Distinct intervals checked per processor-demand forward walk.",
     buckets=ITERATION_BUCKETS,
 )
+# The loop-choice tallies, read by backend_info(), --cache-stats and
+# the /v1/metrics exposition alike.
+_CALLS = _obs_counter(
+    "repro_kernel_backend_calls_total",
+    "Kernel walks run (first_overflow, qpa, best_ratio, count_steps).",
+)
+_FALLBACKS = _obs_counter(
+    "repro_kernel_backend_fallbacks_total",
+    "Walks numpy's loops took up and declined (exact grid, int64 "
+    "headroom, failed import), so the pure-python loop re-ran.",
+)
+
+#: The size rule: a walk runs on numpy's loops only when ``n + bound ·
+#: Σ 1/T`` reaches this.  That sum over-counts the jobs a walk up to
+#: *bound* can touch (it ignores release offsets).  Below it the python
+#: loop wins: numpy's loops pay ~40 µs of fixed array-dispatch cost
+#: (measured) while the interpreter walk costs well under a microsecond
+#: per job, so small systems and short bounds — partition admission
+#: probes, per-core verification subsets, the Burns example's QPA walk
+#: — keep their microsecond latency and never import numpy.  The sum
+#: does not see how few steps a QPA walk takes below *bound*, so a
+#: short QPA walk over a long bound still runs on numpy.
+_MIN_VECTOR_JOBS = 256
 
 #: Largest accepted integerization scale.  Beyond this the common grid
 #: needs integers so wide that `int` arithmetic loses its edge over the
@@ -112,6 +144,43 @@ _PDA_ITERATIONS = _obs_histogram(
 #: denominators are always finite, but the LCM across many unrelated
 #: denominators can explode combinatorially.)
 SCALE_CAP = 1 << 128
+
+
+@lru_cache(maxsize=None)
+def _numpy_loops():
+    """:mod:`repro.kernel.vectorized` when numpy is installed, else
+    ``None``.  Found without importing numpy, which loads at the first
+    array build."""
+    if find_spec("numpy") is None:
+        return None
+    from . import vectorized
+
+    return vectorized
+
+
+def backend_info() -> Dict[str, object]:
+    """Diagnostics: whether numpy is installed, and the walk counters.
+
+    ``calls`` counts the kernel walks run (:meth:`~DemandKernel.qpa`,
+    :meth:`~DemandKernel.first_overflow_scaled`,
+    :meth:`~DemandKernel.best_ratio`, :meth:`~DemandKernel.count_steps`),
+    on either loop.  ``fallbacks`` counts the walks that passed the size
+    rule (:data:`_MIN_VECTOR_JOBS`) and that numpy's loops then declined
+    — exact `Fraction` grid, int64 headroom, or a failed numpy import —
+    so the pure-python loop re-ran.  A walk the size rule keeps in
+    python is not a fallback.
+    """
+    return {
+        "numpy": _numpy_loops() is not None,
+        "calls": _CALLS.value,
+        "fallbacks": _FALLBACKS.value,
+    }
+
+
+def reset_walk_counters() -> None:
+    """Zero the walk counters (tests and long-lived processes)."""
+    _CALLS.reset()
+    _FALLBACKS.reset()
 
 
 def _prev_candidate(d0: ExactTime, p: ExactTime, limit: ExactTime) -> ExactTime:
@@ -156,6 +225,7 @@ class DemandKernel:
         "_sorted_keys",
         "_sorted_pairs",
         "_sorted_triples",
+        "_job_rate",
         "_vec_cache",
     )
 
@@ -184,8 +254,9 @@ class DemandKernel:
             )
             self.wcets = tuple(int(c.wcet * scale) for c in comps)
         self._rates: Optional[Tuple[Fraction, ...]] = None
-        # Per-backend compiled view (e.g. numpy arrays), built lazily by
-        # the active backend and invalidated by incremental mutation.
+        # Σ 1/T for the size rule, and the int64 arrays of numpy's
+        # loops: built lazily, invalidated by incremental mutation.
+        self._job_rate = None
         self._vec_cache = None
         pairs = sorted(zip(self.d0s, range(self.n)))
         self._sorted_pairs: List[Tuple[ExactTime, int]] = pairs
@@ -293,46 +364,35 @@ class DemandKernel:
         """Exact ``dbf(interval)`` in original units."""
         return self.unscale(self.dbf_scaled(self.inclusive_scaled(interval)))
 
-    def dbf_batch(self, intervals: Iterable[Time]) -> List[ExactTime]:
-        """``dbf`` at every interval, in one pass over the components.
+    # ------------------------------------------------------------------
+    # Loop choice
+    # ------------------------------------------------------------------
 
-        The component loop is the outer one, so each component's
-        parameters are loaded once per *batch* rather than once per
-        (component, interval) pair.  This is the bulk-evaluation
-        primitive for callers probing many intervals of one system at
-        once (obtain the kernel via ``AnalysisContext.kernel()``); the
-        interval-driven tests themselves walk
-        :meth:`first_overflow_scaled` / :meth:`points_scaled` instead.
+    def _walk(self, name: str, python_loop: Callable[..., Any], *args: Any) -> Any:
+        """Run one walk on numpy's loop or on *python_loop*.
 
-        Dispatches through the active execution backend (numpy turns
-        the batch into one broadcasted floor-divide); the pure-python
-        component-outer loop is the reference and fallback.
+        ``vectorized.<name>`` runs when numpy is installed and the size
+        rule passes: ``n + bound · Σ 1/T`` reaches
+        :data:`_MIN_VECTOR_JOBS`, where *bound*, the first of *args*, is
+        the grid instant the walk reaches up to.  Otherwise, or when
+        numpy's loop declines (one fallback), *python_loop*, the
+        reference, runs.  Both return bit-identical results.
         """
-        pts = [self.inclusive_scaled(t) for t in intervals]
-        record_call()
-        _DBF_BATCH_CALLS.inc()
+        _CALLS.inc()
+        rate = self._job_rate
+        if rate is None:
+            rate = self._job_rate = sum(1 / p for p in self.periods if p)
         try:
-            out = get_backend().dbf_batch_scaled(self, pts)
-        except BackendUnsupported:
-            record_fallback()
-            out = self._dbf_batch_scaled_py(pts)
-        return [self.unscale(v) for v in out]
-
-    def _dbf_batch_scaled_py(
-        self, pts: Sequence[ExactTime]
-    ) -> List[ExactTime]:
-        """Reference bulk evaluation: component-outer interpreted loop."""
-        out: List[ExactTime] = [0] * len(pts)
-        for d0, p, c in zip(self.d0s, self.periods, self.wcets):
-            if p:
-                for i, t in enumerate(pts):
-                    if t >= d0:
-                        out[i] += ((t - d0) // p + 1) * c
-            else:
-                for i, t in enumerate(pts):
-                    if t >= d0:
-                        out[i] += c
-        return out
+            small = self.n + args[0] * rate < _MIN_VECTOR_JOBS
+        except OverflowError:  # a bound past float range: numpy declines it
+            small = False
+        loops = None if small else _numpy_loops()
+        if loops is not None:
+            try:
+                return getattr(loops, name)(self, *args)
+            except loops.Declined:
+                _FALLBACKS.inc()
+        return python_loop(*args)
 
     # ------------------------------------------------------------------
     # Forward walk
@@ -373,19 +433,15 @@ class DemandKernel:
 
         ``(None, None, count)`` when the staircase stays at or below
         capacity — the merged forward walk of the processor demand test.
-        Dispatches through the active backend (numpy sweeps the
-        candidate grid in deadline windows with early exit); falls back
-        to the sequential heap walk, which is also the reference for
-        witnesses and iteration counts.
+        A walk that clears the size rule runs on numpy's loops (deadline
+        windows with early exit, see :meth:`_walk`); the sequential heap
+        walk is the reference for witnesses and iteration counts.
         """
-        record_call()
         _FIRST_OVERFLOW_CALLS.inc()
         with _obs_span("kernel.pda", n=self.n):
-            try:
-                result = get_backend().first_overflow_scaled(self, bound_scaled)
-            except BackendUnsupported:
-                record_fallback()
-                result = self._first_overflow_scaled_py(bound_scaled)
+            result = self._walk(
+                "first_overflow", self._first_overflow_scaled_py, bound_scaled
+            )
         _PDA_ITERATIONS.observe(result[2])
         return result
 
@@ -458,17 +514,16 @@ class DemandKernel:
 
     def best_ratio(self, horizon: Time, floor: Fraction) -> Fraction:
         """Max of ``dbf(I)/I`` over staircase jumps ``I <= horizon``,
-        floored at *floor* — comparisons stay exact on every backend
+        floored at *floor* — comparisons stay exact on both loops
         (cross-multiplied integer compares; no float on a verdict path),
         one `Fraction` built only for the final result."""
-        h = self.inclusive_scaled(horizon)
-        record_call()
         _BEST_RATIO_CALLS.inc()
-        try:
-            return get_backend().best_ratio_scaled(self, h, floor)
-        except BackendUnsupported:
-            record_fallback()
-            return self._best_ratio_scaled_py(h, floor)
+        return self._walk(
+            "best_ratio",
+            self._best_ratio_scaled_py,
+            self.inclusive_scaled(horizon),
+            floor,
+        )
 
     def _best_ratio_scaled_py(
         self, horizon_scaled: ExactTime, floor: Fraction
@@ -482,14 +537,10 @@ class DemandKernel:
 
     def count_steps(self, bound: Time) -> int:
         """Number of staircase jobs (not folded) with deadline ≤ *bound*."""
-        b = self.inclusive_scaled(bound)
-        record_call()
         _COUNT_STEPS_CALLS.inc()
-        try:
-            return get_backend().count_steps_scaled(self, b)
-        except BackendUnsupported:
-            record_fallback()
-            return self._count_steps_scaled_py(b)
+        return self._walk(
+            "count_steps", self._count_steps_scaled_py, self.inclusive_scaled(bound)
+        )
 
     def _count_steps_scaled_py(self, bound_scaled: ExactTime) -> int:
         b = bound_scaled
@@ -537,25 +588,18 @@ class DemandKernel:
         under the floor overflows (the admission controller's window —
         demand below an arrival's first deadline is the old, feasible
         system's).  Up to that stop the walk is step-for-step the full
-        one.  Dispatches through the active backend: the walk's
-        ``t``-sequence — hence verdicts, witnesses and iteration counts
-        — is identical on every backend; only the per-step evaluation
-        strategy differs.
+        one.  A walk that clears the size rule runs on numpy's loops
+        (see :meth:`_walk`): the walk's ``t``-sequence — hence verdicts,
+        witnesses and iteration counts — is identical on both loops;
+        only the per-step evaluation strategy differs.
         """
         limit = self.exclusive_scaled(bound + 1)
         floor_s = self.exclusive_scaled(floor) if floor else 0
-        record_call()
         _QPA_CALLS.inc()
         with _obs_span("kernel.qpa", n=self.n):
-            try:
-                status, t, demand, iterations = get_backend().qpa_scaled(
-                    self, limit, floor_s
-                )
-            except BackendUnsupported:
-                record_fallback()
-                status, t, demand, iterations = self._qpa_scaled_py(
-                    limit, floor_s
-                )
+            status, t, demand, iterations = self._walk(
+                "qpa", self._qpa_scaled_py, limit, floor_s
+            )
         _QPA_ITERATIONS.observe(iterations)
         if status == "infeasible":
             return status, self.unscale(t), self.unscale(demand), iterations

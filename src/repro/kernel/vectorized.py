@@ -1,30 +1,29 @@
-"""Numpy execution backend: vectorized int64 sweeps over compiled kernels.
+"""numpy's loops for the kernel walks: vectorized int64 sweeps.
 
 The pure-python kernel loops already stripped attribute dispatch and
 `Fraction` arithmetic from the staircase walks; what remains is the
-interpreter's per-job cost.  This backend removes that too, without
+interpreter's per-job cost.  These loops remove that too, without
 giving up exactness:
 
-* ``dbf_batch`` is one broadcasted floor-divide over all probe points
-  (blocked to bound memory);
-* ``first_overflow`` (the PDA forward walk) splits the candidate grid
-  into deadline windows sized by the system's job rate; each window's
-  jobs are materialized, sorted and folded with array primitives, the
-  first overflow is found with a vectorized compare, and the
-  accumulated demand carries into the next window — early exit, and
-  iteration counts identical to the sequential heap walk;
-* the QPA backward walk keeps its exact ``t``-sequence (every ``t`` is
-  produced by the same recurrence, so witnesses and iteration counts
-  match the pure-python walk bit-for-bit) while the per-step work is
-  vectorized: point ``dbf`` and predecessor-deadline evaluations are
-  whole-array reductions, and when the walk densifies — consecutive
-  steps moving deadline-by-deadline, the near-infeasible regime where
-  QPA cost concentrates — the backend materializes the deadline window
-  below ``t`` once and serves each step by binary search;
-* ``best_ratio`` scans the staircase windows with an exact
+* :func:`first_overflow` (the PDA forward walk) splits the candidate
+  grid into deadline windows sized by the system's job rate; each
+  window's jobs are materialized, sorted and folded with array
+  primitives, the first overflow is found with a vectorized compare,
+  and the accumulated demand carries into the next window — early exit,
+  and iteration counts identical to the sequential heap walk;
+* :func:`qpa` keeps the backward walk's exact ``t``-sequence (every
+  ``t`` is produced by the same recurrence, so witnesses and iteration
+  counts match the pure-python walk bit-for-bit) while the per-step
+  work is vectorized: point ``dbf`` and predecessor-deadline
+  evaluations are whole-array reductions, and when the walk densifies —
+  consecutive steps moving deadline-by-deadline, the near-infeasible
+  regime where QPA cost concentrates — the deadline window below ``t``
+  is materialized once and each step is served by binary search;
+* :func:`best_ratio` scans the staircase windows with an exact
   integer-compare tournament (cross-multiplied ``int64`` compares, no
   float rounding on any decision path; floats only *nominate* a
-  candidate that integer comparisons then confirm).
+  candidate that integer comparisons then confirm);
+* :func:`count_steps` is one vectorized floor-divide per component.
 
 Each call serves one system.  A lockstep many-system sweep (every
 system's window jobs stacked, lexsorted and folded by one segmented
@@ -32,36 +31,42 @@ cumsum per round) lost to per-system sweeps on every population tried,
 5- to 1000-task systems in 100-system batches: its per-round python
 bookkeeping outweighed the numpy work it shared.
 
-Every entry point guards its inputs: scaled parameters, search bounds
-and the peak demand must fit ``int64`` with headroom (:data:`INT64_CAP`)
-so no intermediate sum or product can wrap.  A call outside that
-envelope raises :class:`~repro.kernel.backend.BackendUnsupported` and
-the kernel re-runs the pure-python loop — the same degrade contract as
-the ``SCALE_CAP`` exact-`Fraction` fallback, and the reason task sets
-near the int64 boundary stay bit-exact (the parity suite pins this).
+:class:`~repro.kernel.DemandKernel` chooses between these loops and its
+own python loops by walk size (see ``DemandKernel._walk``), so the
+functions here apply no size gate: called directly, they serve any
+walk they can serve exactly.  Every function guards its inputs: scaled
+parameters, search bounds and the peak demand must fit ``int64`` with
+headroom (:data:`INT64_CAP`) so no intermediate sum or product can
+wrap.  A call outside that envelope raises :class:`Declined` and the
+kernel re-runs the pure-python loop — the same degrade contract as the
+``SCALE_CAP`` exact-`Fraction` fallback, and the reason task sets near
+the int64 boundary stay bit-exact (the parity suite pins this).
 
-Importing this module does not import numpy.
-:meth:`NumpyBackend.is_available` only asks whether numpy is installed,
-so selecting the backend costs nothing; numpy loads at the first array
-build (:func:`_build_arrays`), i.e. the first dispatch of a kernel
-inside the int64 envelope.  If that import fails, the kernel is refused
-like one outside the envelope and the call re-runs the pure-python loop.
+Importing this module does not import numpy: numpy loads at the first
+array build (:func:`_build_arrays`).  If that import fails, the kernel
+is declined like one outside the envelope and the call re-runs the
+pure-python loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from importlib.util import find_spec
 from typing import List
 
-from .backend import BackendUnsupported, KernelBackend
-
 #: The numpy module (the optional 'fast' extra), bound by the first
-#: :func:`_build_arrays`; every primitive enters through :func:`_arrays`.
+#: :func:`_build_arrays`; every function enters through :func:`_arrays`.
 np = None
 
-__all__ = ["NumpyBackend", "INT64_CAP", "RATIO_CAP"]
+__all__ = [
+    "Declined",
+    "INT64_CAP",
+    "RATIO_CAP",
+    "best_ratio",
+    "count_steps",
+    "first_overflow",
+    "qpa",
+]
 
 #: Magnitude ceiling for scaled deadlines, bounds and demands on the
 #: vectorized path.  ``2**61`` leaves one bit of addition headroom below
@@ -77,15 +82,6 @@ RATIO_CAP = 1 << 31
 #: Job budget per sweep window (single-system forward walk).
 _SWEEP_BUDGET = 1 << 16
 
-#: Below roughly this much work per call the pure-python loop wins: the
-#: vectorized path pays ~40 µs of fixed array-dispatch cost (measured)
-#: while the interpreter walk costs well under a microsecond per job.
-#: Tiny systems — partition admission probes, per-core verification
-#: subsets — decline vectorization and keep their microsecond latency.
-_MIN_VECTOR_JOBS = 256
-#: Same guard for ``dbf_batch``, in (probes × components) cells.
-_MIN_VECTOR_CELLS = 512
-
 #: Initial job budget of a QPA dense-region window; doubles (×4) per
 #: rebuild up to the sweep budget as density persists.
 _QPA_BUDGET = 1 << 12
@@ -96,99 +92,84 @@ _QPA_DENSE_STEPS = 8
 _UNSUPPORTED = "unsupported"
 
 
-class NumpyBackend(KernelBackend):
-    """Vectorized int64 backend (see module docstring)."""
+class Declined(Exception):
+    """numpy's loops cannot serve this call exactly.
 
-    name = "numpy"
+    Raised when the kernel runs on the exact `Fraction` grid, a scaled
+    value is past the int64 headroom, or numpy fails to import.  The
+    kernel catches it and re-runs the pure-python loop — a per-call
+    degrade, never an error.
+    """
 
-    @staticmethod
-    def is_available() -> bool:
-        """Whether numpy is installed, found without importing it."""
-        return find_spec("numpy") is not None
 
-    # ------------------------------------------------------------------
-    # Primitives
-    # ------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# The walks
+# ----------------------------------------------------------------------
 
-    def dbf_batch_scaled(self, kernel, points):
-        arr = _arrays(kernel)
-        if not points:
-            return []
-        if arr["n"] * len(points) < _MIN_VECTOR_CELLS:
-            raise BackendUnsupported("small batch: python loop is faster")
-        lo = min(points)
-        hi = max(points)
-        if hi >= INT64_CAP or lo <= -INT64_CAP:
-            raise BackendUnsupported("probe point past int64 headroom")
-        _demand_cap(kernel, hi)
-        pts = np.asarray(points, dtype=np.int64)
-        out = np.empty(len(pts), dtype=np.int64)
-        # Block the broadcast so the (points × components) matrix stays
-        # cache-sized regardless of batch length.
-        block = max(1, (1 << 20) // max(1, arr["n"]))
-        for at in range(0, len(pts), block):
-            t = pts[at : at + block, None]
-            jobs = np.where(
-                t >= arr["d0"],
-                np.where(arr["rec"], (t - arr["d0"]) // arr["safe_p"] + 1, 1),
-                0,
-            )
-            out[at : at + block] = (jobs * arr["c"]).sum(axis=1)
-        return [int(v) for v in out]
 
-    def first_overflow_scaled(self, kernel, bound_scaled):
-        arr = _arrays(kernel)
-        if bound_scaled >= INT64_CAP:
-            raise BackendUnsupported("bound past int64 headroom")
-        if bound_scaled < arr["min_d0"]:
-            return None, None, 0
-        _work_guard(arr, bound_scaled)
-        _demand_cap(kernel, bound_scaled)
-        return _sweep(arr, int(bound_scaled))
+def first_overflow(kernel, bound_scaled):
+    """First staircase overflow up to the grid bound (PDA walk):
+    ``(interval, demand, iterations)`` as
+    :meth:`~repro.kernel.DemandKernel.first_overflow_scaled`."""
+    arr = _arrays(kernel)
+    if bound_scaled >= INT64_CAP:
+        raise Declined("bound past int64 headroom")
+    if bound_scaled < arr["min_d0"]:
+        return None, None, 0
+    _demand_cap(kernel, bound_scaled)
+    return _sweep(arr, int(bound_scaled))
 
-    def qpa_scaled(self, kernel, limit_scaled, floor_scaled=0):
-        arr = _arrays(kernel)
-        if limit_scaled >= INT64_CAP:
-            raise BackendUnsupported("limit past int64 headroom")
-        t = _prev_deadline(arr, int(limit_scaled))
-        if t is None:
-            return ("empty", None, None, 0)
-        _work_guard(arr, t)
-        _demand_cap(kernel, t)
-        return _qpa_walk(arr, t, int(kernel.min_d0_scaled), int(floor_scaled))
 
-    def best_ratio_scaled(self, kernel, horizon_scaled, floor):
-        arr = _arrays(kernel)
-        if horizon_scaled >= RATIO_CAP:
-            raise BackendUnsupported("horizon past the ratio-compare cap")
-        _work_guard(arr, horizon_scaled)
-        if _demand_cap(kernel, horizon_scaled, cap=RATIO_CAP) is None:
-            return Fraction(floor)
-        best = Fraction(floor)
-        for dl, cum in _windows(arr, int(horizon_scaled)):
-            j = _ratio_argmax(dl, cum)
-            candidate = Fraction(int(cum[j]), int(dl[j]))
-            if candidate > best:
-                best = candidate
-        return best
+def qpa(kernel, limit_scaled, floor_scaled=0):
+    """Zhang & Burns backward walk from the largest deadline below
+    *limit_scaled*, stopping FEASIBLE once it steps below
+    *floor_scaled*; returns ``(status, t, demand, iterations)`` with
+    status in ``("empty", "infeasible", "feasible")``."""
+    arr = _arrays(kernel)
+    if limit_scaled >= INT64_CAP:
+        raise Declined("limit past int64 headroom")
+    t = _prev_deadline(arr, int(limit_scaled))
+    if t is None:
+        return ("empty", None, None, 0)
+    _demand_cap(kernel, t)
+    return _qpa_walk(arr, t, int(kernel.min_d0_scaled), int(floor_scaled))
 
-    def count_steps_scaled(self, kernel, bound_scaled):
-        arr = _arrays(kernel)
-        if bound_scaled >= INT64_CAP:
-            raise BackendUnsupported("bound past int64 headroom")
-        if bound_scaled < arr["min_d0"]:
-            return 0
-        b = int(bound_scaled)
-        reach = (b - arr["d0f"]) / arr["safe_pf"]
-        estimate = float(np.where(arr["d0f"] <= b, np.where(arr["rec"], reach, 0), -1).sum())
-        if estimate >= float(1 << 60):
-            raise BackendUnsupported("step count past int64 headroom")
-        counts = np.where(
-            arr["d0"] <= b,
-            np.where(arr["rec"], (b - arr["d0"]) // arr["safe_p"] + 1, 1),
-            0,
-        )
-        return int(counts.sum())
+
+def best_ratio(kernel, horizon_scaled, floor):
+    """Max ``demand/interval`` over staircase jumps up to the grid
+    horizon, floored at *floor*."""
+    arr = _arrays(kernel)
+    if horizon_scaled >= RATIO_CAP:
+        raise Declined("horizon past the ratio-compare cap")
+    if _demand_cap(kernel, horizon_scaled, cap=RATIO_CAP) is None:
+        return Fraction(floor)
+    best = Fraction(floor)
+    for dl, cum in _windows(arr, int(horizon_scaled)):
+        j = _ratio_argmax(dl, cum)
+        candidate = Fraction(int(cum[j]), int(dl[j]))
+        if candidate > best:
+            best = candidate
+    return best
+
+
+def count_steps(kernel, bound_scaled):
+    """Unfolded job count with deadline at or below the grid bound."""
+    arr = _arrays(kernel)
+    if bound_scaled >= INT64_CAP:
+        raise Declined("bound past int64 headroom")
+    if bound_scaled < arr["min_d0"]:
+        return 0
+    b = int(bound_scaled)
+    reach = (b - arr["d0f"]) / arr["safe_pf"]
+    estimate = float(np.where(arr["d0f"] <= b, np.where(arr["rec"], reach, 0), -1).sum())
+    if estimate >= float(1 << 60):
+        raise Declined("step count past int64 headroom")
+    counts = np.where(
+        arr["d0"] <= b,
+        np.where(arr["rec"], (b - arr["d0"]) // arr["safe_p"] + 1, 1),
+        0,
+    )
+    return int(counts.sum())
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +190,7 @@ def _arrays(kernel):
         cache = _build_arrays(kernel)
         kernel._vec_cache = cache
     if cache is _UNSUPPORTED:
-        raise BackendUnsupported("kernel outside the int64 envelope")
+        raise Declined("kernel outside the int64 envelope")
     return cache
 
 
@@ -232,7 +213,6 @@ def _build_arrays(kernel):
     rec = p > 0
     safe_p = np.where(rec, p, 1)
     return {
-        "n": kernel.n,
         "d0": d0,
         "p": p,
         "c": c,
@@ -259,20 +239,8 @@ def _demand_cap(kernel, bound, cap=INT64_CAP):
         return None
     peak = kernel.dbf_scaled(bound)
     if peak >= cap:
-        raise BackendUnsupported("peak demand past the headroom cap")
+        raise Declined("peak demand past the headroom cap")
     return peak
-
-
-def _work_guard(arr, bound):
-    """Decline walks too small to amortize the vectorized fixed cost.
-
-    ``n + bound * rate`` over-counts the jobs a sweep up to *bound* can
-    touch (it ignores release offsets), so a decline here means the
-    interpreter loop really is the faster engine for this call — see
-    :data:`_MIN_VECTOR_JOBS`.
-    """
-    if arr["n"] + float(bound) * arr["rate"] < _MIN_VECTOR_JOBS:
-        raise BackendUnsupported("small walk: python loop is faster")
 
 
 # ----------------------------------------------------------------------

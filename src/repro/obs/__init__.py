@@ -2,9 +2,10 @@
 
 The substrate the ROADMAP's distributed-fleet coordinator consumes, and
 a live reproduction check of the paper's efficiency claims: QPA/PDA
-iteration counts, approximation-stage hit rates, and backend dispatch
-tallies — the very quantities Albers & Slomka (DATE 2005) measure — are
-first-class series here instead of scattered ad-hoc counters.
+iteration counts and approximation-stage hit rates — the very
+quantities Albers & Slomka (DATE 2005) measure — and the kernel's walk
+and numpy-fallback tallies are first-class series here instead of
+scattered ad-hoc counters.
 
 Four pieces, one import::
 

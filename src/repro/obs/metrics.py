@@ -14,8 +14,9 @@ in order:
    threads, the HTTP pool, and the resource sampler concurrently.
    Every child carries its own small lock; families share a registry
    lock only on (rare) registration and snapshot.
-3. **Bit-compatible reads.**  ``backend_info()`` and
-   ``context_cache_info()`` migrated their bespoke tallies here, so
+3. **Bit-compatible reads.**  ``repro.kernel.backend_info()`` (the
+   kernel's walk and numpy-fallback counts) and
+   ``context_cache_info()`` read their tallies from here, so
    counters expose ``.value`` and a test-visible ``reset()`` — a
    deliberate deviation from Prometheus client conventions, which this
    module otherwise follows (metric/label naming, exposition text
@@ -456,7 +457,7 @@ class MetricsRegistry:
             return tuple(sorted(self._families))
 
     def reset(self) -> None:
-        """Zero every series (tests and ``reset_backend_stats`` shims)."""
+        """Zero every series (tests and ``reset_walk_counters`` shims)."""
         with self._lock:
             families = list(self._families.values())
         for family in families:

@@ -128,7 +128,13 @@ class TestStallAndTimeout:
             "staller",
             faults=FaultPlan(stall_on_shard=1, stall_seconds=5.0),
         )
-        with make_coordinator(shard_timeout=0.5, shard_size=1000) as coord:
+        # The local worker sends no heartbeats: keep the death window
+        # (heartbeat_interval * miss_budget, 20 s) past the timed-out
+        # attempt and its retry, or a retry slower than ~0.1 s races the
+        # monitor, which declares the worker dead and backstops the shard.
+        with make_coordinator(
+            shard_timeout=0.5, shard_size=1000, miss_budget=100
+        ) as coord:
             coord.register(staller.id, staller.url)
             run_and_compare(coord, count=12)
             assert not coord.dead_letters

@@ -2,11 +2,12 @@
 
 ``repro.cli`` imports a subcommand's layers (the HTTP service, the
 experiments, online admission, the simulator) only when that subcommand
-runs, and selecting the numpy kernel backend does not import numpy: the
-first array build of a kernel does.  The paper's own tests never
-dispatch to the backend, so ``analyze --test dynamic`` runs without
-numpy or the service stack in the process.  Import state is per process,
-so those checks run in fresh subprocesses.
+runs, and numpy loads only when a kernel walk long enough for numpy's
+loops builds its int64 arrays.  The paper's own tests never run such a
+walk, and a short ``qpa`` walk stays on the python loop, so ``analyze
+--test dynamic`` or ``--test qpa`` on a small set runs without numpy or
+the service stack in the process.  Import state is per process, so
+those checks run in fresh subprocesses.
 """
 
 import os
@@ -17,20 +18,15 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli
 from repro.engine import analyze
 from repro.engine.context import clear_context_cache
-from repro.generation import generate_taskset
-from repro.kernel import (
-    available_backends,
-    backend_info,
-    reset_backend_stats,
-    set_backend,
-)
+from repro.generation import example_systems, generate_taskset
+from repro.kernel import backend_info, reset_walk_counters
+from repro.kernel import kernel as kernel_module
 from repro.model import dump_taskset
 
 needs_numpy = pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="numpy not installed"
+    not backend_info()["numpy"], reason="numpy not installed"
 )
 
 #: Modules no ``analyze`` process needs.
@@ -43,7 +39,7 @@ SUBCOMMAND_LAYERS = (
 )
 
 #: ``repro generate --tasks 30 --utilization 0.95 --seed 3``: its
-#: processor-demand walk is long enough for the numpy backend to serve.
+#: processor-demand walk is long enough for numpy's loop to serve.
 SEED3 = dict(n=30, utilization=0.95, seed=3)
 #: An infeasible set whose processor-demand walk numpy serves too.
 INFEASIBLE = dict(n=30, utilization=0.99, seed=1, gap=(0.3, 0.8))
@@ -91,10 +87,9 @@ def _main_in_fresh_process(args, watch=SUBCOMMAND_LAYERS):
 
 
 @pytest.fixture
-def restore_backend():
+def reset_stats():
     yield
-    set_backend("auto")
-    reset_backend_stats()
+    reset_walk_counters()
     clear_context_cache()
 
 
@@ -105,10 +100,9 @@ def test_analyze_dynamic_loads_no_other_subcommand_layer(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.startswith("dynamic: feasible")
-    # The backend is selected and reported without loading numpy.
-    active = "numpy" if "numpy" in available_backends() else "python"
-    assert f"kernel backend: {active} " in completed.stdout
-    assert "calls=0 fallbacks=0" in completed.stdout
+    # Whether numpy is installed is reported without loading it.
+    numpy = "installed" if backend_info()["numpy"] else "not installed"
+    assert f"calls=0 fallbacks=0 (numpy {numpy})" in completed.stdout
     assert loaded == set()
 
 
@@ -130,6 +124,22 @@ def test_service_error_maps_to_exit_2_without_a_traceback():
     assert "Traceback" not in completed.stderr
 
 
+def test_analyze_qpa_on_a_small_set_stays_off_numpy(tmp_path):
+    """The Burns example's 2-iteration QPA walk is below the size rule:
+    the python loop runs it, no numpy array is built, and it is not a
+    fallback."""
+    path = tmp_path / "burns.json"
+    dump_taskset(example_systems()["burns"], path)
+    completed, loaded = _main_in_fresh_process(
+        ["analyze", str(path), "--test", "qpa", "--cache-stats"],
+        watch=("numpy",),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith("qpa: feasible iterations=2")
+    assert "calls=1 fallbacks=0" in completed.stdout
+    assert loaded == set()
+
+
 @needs_numpy
 def test_numpy_loads_when_a_call_runs_numpy_code(tmp_path):
     path = _taskset_file(tmp_path, **SEED3)
@@ -138,39 +148,26 @@ def test_numpy_loads_when_a_call_runs_numpy_code(tmp_path):
         watch=("numpy",),
     )
     assert completed.returncode == 0, completed.stderr
-    assert "kernel backend: numpy " in completed.stdout
-    assert "calls=1 fallbacks=0" in completed.stdout
+    assert "calls=1 fallbacks=0 (numpy installed)" in completed.stdout
     assert loaded == {"numpy"}
-
-
-def test_unavailable_numpy_is_refused_by_name(tmp_path, monkeypatch, capsys,
-                                              restore_backend):
-    monkeypatch.setattr(
-        "repro.kernel.vectorized.find_spec", lambda name: None
-    )
-    assert available_backends() == ("python",)
-    path = _taskset_file(tmp_path, **SEED3)
-    code = cli.main(
-        ["analyze", path, "--test", "dynamic", "--kernel-backend", "numpy"]
-    )
-    assert code == 2
-    assert "'fast' extra" in capsys.readouterr().err
 
 
 @needs_numpy
 @pytest.mark.parametrize("config", [SEED3, INFEASIBLE], ids=["seed3", "infeasible"])
 def test_failed_numpy_import_falls_back_to_the_python_loop(
-    config, monkeypatch, restore_backend
+    config, monkeypatch, reset_stats
 ):
     tasks = generate_taskset(**config)
-    set_backend("python")
     clear_context_cache()
-    expected = analyze(tasks, "processor-demand")
+    with monkeypatch.context() as patch:  # pin the walk to the python loop
+        patch.setattr(kernel_module, "_MIN_VECTOR_JOBS", float("inf"))
+        expected = analyze(tasks, "processor-demand")
 
-    set_backend("numpy")
     clear_context_cache()
-    reset_backend_stats()
-    # The first array build finds numpy unimportable.
+    reset_walk_counters()
+    # numpy is installed (found before its import is made to fail), and
+    # the first array build finds it unimportable.
+    assert backend_info()["numpy"]
     monkeypatch.setattr("repro.kernel.vectorized.np", None)
     monkeypatch.setitem(sys.modules, "numpy", None)
     got = analyze(tasks, "processor-demand")
@@ -179,15 +176,4 @@ def test_failed_numpy_import_falls_back_to_the_python_loop(
         expected.verdict, expected.witness, expected.iterations
     )
     info = backend_info()
-    assert info["active"] == "numpy"
     assert (info["calls"], info["fallbacks"]) == (1, 1)
-
-
-def test_python_backend_is_reported_when_pinned(tmp_path, capsys,
-                                                 restore_backend):
-    path = _taskset_file(tmp_path, **SEED3)
-    assert cli.main([
-        "analyze", path, "--test", "processor-demand",
-        "--kernel-backend", "python", "--cache-stats",
-    ]) == 0
-    assert "kernel backend: python (" in capsys.readouterr().out

@@ -1,26 +1,34 @@
-"""Randomized backend parity: numpy vs pure-python vs pre-kernel loops.
+"""Randomized parity of the kernel's two loops: numpy vs python vs
+pre-kernel walks.
 
-The execution-backend seam (PR 6) promises that *which backend runs* is
-unobservable in results: verdicts, witnesses, iteration counts, bulk
-probes and ratio scans must be bit-identical across
+The kernel runs each walk (``first_overflow``, ``qpa``, ``best_ratio``,
+``count_steps``) on numpy's loop when numpy is installed and the walk
+is long enough, and on its python loop otherwise.  Which loop runs must
+be unobservable in results: verdicts, witnesses, iteration counts and
+ratio scans must be bit-identical across
 
-* the numpy vectorized backend (when numpy is importable),
-* the pure-python reference backend, and
+* numpy's loops (:mod:`repro.kernel.vectorized`, called directly here,
+  with no size rule, when numpy is importable),
+* the kernel's pure-python loops, and
 * the pre-kernel component-based walks kept verbatim in
   ``reference_walks.py``.
 
 The population mixes ``int`` / ``float`` / ``Fraction`` parameters,
 one-shot components and forced-coincident deadlines, plus adversarial
-sets that must *decline* vectorization and fall back bit-exactly:
-near-``SCALE_CAP`` rationals (no integer grid, exact-`Fraction` path)
-and near-int64-overflow magnitudes (inside the integer grid but past
-the backend's headroom cap).
+sets numpy's loops must *decline* while the kernel's answer stays
+bit-exact: near-``SCALE_CAP`` rationals (no integer grid, exact-
+`Fraction` path) and near-int64-overflow magnitudes (inside the integer
+grid but past the int64 headroom cap).
 
-Without numpy the module still runs: the python-vs-reference half
-executes and every numpy-specific assertion skips.
+Tests pin the kernel to its python loops by patching the size rule's
+threshold to infinity, or send every walk to numpy's loops by patching
+it to zero.  Without numpy the module still runs: the python-vs-
+reference half executes and every numpy-specific assertion skips.
 """
 
+import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -30,36 +38,39 @@ from repro.analysis.processor_demand import processor_demand_test
 from repro.engine import BatchRunner, analyze
 from repro.engine.context import AnalysisContext, clear_context_cache
 from repro.kernel import (
-    SCALE_CAP,
-    BackendUnsupported,
     DemandKernel,
     IncrementalKernel,
-    KernelBackend,
-    PurePythonBackend,
-    available_backends,
     backend_info,
-    get_backend,
-    reset_backend_stats,
-    set_backend,
+    reset_walk_counters,
+    vectorized,
 )
+from repro.kernel import kernel as kernel_module
 from repro.model.components import DemandComponent, as_components
 
 from .reference_walks import reference_processor_demand, reference_qpa
 
 SET_COUNT = 60
 
-HAS_NUMPY = "numpy" in available_backends()
+#: Walk bounds for the direct numpy-vs-python comparisons.
+BOUNDS = (9, 30, 90, 200, 600)
+
+HAS_NUMPY = backend_info()["numpy"]
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
-BACKENDS = ("python", "numpy") if HAS_NUMPY else ("python",)
+
+@contextmanager
+def _min_vector_jobs(value):
+    """Set the size rule's threshold: ``math.inf`` pins every walk to the
+    python loop, ``0`` sends every walk to numpy's loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "_MIN_VECTOR_JOBS", value)
+        yield
 
 
 @pytest.fixture(autouse=True)
-def _restore_backend():
-    """Leave the process-global backend selection as we found it."""
+def _reset_stats():
     yield
-    set_backend("auto")
-    reset_backend_stats()
+    reset_walk_counters()
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +136,7 @@ def _near_scale_cap_components():
 
 
 def _near_int64_components():
-    """Integer grid, but magnitudes past the numpy backend's headroom."""
+    """Integer grid, but magnitudes past numpy's int64 headroom."""
     big = 1 << 62
     return as_components(
         [
@@ -136,75 +147,22 @@ def _near_int64_components():
     )
 
 
-# ----------------------------------------------------------------------
-# Selection API
-# ----------------------------------------------------------------------
+def _vectorized_qpa_components(seed, slack):
+    """300 integer tasks at U ~ 0.99, deadlines down to *slack* percent
+    of the period: every walk clears the size rule."""
+    rng = random.Random(seed)
+    comps = []
+    for _ in range(300):
+        period = rng.randint(1_000, 20_000)
+        wcet = max(1, period * rng.randint(31, 35) // 10_000)
+        deadline = max(wcet, period * rng.randint(slack, 100) // 100)
+        comps.append(DemandComponent(wcet=wcet, first_deadline=deadline, period=period))
+    return as_components(comps)
 
 
-def test_backend_selection_api():
-    python = set_backend("python")
-    assert python.name == "python" and get_backend() is python
-    auto = set_backend("auto")
-    assert auto.name in ("python", "numpy")
-    assert set_backend(None).name == auto.name
-    instance = PurePythonBackend()
-    assert set_backend(instance) is instance
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        set_backend("cython")
-    info = backend_info()
-    assert set(info) == {"active", "available", "calls", "fallbacks"}
-    assert "python" in info["available"]
-
-
-def test_auto_selection_prefers_numpy_when_available():
-    selected = set_backend("auto")
-    if HAS_NUMPY:
-        assert selected.name == "numpy"
-    else:
-        assert selected.name == "python"
-        with pytest.raises(ValueError, match="fast"):
-            set_backend("numpy")
-
-
-def test_abstract_backend_declines_everything():
-    kernel = DemandKernel(_POPULATION[0])
-    backend = KernelBackend()
-    with pytest.raises(BackendUnsupported):
-        backend.dbf_batch_scaled(kernel, [0])
-    with pytest.raises(BackendUnsupported):
-        backend.first_overflow_scaled(kernel, 10)
-    with pytest.raises(BackendUnsupported):
-        backend.qpa_scaled(kernel, 10)
-
-
-def test_dispatch_counters_track_calls_and_fallbacks():
-    set_backend("python")
-    reset_backend_stats()
-    kernel = DemandKernel(_POPULATION[0])
-    kernel.dbf_batch([5, 10])
-    kernel.first_overflow(50)
-    info = backend_info()
-    assert info["calls"] == 2 and info["fallbacks"] == 0
-
-    class _Refusing(KernelBackend):
-        name = "refusing"
-
-    set_backend(_Refusing())
-    reset_backend_stats()
-    kernel.dbf_batch([5, 10])
-    info = backend_info()
-    assert info["calls"] == 1 and info["fallbacks"] == 1
-
-
-# ----------------------------------------------------------------------
-# Primitive + registry parity across backends
-# ----------------------------------------------------------------------
-
-
-def _primitive_snapshot(comps, bound, probes):
-    kernel = DemandKernel(comps)
+def _snapshot(kernel, bound):
+    """Every walk the kernel chooses a loop for, at one bound."""
     return (
-        kernel.dbf_batch(probes),
         kernel.first_overflow(bound),
         kernel.qpa(bound),
         kernel.best_ratio(bound, Fraction(1, 7)),
@@ -212,31 +170,143 @@ def _primitive_snapshot(comps, bound, probes):
     )
 
 
+# ----------------------------------------------------------------------
+# Loop choice and its counters
+# ----------------------------------------------------------------------
+
+
+def test_dispatch_counters_track_calls_and_fallbacks():
+    # A short walk stays on the python loop: counted, not a fallback,
+    # and no numpy array is built.
+    reset_walk_counters()
+    kernel = DemandKernel(_POPULATION[0])
+    kernel.first_overflow(50)
+    kernel.qpa(50)
+    info = backend_info()
+    assert (info["calls"], info["fallbacks"]) == (2, 0)
+    assert kernel._vec_cache is None
+
+    # A long walk on the exact grid passes the size rule, and numpy's
+    # loop declines it: one fallback when numpy is installed.
+    reset_walk_counters()
+    exact = DemandKernel(_near_scale_cap_components())
+    exact.first_overflow(1_000)
+    info = backend_info()
+    assert (info["calls"], info["fallbacks"]) == (1, int(HAS_NUMPY))
+
+
+def _uniform_components(count):
+    """*count* unit tasks of period 64 (``Σ 1/T = count/64``), integer
+    parameters, so the kernel's grid is the original time line."""
+    return as_components(
+        [
+            DemandComponent(wcet=1, first_deadline=4 * i + 3, period=64)
+            for i in range(count)
+        ]
+    )
+
+
+#: Each walk, called so that the grid bound the size rule reads is *b*:
+#: ``qpa`` reads its exclusive limit, ``bound + 1`` on a scale-1 grid.
+_WALKS = {
+    "first_overflow": lambda kernel, b: kernel.first_overflow(b),
+    "qpa": lambda kernel, b: kernel.qpa(b - 1),
+    "best_ratio": lambda kernel, b: kernel.best_ratio(b, Fraction(1, 7)),
+    "count_steps": lambda kernel, b: kernel.count_steps(b),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_size_rule_picks_the_loop_at_its_threshold(walk):
+    """16 tasks of period 64: ``n + b · Σ 1/T = 16 + b/4`` reaches the
+    threshold one grid step after the last bound kept in python.  Below
+    it the python loop runs and builds no array; at it numpy's loop
+    serves the walk when numpy is installed.  Neither is a fallback, and
+    both answer as the pinned python loop does."""
+    comps = _uniform_components(16)
+    threshold = (kernel_module._MIN_VECTOR_JOBS - 16) * 4
+    call = _WALKS[walk]
+    for b, runs_numpy in ((threshold - 1, False), (threshold, HAS_NUMPY)):
+        kernel = DemandKernel(comps)
+        assert kernel.scale == 1
+        with _min_vector_jobs(math.inf):
+            expected = call(kernel, b)
+        assert kernel._vec_cache is None
+        reset_walk_counters()
+        assert call(kernel, b) == expected, b
+        assert (kernel._vec_cache is not None) == runs_numpy, b
+        info = backend_info()
+        assert (info["calls"], info["fallbacks"]) == (1, 0), b
+
+
+# ----------------------------------------------------------------------
+# The python loops against the pre-kernel references, and numpy's
+# loops, called directly, against the python loops
+# ----------------------------------------------------------------------
+
+
+def _unscaled(kernel, value):
+    return None if value is None else kernel.unscale(value)
+
+
 @pytest.mark.parametrize("index", range(SET_COUNT))
 def test_backend_primitive_parity(index):
     comps = _POPULATION[index]
-    rng = random.Random(index)
-    bound = 90
-    probes = [rng.randint(0, 120) for _ in range(12)]
-    probes += [_random_value(rng, 1, 120) for _ in range(4)]
-    set_backend("python")
-    expected = _primitive_snapshot(comps, bound, probes)
-    for name in BACKENDS[1:]:
-        set_backend(name)
-        assert _primitive_snapshot(comps, bound, probes) == expected, (index, name)
+    clear_context_cache()
+    ctx = AnalysisContext.of(comps)
+    kernel = DemandKernel(comps)
+    d0s = sorted(kernel.d0s)
+    floors = (0, d0s[len(d0s) // 2], d0s[-1])
+    ratio_floors = (Fraction(0), Fraction(1, 7), Fraction(3, 2))
+    for bound in BOUNDS:
+        b = kernel.inclusive_scaled(bound)
+        limit = kernel.exclusive_scaled(bound + 1)
+        python = (
+            kernel._first_overflow_scaled_py(b),
+            [kernel._qpa_scaled_py(limit, f) for f in floors],
+            [kernel._best_ratio_scaled_py(b, f) for f in ratio_floors],
+            kernel._count_steps_scaled_py(b),
+        )
+
+        interval, demand, iterations = python[0]
+        assert (
+            _unscaled(kernel, interval), _unscaled(kernel, demand), iterations
+        ) == reference_processor_demand(ctx, bound)[1:], (index, bound)
+        status, t, demand, iterations = python[1][0]
+        assert (
+            "feasible" if status == "empty" else status,
+            _unscaled(kernel, t),
+            _unscaled(kernel, demand),
+            iterations,
+        ) == reference_qpa(ctx, bound), (index, bound)
+
+        if HAS_NUMPY:
+            numpy = (
+                vectorized.first_overflow(kernel, b),
+                [vectorized.qpa(kernel, limit, f) for f in floors],
+                [vectorized.best_ratio(kernel, b, f) for f in ratio_floors],
+                vectorized.count_steps(kernel, b),
+            )
+            assert numpy == python, (index, bound)
 
 
 @needs_numpy
 @pytest.mark.parametrize("index", range(0, SET_COUNT, 3))
 def test_numpy_registry_results_match_prekernel_references(index):
+    """The engine's processor-demand and qpa results with every walk sent
+    to numpy's loops, against the pre-kernel walks."""
     comps = _POPULATION[index]
-    set_backend("numpy")
     clear_context_cache()
     ctx = AnalysisContext.of(comps)
     if ctx.utilization > 1:
         return  # preflight short-circuits before any walk
 
-    pda = analyze(ctx, test="processor-demand")
+    reset_walk_counters()
+    with _min_vector_jobs(0):
+        pda = analyze(ctx, test="processor-demand")
+        qpa = analyze(ctx, test="qpa")
+    assert backend_info()["fallbacks"] == 0
+
     verdict, w_interval, w_demand, its = reference_processor_demand(
         ctx, ctx.bound(BoundMethod.BARUAH)
     )
@@ -249,7 +319,6 @@ def test_numpy_registry_results_match_prekernel_references(index):
     else:
         assert pda.witness is None
 
-    qpa = analyze(ctx, test="qpa")
     verdict, w_interval, w_demand, its = reference_qpa(
         ctx, ctx.bound(BoundMethod.BEST)
     )
@@ -262,23 +331,11 @@ def test_numpy_registry_results_match_prekernel_references(index):
         assert qpa.witness is None
 
 
-def _vectorized_qpa_components(seed, slack):
-    """300 integer tasks at U ~ 0.99, deadlines down to *slack* percent
-    of the period: enough jobs per walk to clear ``_MIN_VECTOR_JOBS``."""
-    rng = random.Random(seed)
-    comps = []
-    for _ in range(300):
-        period = rng.randint(1_000, 20_000)
-        wcet = max(1, period * rng.randint(31, 35) // 10_000)
-        deadline = max(wcet, period * rng.randint(slack, 100) // 100)
-        comps.append(DemandComponent(wcet=wcet, first_deadline=deadline, period=period))
-    return as_components(comps)
-
-
 @needs_numpy
 def test_qpa_floor_parity_on_vectorized_walks():
     """``qpa(bound, floor=f)``: identical status, witness and iterations
-    on python and numpy, with numpy serving every call (no fallback)."""
+    on the python loop and on numpy's, which serves every call (no
+    fallback)."""
     statuses = set()
     cut_short = 0
     for seed, slack in ((0, 5), (1, 5), (2, 15), (3, 25)):
@@ -287,12 +344,12 @@ def test_qpa_floor_parity_on_vectorized_walks():
         kernel = DemandKernel(comps)
         d0s = sorted(kernel.d0s)
         floors = [0, d0s[len(d0s) // 2], d0s[-1], bound // 2, bound + 1]
-        set_backend("python")
-        expected = [kernel.qpa(bound, floor=f) for f in floors]
-        set_backend("numpy")
-        reset_backend_stats()
+        with _min_vector_jobs(math.inf):
+            expected = [kernel.qpa(bound, floor=f) for f in floors]
+        reset_walk_counters()
         assert [kernel.qpa(bound, floor=f) for f in floors] == expected, seed
         assert backend_info()["fallbacks"] == 0
+        assert kernel._vec_cache is not None  # numpy's loop ran
         statuses.update(status for status, _, _, _ in expected)
         cut_short += sum(result[3] < expected[0][3] for result in expected)
     assert statuses == {"infeasible", "feasible"}
@@ -306,27 +363,35 @@ def test_qpa_floor_parity_on_vectorized_walks():
 
 @pytest.mark.parametrize(
     "comps_factory, bound",
-    [(_near_scale_cap_components, 40), (_near_int64_components, 200)],
+    [(_near_scale_cap_components, 1_000), (_near_int64_components, 2_000)],
     ids=["near-scale-cap", "near-int64"],
 )
 def test_fallback_sets_stay_bit_exact(comps_factory, bound):
-    comps = comps_factory()
-    probes = [1, bound // 2, bound, bound + 1]
-    set_backend("python")
-    expected = _primitive_snapshot(comps, bound, probes)
+    kernel = DemandKernel(comps_factory())
+    with _min_vector_jobs(math.inf):
+        expected = _snapshot(kernel, bound)
+    reset_walk_counters()
+    assert _snapshot(kernel, bound) == expected
+    info = backend_info()
+    # Each walk clears the size rule and numpy's loop declines it.
+    assert info["calls"] == 4
+    assert info["fallbacks"] == (4 if HAS_NUMPY else 0)
     if not HAS_NUMPY:
         return
-    set_backend("numpy")
-    reset_backend_stats()
-    assert _primitive_snapshot(comps, bound, probes) == expected
-    info = backend_info()
-    assert info["fallbacks"] > 0, "these sets must decline vectorization"
-    assert info["fallbacks"] == info["calls"]
+    b = kernel.inclusive_scaled(bound)
+    for call in (
+        lambda: vectorized.first_overflow(kernel, b),
+        lambda: vectorized.qpa(kernel, kernel.exclusive_scaled(bound + 1)),
+        lambda: vectorized.best_ratio(kernel, b, Fraction(1, 7)),
+        lambda: vectorized.count_steps(kernel, b),
+    ):
+        with pytest.raises(vectorized.Declined):
+            call()
 
 
 def _near_int64_walkable_components():
     """A near-int64 set at ``U <= 1``: the preflight lets it reach the
-    walk, which the numpy backend must decline."""
+    walk, which numpy's loop must decline."""
     big = 1 << 62
     return as_components(
         [
@@ -339,8 +404,9 @@ def _near_int64_walkable_components():
 
 @needs_numpy
 def test_mixed_batch_partially_vectorizes():
-    """A processor-demand batch interleaving systems numpy sweeps with
-    systems it declines returns the same results on both backends."""
+    """A processor-demand batch interleaving systems numpy's loop sweeps
+    with systems it declines returns the same results as the python
+    loop."""
     small = [c for c in _POPULATION if AnalysisContext.of(c).utilization <= 1]
     systems = [
         small[0],
@@ -349,13 +415,12 @@ def test_mixed_batch_partially_vectorizes():
         _vectorized_qpa_components(0, 5),
     ]
     runner = BatchRunner(jobs=1)
-    set_backend("python")
     clear_context_cache()
-    expected = runner.map(systems, "processor-demand", max_interval=200)
-    set_backend("numpy")
+    with _min_vector_jobs(math.inf):
+        expected = runner.map(systems, "processor-demand", max_interval=2_000)
     clear_context_cache()
-    reset_backend_stats()
-    assert runner.map(systems, "processor-demand", max_interval=200) == expected
+    reset_walk_counters()
+    assert runner.map(systems, "processor-demand", max_interval=2_000) == expected
     info = backend_info()
     assert 0 < info["fallbacks"] < info["calls"]
 
@@ -368,36 +433,68 @@ def test_mixed_batch_partially_vectorizes():
 def test_processor_demand_batch_matches_sequential():
     sources = [_POPULATION[i] for i in range(0, 24, 2)]
     expected = [processor_demand_test(s) for s in sources]
-    for name in BACKENDS:
-        set_backend(name)
-        clear_context_cache()
-        got = BatchRunner(jobs=1).map(sources, "processor-demand")
-        assert got == expected, name
+    clear_context_cache()
+    assert BatchRunner(jobs=1).map(sources, "processor-demand") == expected
 
 
 # ----------------------------------------------------------------------
-# Incremental kernels: the per-kernel array cache must invalidate
+# Incremental kernels: numpy's array cache must invalidate on mutation
 # ----------------------------------------------------------------------
 
 
 @needs_numpy
 def test_incremental_mutation_invalidates_vectorized_cache():
-    set_backend("numpy")
-    live = IncrementalKernel(_POPULATION[4])
-    probes = list(range(0, 80, 7))
-    live.dbf_batch(probes)  # builds the numpy array cache
+    """A 300-task live kernel, whose walks all run on numpy's loops,
+    answers like a fresh compile on the python loop after one heavy
+    arrival and after its departure."""
+    base = list(_vectorized_qpa_components(1, 5))
+    bound = AnalysisContext.of(base).bound(BoundMethod.BEST)
+    live = IncrementalKernel(base)
+    live.qpa(bound)
+    live.first_overflow(bound)
+    assert live._vec_cache is not None  # numpy's arrays are built
 
-    extra = DemandComponent(wcet=2, first_deadline=9, period=13)
-    live.add(extra)
-    fresh = DemandKernel(as_components(list(_POPULATION[4]) + [extra]))
-    set_backend("python")
-    expected = (fresh.dbf_batch(probes), fresh.first_overflow(80), fresh.qpa(80))
-    set_backend("numpy")
-    assert (live.dbf_batch(probes), live.first_overflow(80), live.qpa(80)) == expected
+    def check(components):
+        fresh = DemandKernel(as_components(components))
+        with _min_vector_jobs(math.inf):
+            expected = (fresh.qpa(bound), fresh.first_overflow(bound))
+        reset_walk_counters()
+        assert (live.qpa(bound), live.first_overflow(bound)) == expected
+        assert backend_info()["fallbacks"] == 0
+        return expected
+
+    heavy = DemandComponent(wcet=3_000, first_deadline=3_000, period=40_000)
+    live.add(heavy)
+    status, _, _, _ = check(base + [heavy])[0]
+    assert status == "infeasible"  # the arrival changes the verdict
 
     live.remove_span(live.n - 1)
-    fresh = DemandKernel(_POPULATION[4])
-    set_backend("python")
-    expected = (fresh.dbf_batch(probes), fresh.first_overflow(80), fresh.qpa(80))
-    set_backend("numpy")
-    assert (live.dbf_batch(probes), live.first_overflow(80), live.qpa(80)) == expected
+    status, _, _, _ = check(base)[0]
+    assert status == "feasible"
+
+
+def test_incremental_mutation_refreshes_the_size_rule():
+    """The size rule's ``Σ 1/T`` is cached per kernel and must follow
+    ``add`` and ``remove_span``.  To the grid bound 1,000, 15 tasks of
+    period 64 stay in python (``15 + 1000 · 15/64 < 256``) and 16 reach
+    numpy (``16 + 1000/4 ≥ 256``); a stale sum picks the other loop
+    either way."""
+    tasks = list(_uniform_components(16))
+    bound = 1_000
+    live = IncrementalKernel(tasks[:15])
+    live.first_overflow(bound)
+    assert live._vec_cache is None
+
+    live.add(tasks[15])
+    fresh = DemandKernel(as_components(tasks))
+    with _min_vector_jobs(math.inf):
+        expected = fresh.first_overflow(bound)
+    assert live.first_overflow(bound) == expected
+    assert (live._vec_cache is not None) == HAS_NUMPY
+
+    live.remove_span(15)
+    fresh = DemandKernel(as_components(tasks[:15]))
+    with _min_vector_jobs(math.inf):
+        expected = fresh.first_overflow(bound)
+    assert live.first_overflow(bound) == expected
+    assert live._vec_cache is None

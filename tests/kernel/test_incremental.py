@@ -57,7 +57,9 @@ def _assert_equivalent(incremental: IncrementalKernel, components) -> None:
     ]
     assert list(incremental.rates) == list(fresh.rates)
     horizon = 200
-    assert incremental.dbf_batch(range(1, 40)) == fresh.dbf_batch(range(1, 40))
+    assert [incremental.dbf(t) for t in range(1, 40)] == [
+        fresh.dbf(t) for t in range(1, 40)
+    ]
     assert incremental.demand_profile(horizon) == fresh.demand_profile(horizon)
     assert incremental.first_overflow(horizon) == fresh.first_overflow(horizon)
     assert incremental.prev_deadline(horizon) == fresh.prev_deadline(horizon)

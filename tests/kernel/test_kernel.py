@@ -83,7 +83,9 @@ class TestPrimitivesMatchReference:
         probes = [1, Fraction(5, 2), 3, Fraction(10, 3), 7.25, 40, 1000]
         for t in probes:
             assert kernel.dbf(t) == reference_dbf(comps, t)
-        assert kernel.dbf_batch(probes) == [reference_dbf(comps, t) for t in probes]
+        assert [kernel.dbf(t) for t in probes] == [
+            reference_dbf(comps, t) for t in probes
+        ]
 
     def test_demand_profile(self, factory):
         comps = factory()
@@ -230,5 +232,5 @@ class TestContextIntegration:
         comps = _mixed_components()
         ctx = AnalysisContext.of(comps)
         probes = [1, 3, Fraction(10, 3), 50]
-        assert ctx.kernel().dbf_batch(probes) == [ctx.dbf(t) for t in probes]
+        assert [ctx.kernel().dbf(t) for t in probes] == [ctx.dbf(t) for t in probes]
         assert ctx.dbf(50) == reference_dbf(comps, 50)

@@ -271,7 +271,7 @@ def test_primitives_and_registry_parity(index):
 
     # Point primitives against the component oracles.
     probes = _sample_probes(rng, comps, bound)
-    assert kernel.dbf_batch(probes) == [reference_dbf(comps, t) for t in probes]
+    assert [kernel.dbf(t) for t in probes] == [reference_dbf(comps, t) for t in probes]
     for t in probes[:5]:
         assert kernel.dbf(t) == reference_dbf(comps, t)
 
