@@ -17,8 +17,13 @@ mutable:
   :data:`~repro.kernel.kernel.SCALE_CAP` the kernel degrades to the
   exact mixed ``int``/`Fraction` fallback path, exactly like a fresh
   compile would.
-* :meth:`remove_span` drops a contiguous run of components and remaps
-  the by-deadline sorted views.  The scale is *not* shrunk back: any
+* :meth:`remove_span` drops a contiguous run of components: each
+  leaves the three by-deadline sorted views at the slot a bisection on
+  ``(d0, index)`` finds, and the views' indices are renumbered (one
+  pass over ``_sorted_pairs``) only when components follow the span.
+  Removing the newest components — a departure right after its
+  arrival, a rejected candidate — costs ``O(log n)`` plus a memmove per
+  view.  The scale is *not* shrunk back: any
   common multiple of the remaining denominators is a valid grid, and
   scaling by a positive constant preserves every comparison, tie and
   ratio the tests make (see :mod:`repro.kernel.kernel`), so verdicts,
@@ -36,7 +41,12 @@ per event, and it is wide: on a 1000-task U = 0.85 system of the
 admission benchmark ``H`` has 6,400–7,000 bits, and building ``(H, w)``
 takes 2.7–3.0 ms, about three windowed filter walks (median 1.0 ms);
 at 500 tasks, ~3,800 bits and 0.8 ms against 0.6 ms (Intel Xeon,
-Python 3.11).
+Python 3.11).  The rates' sums carry denominators as wide as that
+``H``, but the walk adds them up only at a fold (see
+:class:`~repro.kernel.kernel.EnvelopeWalk`): a check too close for its
+float screen, a failure, or :meth:`~repro.kernel.kernel.EnvelopeWalk.demand`.
+A filter walk whose checks all clear the screen reads each rate once,
+as a float.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence
+from typing import Sequence
 
 from ..model.components import DemandComponent
 from ..model.numeric import ExactTime
@@ -155,33 +165,32 @@ class IncrementalKernel(DemandKernel):
         return index
 
     def remove_span(self, start: int, count: int = 1) -> None:
-        """Drop components ``start .. start+count-1`` (insertion order)."""
-        if count < 1 or start < 0 or start + count > self.n:
+        """Drop components ``start .. start+count-1`` (insertion order).
+
+        Each one leaves the by-deadline views at the slot a bisection on
+        ``(d0, index)`` finds; the views' indices are renumbered only
+        when components follow the span.
+        """
+        end = start + count
+        if count < 1 or start < 0 or end > self.n:
             raise ValueError(
-                f"invalid removal span [{start}, {start + count}) of a "
+                f"invalid removal span [{start}, {end}) of a "
                 f"{self.n}-component kernel"
             )
-        del self.d0s[start : start + count]
-        del self.periods[start : start + count]
-        del self.wcets[start : start + count]
+        pairs, keys, triples = (
+            self._sorted_pairs, self._sorted_keys, self._sorted_triples
+        )
+        for idx in range(start, end):
+            at = bisect_left(pairs, (self.d0s[idx], idx))
+            del pairs[at], keys[at], triples[at]
+        if end < self.n:
+            self._sorted_pairs = [
+                (d0, idx - count) if idx >= end else (d0, idx) for d0, idx in pairs
+            ]
+        del self.d0s[start:end], self.periods[start:end], self.wcets[start:end]
         if self._rates is not None:
-            del self._rates[start : start + count]
+            del self._rates[start:end]
         self.n -= count
-        end = start + count
-        pairs: List = []
-        keys: List[ExactTime] = []
-        triples: List = []
-        for (d0, idx), triple in zip(self._sorted_pairs, self._sorted_triples):
-            if start <= idx < end:
-                continue
-            if idx >= end:
-                idx -= count
-            pairs.append((d0, idx))
-            keys.append(d0)
-            triples.append(triple)
-        self._sorted_pairs = pairs
-        self._sorted_keys = keys
-        self._sorted_triples = triples
         self._job_rate = self._vec_cache = None
 
     # ------------------------------------------------------------------

@@ -30,8 +30,9 @@ factor without giving up exactness:
 * **Two loops per walk, chosen by size.**  :meth:`first_overflow`,
   :meth:`qpa`, :meth:`best_ratio` and :meth:`count_steps` run numpy's
   int64 loops (:mod:`repro.kernel.vectorized`) when numpy is installed
-  and the walk is long enough to amortize them (``n + bound · Σ 1/T``
-  reaches :data:`_MIN_VECTOR_JOBS`), and their python loops otherwise.
+  and the walk is big enough to amortize them (its size, ``n + bound ·
+  Σ 1/T`` for a forward walk and ``2n`` for QPA, reaches
+  :data:`_MIN_VECTOR_JOBS`), and their python loops otherwise.
   The python loops are the reference: a call numpy's loops decline
   re-runs them, and both return bit-identical results.
 * **One walk per question.**  :class:`EnvelopeWalk` is the one
@@ -50,6 +51,18 @@ factor without giving up exactness:
   scaled by ``H`` instead of `Fraction` sums of rates.  The
   incremental kernel returns ``(1, rates)`` instead (see
   :mod:`repro.kernel.incremental`); the walk's loop serves both.
+* **Lazy exact sums.**  The :class:`EnvelopeWalk` state is the heap,
+  the counted jobs and their exact demand, and the envelope sums
+  ``slope = Σ w`` and ``base = Σ w·anchor``.  A float screen decides
+  every check that clears the capacity line by a margin; an envelope
+  switch updates the screen's float sums and queues ``(w, anchor)``,
+  and the queue is folded into the exact sums only for a check too
+  close for the screen (or with the screen off, as for an ``H`` past
+  float range), which includes every failed check, and in
+  :meth:`EnvelopeWalk.demand`.  A walk whose checks all clear the
+  screen — the admission filter's common case, on `Fraction` rates
+  whose sums have denominators thousands of bits wide — never adds up
+  its exact sums.
 
 Scaling by a positive constant preserves every comparison the tests
 make (``dbf(I) <= I`` ⇔ ``dbf_s(I_s) <= I_s``), every tie between
@@ -71,7 +84,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
 from importlib.util import find_spec
-from math import lcm
+from math import inf, lcm
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..model.components import DemandComponent
@@ -126,17 +139,37 @@ _FALLBACKS = _obs_counter(
     "headroom, failed import), so the pure-python loop re-ran.",
 )
 
-#: The size rule: a walk runs on numpy's loops only when ``n + bound ·
-#: Σ 1/T`` reaches this.  That sum over-counts the jobs a walk up to
-#: *bound* can touch (it ignores release offsets).  Below it the python
-#: loop wins: numpy's loops pay ~40 µs of fixed array-dispatch cost
-#: (measured) while the interpreter walk costs well under a microsecond
-#: per job, so small systems and short bounds — partition admission
-#: probes, per-core verification subsets, the Burns example's QPA walk
-#: — keep their microsecond latency and never import numpy.  The sum
-#: does not see how few steps a QPA walk takes below *bound*, so a
-#: short QPA walk over a long bound still runs on numpy.
+#: The size rule: a walk runs on numpy's loops only when its size in
+#: jobs reaches this.  A forward walk's size is ``n + bound · Σ 1/T``,
+#: which over-counts the jobs a walk up to *bound* can touch (it ignores
+#: release offsets).  Below it the python loop wins: numpy's loops pay
+#: ~40 µs of fixed array-dispatch cost (measured) while the interpreter
+#: walk costs well under a microsecond per job, so small systems and
+#: short bounds — partition admission probes, per-core verification
+#: subsets, the Burns example's QPA walk — keep their microsecond
+#: latency and never import numpy.
 _MIN_VECTOR_JOBS = 256
+
+#: A QPA walk's size is its component count, at this many jobs each
+#: (numpy from n = 128).  Every backward step evaluates ``dbf(t)`` over
+#: the n components, so n, not the bound, decides which loop wins each
+#: step.  Per-set QPA time on the python loop against numpy's (array
+#: build included), median of the per-set min of 5, over 16 sets at
+#: U = 0.85–0.97 (short walks) and 12 at U = 0.985–0.998 (long walks),
+#: periods 1,000–100,000 (Python 3.11, numpy 2.4, 2-core Xeon box):
+#:
+#:    n   short walk µs  (steps)   long walk µs  (steps)
+#:   25     29 /  109     (6)        292 /  790   (74)
+#:   64     82 /  145     (8)       1110 / 1268  (114)
+#:   96    120 /  159     (8)       1796 / 1401  (122)
+#:  128    143 /  166     (7)       1355 /  918   (68)
+#:  160    213 /  208     (9)       2033 / 1123   (81)
+#:  256    265 /  235     (7)       1750 /  781   (68)
+#:  400    472 /  319     (8)       4485 / 1351  (105)
+#:
+#: numpy breaks even near n = 160 on short walks and below n = 96 on
+#: long ones; 128 sits between, where either loop loses little.
+_QPA_JOBS_PER_COMPONENT = 2
 
 #: Largest accepted integerization scale.  Beyond this the common grid
 #: needs integers so wide that `int` arithmetic loses its edge over the
@@ -368,25 +401,30 @@ class DemandKernel:
     # Loop choice
     # ------------------------------------------------------------------
 
-    def _walk(self, name: str, python_loop: Callable[..., Any], *args: Any) -> Any:
-        """Run one walk on numpy's loop or on *python_loop*.
-
-        ``vectorized.<name>`` runs when numpy is installed and the size
-        rule passes: ``n + bound · Σ 1/T`` reaches
-        :data:`_MIN_VECTOR_JOBS`, where *bound*, the first of *args*, is
-        the grid instant the walk reaches up to.  Otherwise, or when
-        numpy's loop declines (one fallback), *python_loop*, the
-        reference, runs.  Both return bit-identical results.
-        """
-        _CALLS.inc()
+    def _jobs(self, bound_scaled: ExactTime) -> float:
+        """``n + bound · Σ 1/T``: the size of a forward walk up to the
+        grid bound, in jobs."""
         rate = self._job_rate
         if rate is None:
             rate = self._job_rate = sum(1 / p for p in self.periods if p)
         try:
-            small = self.n + args[0] * rate < _MIN_VECTOR_JOBS
+            return self.n + bound_scaled * rate
         except OverflowError:  # a bound past float range: numpy declines it
-            small = False
-        loops = None if small else _numpy_loops()
+            return inf
+
+    def _walk(
+        self, name: str, jobs: float, python_loop: Callable[..., Any], *args: Any
+    ) -> Any:
+        """Run one walk on numpy's loop or on *python_loop*.
+
+        ``vectorized.<name>`` runs when numpy is installed and the
+        walk's size, *jobs*, reaches :data:`_MIN_VECTOR_JOBS`.
+        Otherwise, or when numpy's loop declines (one fallback),
+        *python_loop*, the reference, runs.  Both return bit-identical
+        results.
+        """
+        _CALLS.inc()
+        loops = None if jobs < _MIN_VECTOR_JOBS else _numpy_loops()
         if loops is not None:
             try:
                 return getattr(loops, name)(self, *args)
@@ -440,7 +478,10 @@ class DemandKernel:
         _FIRST_OVERFLOW_CALLS.inc()
         with _obs_span("kernel.pda", n=self.n):
             result = self._walk(
-                "first_overflow", self._first_overflow_scaled_py, bound_scaled
+                "first_overflow",
+                self._jobs(bound_scaled),
+                self._first_overflow_scaled_py,
+                bound_scaled,
             )
         _PDA_ITERATIONS.observe(result[2])
         return result
@@ -518,10 +559,12 @@ class DemandKernel:
         (cross-multiplied integer compares; no float on a verdict path),
         one `Fraction` built only for the final result."""
         _BEST_RATIO_CALLS.inc()
+        horizon_scaled = self.inclusive_scaled(horizon)
         return self._walk(
             "best_ratio",
+            self._jobs(horizon_scaled),
             self._best_ratio_scaled_py,
-            self.inclusive_scaled(horizon),
+            horizon_scaled,
             floor,
         )
 
@@ -538,8 +581,9 @@ class DemandKernel:
     def count_steps(self, bound: Time) -> int:
         """Number of staircase jobs (not folded) with deadline ≤ *bound*."""
         _COUNT_STEPS_CALLS.inc()
+        b = self.inclusive_scaled(bound)
         return self._walk(
-            "count_steps", self._count_steps_scaled_py, self.inclusive_scaled(bound)
+            "count_steps", self._jobs(b), self._count_steps_scaled_py, b
         )
 
     def _count_steps_scaled_py(self, bound_scaled: ExactTime) -> int:
@@ -598,7 +642,11 @@ class DemandKernel:
         _QPA_CALLS.inc()
         with _obs_span("kernel.qpa", n=self.n):
             status, t, demand, iterations = self._walk(
-                "qpa", self._qpa_scaled_py, limit, floor_s
+                "qpa",
+                self.n * _QPA_JOBS_PER_COMPONENT,
+                self._qpa_scaled_py,
+                limit,
+                floor_s,
             )
         _QPA_ITERATIONS.observe(iterations)
         if status == "infeasible":
@@ -701,7 +749,10 @@ class EnvelopeWalk:
     * ``slope = Σ w`` and ``base = Σ w·anchor`` over the approximated
       components, with ``(hyper, weights)`` from
       :meth:`DemandKernel.envelope_weights`: integers on a compiled
-      kernel, `Fraction` rates over ``1`` on an incremental one.
+      kernel, `Fraction` rates over ``1`` on an incremental one.  These
+      exact sums are kept lazily: a switch, like each component the
+      window seed enters already switched, appends ``(w, anchor)`` to
+      ``pending`` and updates only the float screen.
     * ``approx``: approximated component → anchor, in insertion order
       (All-Approximated's FIFO order; ``sorted()`` gives Dynamic's index
       order).
@@ -714,7 +765,10 @@ class EnvelopeWalk:
     sums, so acceptance stays a proof and witnesses stay exact.  The
     float sums only grow between failures and are recomputed from the
     exact sums after each one.  A value too wide for a float turns the
-    screen off for the rest of the walk.
+    screen off for the rest of the walk.  ``pending`` is folded into
+    ``slope``/``base`` when a check is too close for the screen (or the
+    screen is off), hence before every ``on_fail`` call, and in
+    :meth:`demand`.
 
     A window floor ``lo > 0`` seeds the walk with its state there:
     components whose level-th job falls below *lo* enter already
@@ -732,8 +786,7 @@ class EnvelopeWalk:
         hyper, weights = kernel.envelope_weights()
         counted = [0] * kernel.n
         exact: ExactTime = 0
-        slope: ExactTime = 0
-        base: ExactTime = 0
+        pending: List[Tuple[ExactTime, ExactTime]] = []
         # Seeds from the by-deadline view: in-window first deadlines,
         # then each below-window component's state at the floor.
         pairs, keys = kernel._sorted_pairs, kernel._sorted_keys
@@ -749,9 +802,7 @@ class EnvelopeWalk:
             if below >= level:
                 exact += level * wcets[idx]
                 counted[idx] = level
-                w = weights[idx]
-                slope += w
-                base += w * (d0 + (level - 1) * p)
+                pending.append((weights[idx], d0 + (level - 1) * p))
                 continue
             exact += below * wcets[idx]
             counted[idx] = below
@@ -767,8 +818,9 @@ class EnvelopeWalk:
         self.exact = exact
         self.hyper = hyper
         self.weights = weights
-        self.slope = slope
-        self.base = base
+        self.slope: ExactTime = 0
+        self.base: ExactTime = 0
+        self.pending = pending
         self.approx = {}
         self.iterations = 0
         self.intervals = 0
@@ -778,6 +830,12 @@ class EnvelopeWalk:
     def demand(self, interval: ExactTime) -> ExactTime:
         """Approximated demand at the grid *interval*, in original units,
         exact (an `int` when integral)."""
+        pending, slope, base = self.pending, self.slope, self.base
+        for w, anchor in pending:  # the fold of run()
+            slope += w
+            base += w * anchor
+        pending.clear()
+        self.slope, self.base = slope, base
         hyper = self.hyper
         value = self.kernel.unscale(
             Fraction(self.exact * hyper + self.slope * interval - self.base, hyper)
@@ -803,16 +861,21 @@ class EnvelopeWalk:
         heap, counted, approx, hi = self.heap, self.counted, self.approx, self.hi
         level = self.level
         exact, slope, base = self.exact, self.slope, self.base
+        pending = self.pending
         iterations, intervals = self.iterations, self.intervals
         revisions, seq = self.revisions, self._seq
         try:  # hf == 0.0: the screen is off
             hf = float(hyper)
             uf, bf = float(slope) / hf, float(base) / hf
+            for w, anchor in pending:
+                wf = float(w) / hf
+                uf += wf
+                bf += wf * anchor
         except OverflowError:
             hf = uf = bf = 0.0
         # A flag, not ``slope`` itself: the truth test of a `Fraction`
         # slope is a method call at every step.
-        enveloped = bool(slope)
+        enveloped = bool(slope) or bool(pending)
         last = None
         while heap:
             interval, _, idx = heap[0]
@@ -835,6 +898,11 @@ class EnvelopeWalk:
                                 break
                         except OverflowError:
                             hf = 0.0
+                    if pending:  # fold the switches the screen hid
+                        for w, anchor in pending:
+                            slope += w
+                            base += w * anchor
+                        pending.clear()
                     if (exact - interval) * hyper + slope * interval <= base:
                         break
                 self.exact, self.slope, self.base = exact, slope, base
@@ -876,8 +944,7 @@ class EnvelopeWalk:
                 heappop(heap)
                 if p:
                     w = weights[idx]
-                    slope += w
-                    base += w * interval
+                    pending.append((w, interval))
                     approx[idx] = interval
                     enveloped = True
                     if hf:

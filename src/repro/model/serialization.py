@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import enum
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Union
@@ -281,6 +283,34 @@ def load_any(
 # string — "U > 1" is a reason, not a rational), tuples become lists,
 # and anything unrepresentable degrades to a ``{"$str": ...}`` marker.
 # Everything a test actually emits round-trips exactly.
+#
+# Exact values of large systems outgrow the interpreter's int<->str
+# digit limit (``sys.get_int_max_str_digits()``, 4300 by default): the
+# utilization of a 3000-task set with periods up to 100,000 has a
+# denominator of ~4,700 digits.  Past the limit the digits go through
+# `Decimal`, which converts exactly and is exempt from it.  Reading them
+# back is quadratic in the digit count (~0.1 s at 50,000 digits), so a
+# `$frac` term longer than :data:`_MAX_FRAC_DIGITS` is refused.
+
+_MAX_FRAC_DIGITS = 50_000
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _decode_fraction(text: Any) -> Fraction:
+    """``Fraction(text)``, also for ``"p/q"`` terms past the digit limit."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        if not isinstance(text, str):
+            raise
+        terms = text.strip().split("/")
+        if len(terms) > 2 or not all(_INTEGER.fullmatch(t) for t in terms):
+            raise
+        if max(map(len, terms)) > _MAX_FRAC_DIGITS:
+            raise ValueError(
+                f"a $frac term has more than {_MAX_FRAC_DIGITS} digits"
+            ) from None
+        return Fraction(*(int(Decimal(t)) for t in terms))
 
 
 def encode_value(value: Any) -> Any:
@@ -288,7 +318,10 @@ def encode_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
     if isinstance(value, Fraction):
-        return {"$frac": f"{value.numerator}/{value.denominator}"}
+        try:
+            return {"$frac": f"{value.numerator}/{value.denominator}"}
+        except ValueError:  # past the int->str digit limit
+            return {"$frac": f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"}
     if isinstance(value, enum.Enum):
         return encode_value(value.value)
     if isinstance(value, (list, tuple)):
@@ -304,7 +337,7 @@ def decode_value(value: Any) -> Any:
         return [decode_value(v) for v in value]
     if isinstance(value, dict):
         if set(value) == {"$frac"}:
-            exact = Fraction(value["$frac"])
+            exact = _decode_fraction(value["$frac"])
             return exact.numerator if exact.denominator == 1 else exact
         if set(value) == {"$str"}:
             return value["$str"]

@@ -27,7 +27,10 @@ staged pipeline whose per-event cost is far below a from-scratch
    sums are the maintained `Fraction` rates (``H = 1``), since churn
    keeps changing the lcm of the periods an integer ``H`` would need;
    the walk's float screen decides every check that clears the capacity
-   line by a margin, and only closer ones touch the `Fraction` sums.
+   line by a margin, and the walk adds up its exact `Fraction` sums
+   (denominators thousands of bits wide at 1000 tasks) only for a
+   closer check or a failure, so a common-case pass does no `Fraction`
+   addition at all.
 3. **Exact confirmation** — QPA restricted to the perturbed demand
    window.  The controller's invariant is that the admitted system is
    exactly feasible, i.e. ``dbf(t) <= t`` for *all* ``t``; an arrival
@@ -40,14 +43,20 @@ staged pipeline whose per-event cost is far below a from-scratch
 
 The system lives in an :class:`~repro.kernel.incremental.IncrementalKernel`
 — arrivals merge one component's scaled stride triple into the compiled
-flat arrays, departures remove a span; no per-event recompile.  The
-feasibility bounds the stages search under (Baruah / George /
-superposition) are linear functionals of the component set plus two
-maxima, all maintained incrementally as exact `Fraction` sums, so each
-event reconstitutes the exact same bound values a fresh
+flat arrays, departures remove a span by bisection; no per-event
+recompile.  The feasibility bounds the stages search under (Baruah /
+George / superposition) are linear functionals of the component set
+plus two maxima, all maintained incrementally as exact `Fraction` sums,
+so each event reconstitutes the exact same bound values a fresh
 :class:`~repro.engine.context.AnalysisContext` would compute — which is
 what makes controller verdicts bit-exact with from-scratch engine
 analysis (the replay harness's oracle mode asserts this per event).
+The filter's superposition bound ``max(dmax, linear / (1 − U))`` is
+compared before it is divided, on floats first (a 1e-6 relative margin
+far above their rounding error) and exactly only when they are too
+close: the largest deadline usually wins at the loads the controller
+runs at, and then neither the quotient nor the exact comparison of
+two `Fraction`s with denominators thousands of bits wide is formed.
 
 Departures never need re-verification: removing a component lowers the
 demand bound function pointwise, so a feasible system stays feasible
@@ -575,8 +584,19 @@ class AdmissionController:
             return None
         if not self._kernel.n:
             return 0
-        linear = (self._superpos_num + self._oneshot) / (1 - self._u)
-        return _exact(max(Fraction(self._dmax.max), linear))
+        # max(dmax, linear / (1 - U)), compared before dividing, on
+        # floats while they clear it by a margin far above their
+        # rounding error (see the module docstring).
+        dmax = self._dmax.max
+        linear = self._superpos_num + self._oneshot
+        headroom = 1 - self._u
+        try:
+            clear = float(linear) < 0.999999 * float(dmax) * float(headroom)
+        except OverflowError:
+            clear = False
+        if clear or linear <= dmax * headroom:
+            return _exact(dmax)
+        return _exact(linear / headroom)
 
     def _best_bound(self) -> ExactTime:
         candidates = [

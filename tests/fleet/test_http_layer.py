@@ -255,6 +255,21 @@ class TestHostileInput:
         )
         assert status == 400
 
+    def test_frac_past_the_digit_cap_is_400(self, local_workers):
+        """Exact values past the interpreter's int<->str limit are read
+        through `Decimal`, which is quadratic in the digits, so a term
+        past the cap is refused before any conversion."""
+        worker = local_workers("wide")
+        document = shard_document()
+        document["entries"][0]["tag"] = {"$frac": "7" * 1_000_000 + "/3"}
+        body = json.dumps(document).encode("utf-8")
+        begin = time.perf_counter()
+        status, _ = raw_post(
+            worker.url, "/v1/fleet/shard", json_headers(str(len(body))), body
+        )
+        assert status == 400
+        assert time.perf_counter() - begin < 5
+
     def test_non_object_shard_body_is_400(self, local_workers):
         worker = local_workers("listy")
         body = b"[1, 2, 3]"

@@ -195,12 +195,12 @@ def test_dispatch_counters_track_calls_and_fallbacks():
     assert (info["calls"], info["fallbacks"]) == (1, int(HAS_NUMPY))
 
 
-def _uniform_components(count):
-    """*count* unit tasks of period 64 (``Σ 1/T = count/64``), integer
-    parameters, so the kernel's grid is the original time line."""
+def _uniform_components(count, period=64):
+    """*count* unit tasks of period *period* (``Σ 1/T = count/period``),
+    integer parameters, so the kernel's grid is the original time line."""
     return as_components(
         [
-            DemandComponent(wcet=1, first_deadline=4 * i + 3, period=64)
+            DemandComponent(wcet=1, first_deadline=4 * i + 3, period=period)
             for i in range(count)
         ]
     )
@@ -216,17 +216,34 @@ _WALKS = {
 }
 
 
-@pytest.mark.parametrize("walk", sorted(_WALKS))
-def test_size_rule_picks_the_loop_at_its_threshold(walk):
-    """16 tasks of period 64: ``n + b · Σ 1/T = 16 + b/4`` reaches the
-    threshold one grid step after the last bound kept in python.  Below
-    it the python loop runs and builds no array; at it numpy's loop
-    serves the walk when numpy is installed.  Neither is a fallback, and
-    both answer as the pinned python loop does."""
+def _threshold_cases(walk):
+    """``(components, b)`` just below and at the size rule's threshold.
+
+    The forward walks are sized ``n + b · Σ 1/T``: for 16 tasks of
+    period 64, ``16 + b/4`` reaches the threshold one grid step after
+    the last bound kept in python.  QPA is sized by its component count
+    whatever the bound: one task short of the threshold stays in python
+    over a long bound, and the threshold's count reaches numpy over a
+    short one."""
+    if walk == "qpa":
+        n = kernel_module._MIN_VECTOR_JOBS // kernel_module._QPA_JOBS_PER_COMPONENT
+        return (
+            (_uniform_components(n - 1, period=1024), 10**6),
+            (_uniform_components(n, period=1024), 600),
+        )
     comps = _uniform_components(16)
     threshold = (kernel_module._MIN_VECTOR_JOBS - 16) * 4
+    return ((comps, threshold - 1), (comps, threshold))
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_size_rule_picks_the_loop_at_its_threshold(walk):
+    """Below the threshold the python loop runs and builds no array; at
+    it numpy's loop serves the walk when numpy is installed.  Neither is
+    a fallback, and both answer as the pinned python loop does."""
     call = _WALKS[walk]
-    for b, runs_numpy in ((threshold - 1, False), (threshold, HAS_NUMPY)):
+    below, at = _threshold_cases(walk)
+    for (comps, b), runs_numpy in ((below, False), (at, HAS_NUMPY)):
         kernel = DemandKernel(comps)
         assert kernel.scale == 1
         with _min_vector_jobs(math.inf):
@@ -237,6 +254,21 @@ def test_size_rule_picks_the_loop_at_its_threshold(walk):
         assert (kernel._vec_cache is not None) == runs_numpy, b
         info = backend_info()
         assert (info["calls"], info["fallbacks"]) == (1, 0), b
+
+
+def test_short_qpa_walk_over_a_long_bound_stays_in_python():
+    """16 tasks to the bound 10⁶: ``n + b · Σ 1/T`` counts ~250,000
+    jobs, but QPA takes a few ``dbf`` steps over 16 components, which
+    the python loop runs faster than numpy's, so QPA is sized by its
+    component count and this walk builds no array."""
+    kernel = DemandKernel(_uniform_components(16))
+    with _min_vector_jobs(math.inf):
+        expected = kernel.qpa(10**6)
+    reset_walk_counters()
+    assert kernel.qpa(10**6) == expected
+    assert kernel._vec_cache is None
+    info = backend_info()
+    assert (info["calls"], info["fallbacks"]) == (1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +403,8 @@ def test_fallback_sets_stay_bit_exact(comps_factory, bound):
     with _min_vector_jobs(math.inf):
         expected = _snapshot(kernel, bound)
     reset_walk_counters()
-    assert _snapshot(kernel, bound) == expected
+    with _min_vector_jobs(0):  # QPA on these few components too
+        assert _snapshot(kernel, bound) == expected
     info = backend_info()
     # Each walk clears the size rule and numpy's loop declines it.
     assert info["calls"] == 4

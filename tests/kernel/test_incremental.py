@@ -37,12 +37,34 @@ def _random_component(rng: random.Random) -> DemandComponent:
     )
 
 
+def _coincident_components(d0: int = 6):
+    """Three components sharing their first deadline, each with its own
+    period and wcet, so a removal that picks the wrong one of them shows
+    in the by-deadline views."""
+    return [
+        DemandComponent(wcet=1, first_deadline=d0, period=7),
+        DemandComponent(wcet=2, first_deadline=d0, period=11),
+        DemandComponent(wcet=Fraction(1, 3), first_deadline=d0, period=13),
+    ]
+
+
+def _views(kernel: DemandKernel):
+    """The by-deadline views in original units."""
+    u = kernel.unscale
+    return (
+        [(u(d), i) for d, i in kernel._sorted_pairs],
+        [u(d) for d in kernel._sorted_keys],
+        [tuple(map(u, triple)) for triple in kernel._sorted_triples],
+    )
+
+
 def _assert_equivalent(incremental: IncrementalKernel, components) -> None:
     """Every observable primitive must match a freshly compiled kernel.
 
     The incremental kernel may sit on a *larger* grid (the scale never
-    shrinks on removal), so raw arrays are compared after unscaling and
-    the primitives through their original-unit interfaces.
+    shrinks on removal), so raw arrays and the by-deadline views are
+    compared after unscaling and the primitives through their
+    original-unit interfaces.
     """
     fresh = DemandKernel(components)
     assert incremental.n == fresh.n
@@ -64,6 +86,18 @@ def _assert_equivalent(incremental: IncrementalKernel, components) -> None:
     assert incremental.first_overflow(horizon) == fresh.first_overflow(horizon)
     assert incremental.prev_deadline(horizon) == fresh.prev_deadline(horizon)
     assert incremental.count_steps(horizon) == fresh.count_steps(horizon)
+    assert _views(incremental) == _views(fresh)
+    # The envelope walk runs on (1, rates) here and on the integer
+    # (H, w) of the fresh compile; windows seed pre-switched components.
+    for level in (1, 2, 5):
+        for lo in (0, 9, 31):
+            assert incremental.superpos_scan(level, lo, horizon) == (
+                fresh.superpos_scan(level, lo, horizon)
+            ), (level, lo)
+    for floor in (0, 12, 45):
+        assert incremental.qpa(horizon, floor=floor) == fresh.qpa(
+            horizon, floor=floor
+        ), floor
 
 
 class TestIncrementalKernel:
@@ -79,7 +113,22 @@ class TestIncrementalKernel:
 
     def test_remove_span_matches_fresh_compile(self, rng):
         components = [_random_component(rng) for _ in range(20)]
+        components[4:4] = _coincident_components()
         kernel = IncrementalKernel(components)
+        # A span of coincident first deadlines, with components after it.
+        kernel.remove_span(5, 2)
+        del components[5:7]
+        _assert_equivalent(kernel, components)
+        # The newest component leaves right after its add (a departure
+        # after its arrival, a rejected candidate).
+        for component in (_random_component(rng), _coincident_components(2)[1]):
+            kernel.add(component)
+            kernel.remove_span(kernel.n - 1)
+            _assert_equivalent(kernel, components)
+        # Spans followed by fewer components than they hold.
+        kernel.remove_span(len(components) - 4, 3)
+        del components[-4:-1]
+        _assert_equivalent(kernel, components)
         while components:
             start = rng.randrange(len(components))
             count = rng.randint(1, min(3, len(components) - start))
@@ -95,8 +144,15 @@ class TestIncrementalKernel:
                 start = rng.randrange(len(components))
                 kernel.remove_span(start, 1)
                 del components[start]
+            elif step % 7 == 3:
+                # An arrival that leaves again at once: a tail removal
+                # right after the add, between coincident deadlines.
+                kernel.add(_coincident_components(9)[step % 3])
+                kernel.remove_span(kernel.n - 1)
             else:
                 component = _random_component(rng)
+                if step % 5 == 0:
+                    component = _coincident_components(9)[step % 3]
                 components.append(component)
                 kernel.add(component)
             if step % 10 == 9:

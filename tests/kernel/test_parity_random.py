@@ -49,7 +49,8 @@ from repro.core import all_approx_test, dynamic_test, superposition_test
 from repro.engine import analyze
 from repro.engine.context import AnalysisContext, clear_context_cache
 from repro.generation import example_systems
-from repro.kernel import DemandKernel, IncrementalKernel
+from repro.core.superposition import approximated_dbf
+from repro.kernel import DemandKernel, EnvelopeWalk, IncrementalKernel
 from repro.model.components import DemandComponent, as_components
 
 from .reference_walks import (
@@ -558,6 +559,29 @@ def test_superpos_scan_agrees_across_envelope_representations(comps):
     floors = sorted({0, *deadlines[:4], max(deadlines) + 1})
     for level in (1, 3):
         _assert_same_superpos_scans(comps, level, floors, 80)
+
+
+def test_accepted_walk_demand_is_the_approximated_dbf():
+    """After a walk accepts up to its bound ``hi``, ``demand(hi)`` is
+    ``dbf'(hi)`` of paper Def. 5: the switched components' envelopes,
+    which the walk adds to its exact sums only when it needs them, plus
+    the exact demand of the others, on both envelope representations
+    and from every window floor."""
+    accepted = 0
+    for param in _WINDOW_SYSTEMS:
+        comps = param.values[0]
+        floors = {0, *(c.first_deadline for c in comps[:4] if c.first_deadline <= 80)}
+        for kernel in (DemandKernel(comps), IncrementalKernel(comps)):
+            hi = kernel.inclusive_scaled(80)
+            for level in (1, 3):
+                for lo in sorted(floors):
+                    walk = EnvelopeWalk(kernel, level, kernel.exclusive_scaled(lo), hi)
+                    if walk.run(lambda walk, interval: interval) is not None:
+                        continue
+                    accepted += 1
+                    expected = approximated_dbf(comps, kernel.unscale(hi), level)
+                    assert walk.demand(hi) == expected, (param.id, level, lo)
+    assert accepted >= 100, accepted
 
 
 def _assert_same_result(result, expected, label=None):

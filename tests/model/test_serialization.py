@@ -208,3 +208,29 @@ class TestSystemValidation:
     def test_loads_system_surfaces_json_errors_as_json_errors(self):
         with pytest.raises(json.JSONDecodeError):
             loads_system("{not json")
+
+
+class TestExactValuesPastTheDigitLimit:
+    """Exact values wider than the interpreter's 4300-digit int<->str
+    limit: the utilization of a 3000-task set with periods up to 100,000
+    has a denominator of ~4,700 digits."""
+
+    def test_wide_result_round_trips(self):
+        from repro.engine import analyze
+        from repro.generation import generate_taskset
+        from repro.model.serialization import result_from_dict, result_to_dict
+
+        tasks = generate_taskset(n=3000, utilization=0.85, gap=(0.1, 0.4), seed=5)
+        result = analyze(tasks, test="qpa")
+        assert Fraction(tasks.utilization).denominator > 10**4300
+        document = json.loads(json.dumps(result_to_dict(result)))
+        assert result_from_dict(document) == result
+        assert result_from_dict(document).details["utilization"] == tasks.utilization
+
+    def test_frac_terms_past_the_cap_are_refused_fast(self):
+        from repro.model.serialization import decode_value
+
+        with pytest.raises(ValueError, match="digits"):
+            decode_value({"$frac": "7" * 200_000 + "/3"})
+        with pytest.raises(ValueError):
+            decode_value({"$frac": "7" * 5_000 + "/x"})

@@ -174,6 +174,19 @@ class TestBookkeeping:
         ctx = AnalysisContext.of(list(controller.snapshot()))
         assert controller._best_bound() == ctx.bound(BoundMethod.BEST)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_superposition_bound_near_a_tie(self, offset):
+        """``linear / (1 − U)`` within ~5e-8 of ``D_max`` (equal at
+        offset 0), too close for the float screen: the exact comparison
+        picks the larger term on either side of the tie.  Here
+        ``linear / (1 − U) ≤ D_max`` iff ``Σ (C/T)(T − D + D_max) ≤
+        D_max``, i.e. ``0.8 · 105 + C_B ≤ 104``."""
+        from repro.analysis.bounds import superposition_bound
+
+        tasks = [_task(8, 9, 10), _task(20 + Fraction(offset, 10**6), 104, 1000)]
+        controller = AdmissionController(tasks)
+        assert controller._bound_superposition() == superposition_bound(tasks)
+
     def test_stats_counters(self):
         controller = AdmissionController()
         controller.admit(_task(1, 10, 10), name="a")

@@ -3,11 +3,13 @@
 import json
 import urllib.error
 import urllib.request
+from fractions import Fraction
 
 import pytest
 
 from repro.generation import generate_taskset, generate_trace
 from repro.model import SporadicTask, TaskSet, taskset_to_dict
+from repro.model.serialization import decode_value, event_to_dict
 from repro.online import ArrivalEvent
 from repro.service import AnalysisServer, ServiceClient, ServiceError
 
@@ -105,6 +107,30 @@ class TestSessionLifecycle:
         )
         assert decision["stage"] == "exact"
         client.close_admission_session(session_id)
+
+
+    def test_wide_exact_utilization_goes_on_the_wire(self, server, client):
+        """A 3000-task session: the utilization's denominator has more
+        digits than the interpreter's int->str limit (4300).  The
+        arrival answers 200, and its decision's ``$frac`` reads back as
+        the session's exact utilization."""
+        tasks = generate_taskset(n=3000, utilization=0.85, gap=(0.1, 0.4), seed=5)
+        assert Fraction(tasks.utilization).denominator > 10**4300
+        status, body = _post_raw(
+            server, "/v1/admission", {"taskset": taskset_to_dict(tasks)}
+        )
+        assert status == 201
+        arrival = SporadicTask(wcet=20, deadline=9_000, period=10_000)
+        status, answer = _post_raw(
+            server,
+            f"/v1/admission/{body['session']}/events",
+            {"events": [event_to_dict(ArrivalEvent.arrive("a", arrival))]},
+        )
+        assert status == 200
+        (decision,) = answer["decisions"]
+        expected = tasks.utilization + Fraction(20, 10_000) * decision["admitted"]
+        assert decode_value(decision["utilization"]) == expected
+        client.close_admission_session(body["session"])
 
 
 class TestSessionErrors:
