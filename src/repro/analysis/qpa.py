@@ -47,7 +47,7 @@ def qpa_test(
     if early is not None:
         return early
     u = ctx.utilization
-    if not ctx.components:
+    if not ctx.fingerprint:
         return FeasibilityResult(
             verdict=Verdict.FEASIBLE, test_name=name, iterations=0
         )

@@ -46,11 +46,13 @@ The walk is the kernel's :class:`~repro.kernel.kernel.EnvelopeWalk` at
 level 1, the loop ``SuperPos(x)`` and the Dynamic test run too; this
 module is its failure policy: name one approximated component to
 revise, or stop INFEASIBLE when none is left.  The walk's ``approx``
-dict keeps insertion order, which is the FIFO order.  Its envelope sums
-are integers over :meth:`~repro.kernel.DemandKernel.envelope_weights`
-``(H, w)``, ``w_i / H = C_i / T_i``, so the largest-error key becomes
-``((I - d0) mod T) · w``, ``H`` times ``app(I, tau)`` for every
-component alike, and ``max()`` keeps its order and its ties.
+dict keeps insertion order, which is the FIFO order.  The largest-error
+pick compares ``app(I, tau) = ((I - d0) mod T) · C / T`` across the
+approximated components by cross-multiplying the kernel's grid values,
+not by products with the ``H``-scaled weights of
+:meth:`~repro.kernel.DemandKernel.envelope_weights` (hundreds of bits
+wide on many-period systems); a strict ``>`` keeps the first largest in
+insertion order.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def all_approx_test(
     u = ctx.utilization
 
     kernel = ctx.kernel()
-    d0s, periods = kernel.d0s, kernel.periods
+    d0s, periods, wcets = kernel.d0s, kernel.periods, kernel.wcets
     # Backstop for U == 1, where the implicit superposition bound
     # diverges; within U < 1 the test list provably drains on its own.
     hi = kernel.inclusive_scaled(ctx.busy_period()) if u == 1 else inf
@@ -108,12 +110,17 @@ def all_approx_test(
         if revision_policy == RevisionPolicy.FIFO:
             return [next(iter(approx))]
         if revision_policy == RevisionPolicy.LARGEST_ERROR:
-            # app(I, tau) = frac((I - d0)/T) * C = ((I - d0) mod T) * rate
-            # (Lemma 6), times the common ``hyper`` for every component
-            # alike, so max() keeps its order and its ties.
-            return [
-                max(approx, key=lambda j: (interval - d0s[j]) % periods[j] * weights[j])
-            ]
+            # app(I, tau) = frac((I - d0)/T) * C = ((I - d0) mod T) * C / T
+            # (Lemma 6), compared as num / T by cross-multiplying the grid
+            # values (the -1 / 1 start is below every app >= 0); the
+            # strict ``>`` keeps the first largest in insertion order.
+            best, best_num, best_period = None, -1, 1
+            for j in approx:
+                period = periods[j]
+                num = (interval - d0s[j]) % period * wcets[j]
+                if num * best_period > best_num * period:
+                    best, best_num, best_period = j, num, period
+            return [best]
         return [max(approx, key=weights.__getitem__)]
 
     interval = walk.run(revise)

@@ -14,11 +14,18 @@ canonical fingerprint of the task set, so that
   the same candidate twice, repeated CLI calls on a cached set) hits the
   module-level context cache instead of recomputing.
 
-The cache lookup happens before normalization: :func:`fingerprint_of`
-reads the key straight off the source's task and component entries, so
-a hit (every test of a battery after the first, each handed its own equal
-`TaskSet`) builds no `DemandComponent` and no rate.  Only a miss
-normalizes the source and sums its utilization, on integers.
+The fingerprint is the normal form.  :func:`fingerprint_of` reads its
+``(wcet, first_deadline, period, source)`` rows straight off the
+source's task and component entries, and the cache is looked up with
+it, so a hit (every test of a battery after the first, each handed its
+own equal `TaskSet`) builds nothing.  A miss builds the context from the
+same rows: the utilization is a :func:`~repro.model.numeric.rate_sum`
+over their ``(wcet, period)`` pairs, on integers, and the kernel
+compiles from them (:meth:`~repro.kernel.DemandKernel.from_rows`).
+:attr:`AnalysisContext.components` builds the equal `DemandComponent`
+tuple on first read, for the few readers that need objects, so the
+tests that run on the kernel — the paper's battery among them — never
+build a component.
 
 The cache is a small LRU — analysis sweeps over millions of *distinct*
 sets stay O(cache size) in memory.  It lives and dies with the process:
@@ -35,13 +42,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
-from ..model.components import (
-    DemandComponent,
-    DemandSource,
-    as_components,
-    total_utilization,
-)
-from ..model.numeric import ExactTime, Time, to_exact
+from ..model.components import DemandComponent, DemandSource, as_components
+from ..model.numeric import ExactTime, Time, rate_sum, to_exact
 from ..model.task import SporadicTask
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
@@ -86,29 +88,30 @@ _CACHE_MISSES = _obs_counter(
 
 
 class AnalysisContext:
-    """Normalized components plus memoized per-system quantities.
+    """One system's normal form plus memoized per-system quantities.
 
     Instances are obtained through :meth:`AnalysisContext.of`, never
     constructed directly by tests; identity of the underlying system is
-    its :attr:`fingerprint` (component parameters in source order).
+    its :attr:`fingerprint` (component parameters in source order), and
+    everything else is computed from those rows.
     """
 
     __slots__ = (
-        "components",
         "fingerprint",
         "utilization",
+        "_components",
         "_bounds",
         "_busy_period",
         "_dbf_cache",
         "_kernel",
     )
 
-    def __init__(
-        self, components: Tuple[DemandComponent, ...], fingerprint: Fingerprint
-    ) -> None:
-        self.components = components
+    def __init__(self, fingerprint: Fingerprint) -> None:
         self.fingerprint = fingerprint
-        self.utilization = total_utilization(components)
+        self.utilization = rate_sum(
+            (c, t) for c, _, t, _ in fingerprint if t is not None
+        )
+        self._components: Optional[Tuple[DemandComponent, ...]] = None
         self._bounds: Dict["BoundMethod", Optional[ExactTime]] = {}
         self._busy_period: Optional[ExactTime] = None
         self._dbf_cache: Dict[ExactTime, ExactTime] = {}
@@ -121,7 +124,7 @@ class AnalysisContext:
     @classmethod
     def of(cls, source: DemandSource) -> "AnalysisContext":
         """The cached context of *source*, found by its fingerprint;
-        *source* is normalized only on a miss."""
+        a miss builds the context from that fingerprint."""
         if isinstance(source, AnalysisContext):
             return source
         if iter(source) is source:  # an iterator: read it once
@@ -136,7 +139,7 @@ class AnalysisContext:
             _CACHE_MISSES.inc()
         # Built outside the lock; a concurrent miss on the same key at
         # worst builds a second context, and the first one stored wins.
-        ctx = cls(tuple(as_components(source)), key)
+        ctx = cls(key)
         with _CACHE_LOCK:
             existing = _CONTEXTS.get(key)
             if existing is not None:
@@ -148,6 +151,20 @@ class AnalysisContext:
             while len(_CONTEXTS) > _CACHE_MAX:
                 _CONTEXTS.popitem(last=False)
         return ctx
+
+    @property
+    def components(self) -> Tuple[DemandComponent, ...]:
+        """The system as `DemandComponent`s, equal to
+        ``tuple(as_components(source))``: built from the fingerprint rows
+        on first read, for the readers that need objects (the busy
+        period, the utilization and RTC tests)."""
+        components = self._components
+        if components is None:
+            components = tuple(
+                DemandComponent(c, d, t, name) for c, d, t, name in self.fingerprint
+            )
+            self._components = components
+        return components
 
     # ------------------------------------------------------------------
     # Preflight gates
@@ -233,7 +250,7 @@ class AnalysisContext:
         if kernel is None:
             from ..kernel import DemandKernel
 
-            kernel = DemandKernel(self.components)
+            kernel = DemandKernel.from_rows(self.fingerprint)
             self._kernel = kernel
         return kernel
 
@@ -255,13 +272,11 @@ class AnalysisContext:
     @property
     def min_first_deadline(self) -> Optional[ExactTime]:
         """Smallest first deadline, or ``None`` for an empty system."""
-        if not self.components:
-            return None
-        return min(c.first_deadline for c in self.components)
+        return min((d for _, d, _, _ in self.fingerprint), default=None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"AnalysisContext(n={len(self.components)}, "
+            f"AnalysisContext(n={len(self.fingerprint)}, "
             f"U={float(self.utilization):.4f})"
         )
 

@@ -18,6 +18,14 @@ factor without giving up exactness:
   the kernel falls back to the exact mixed `int`/`Fraction` path; the
   loops are identical, only the array element type changes, so verdicts
   are bit-exact in both modes.
+* **One compile routine, over rows.**  A kernel compiles from
+  ``(wcet, first_deadline, period)`` rows: :meth:`DemandKernel.from_rows`
+  takes them straight from an
+  :class:`~repro.engine.context.AnalysisContext` fingerprint, and
+  ``DemandKernel(components)`` reads them off its components and runs
+  the same routine.  When every value is an ``int`` the grid scale is
+  1 and the columns of the rows are the arrays as they stand — no
+  per-value ``lcm`` or rescaling; rational rows take the scaling above.
 * **Flat layout.**  Parameters live in parallel tuples ``(d0s, periods,
   wcets)`` in source order, plus a by-first-deadline sorted view for
   binary searches — no per-step attribute or method dispatch.
@@ -263,29 +271,45 @@ class DemandKernel:
     )
 
     def __init__(self, components: Sequence[DemandComponent]) -> None:
-        comps = tuple(components)
-        self.n = len(comps)
-        scale = 1
-        for c in comps:
-            scale = lcm(scale, c.wcet.denominator, c.first_deadline.denominator)
-            if c.period is not None:
-                scale = lcm(scale, c.period.denominator)
-            if scale > SCALE_CAP:
-                break
-        if scale > SCALE_CAP:
-            self.scale: Optional[int] = None
-            self.d0s: Tuple[ExactTime, ...] = tuple(c.first_deadline for c in comps)
-            self.periods: Tuple[ExactTime, ...] = tuple(
-                c.period if c.period is not None else 0 for c in comps
-            )
-            self.wcets: Tuple[ExactTime, ...] = tuple(c.wcet for c in comps)
+        self._compile([(c.wcet, c.first_deadline, c.period) for c in components])
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Tuple[Any, ...]]) -> "DemandKernel":
+        """Compile straight from ``(wcet, first_deadline, period, ...)``
+        rows of normalised component parameters (``period`` ``None`` for
+        a one-shot; later fields, such as a fingerprint row's source
+        label, are ignored) — no `DemandComponent` is needed."""
+        kernel = cls.__new__(cls)
+        kernel._compile(rows)
+        return kernel
+
+    def _compile(self, rows: Sequence[Tuple[Any, ...]]) -> None:
+        """The one compile routine: rows to the flat grid arrays."""
+        self.n = len(rows)
+        wcets, d0s, periods = tuple(zip(*rows))[:3] if rows else ((), (), ())
+        types = {*map(type, wcets), *map(type, d0s), *map(type, periods)}
+        if type(None) in types:  # one-shots store the period-0 sentinel
+            periods = tuple(0 if p is None else p for p in periods)
+            types.discard(type(None))
+        if types <= {int}:
+            # An integer system is its own grid: scale 1, columns as given.
+            self.scale: Optional[int] = 1
         else:
-            self.scale = scale
-            self.d0s = tuple(int(c.first_deadline * scale) for c in comps)
-            self.periods = tuple(
-                int(c.period * scale) if c.period is not None else 0 for c in comps
-            )
-            self.wcets = tuple(int(c.wcet * scale) for c in comps)
+            scale = 1
+            for value in (*wcets, *d0s, *periods):
+                scale = lcm(scale, value.denominator)
+                if scale > SCALE_CAP:
+                    break
+            if scale > SCALE_CAP:
+                self.scale = None
+            else:
+                self.scale = scale
+                d0s = tuple(int(x * scale) for x in d0s)
+                periods = tuple(int(x * scale) for x in periods)
+                wcets = tuple(int(x * scale) for x in wcets)
+        self.d0s: Tuple[ExactTime, ...] = d0s
+        self.periods: Tuple[ExactTime, ...] = periods
+        self.wcets: Tuple[ExactTime, ...] = wcets
         self._rates: Optional[Tuple[Fraction, ...]] = None
         # Σ 1/T for the size rule, and the int64 arrays of numpy's
         # loops: built lazily, invalidated by incremental mutation.

@@ -53,19 +53,27 @@ class DemandComponent:
     source: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wcet", to_exact(self.wcet))
-        object.__setattr__(self, "first_deadline", to_exact(self.first_deadline))
-        if self.period is not None:
-            object.__setattr__(self, "period", to_exact(self.period))
-        if self.wcet < 0:
-            raise ModelError(f"component wcet must be >= 0, got {self.wcet}")
-        if self.first_deadline <= 0:
+        wcet, first_deadline, period = self.wcet, self.first_deadline, self.period
+        # As for SporadicTask: plain ints are exact as given.
+        if not (
+            type(wcet) is type(first_deadline) is int
+            and (period is None or type(period) is int)
+        ):
+            wcet, first_deadline = to_exact(wcet), to_exact(first_deadline)
+            object.__setattr__(self, "wcet", wcet)
+            object.__setattr__(self, "first_deadline", first_deadline)
+            if period is not None:
+                period = to_exact(period)
+                object.__setattr__(self, "period", period)
+        if wcet < 0:
+            raise ModelError(f"component wcet must be >= 0, got {wcet}")
+        if first_deadline <= 0:
             raise ModelError(
-                f"component first deadline must be > 0, got {self.first_deadline}"
+                f"component first deadline must be > 0, got {first_deadline}"
             )
-        if self.period is not None:
-            if self.period <= 0:
-                raise ModelError(f"component period must be > 0, got {self.period}")
+        if period is not None:
+            if period <= 0:
+                raise ModelError(f"component period must be > 0, got {period}")
 
     @property
     def utilization(self) -> ExactTime:

@@ -126,18 +126,22 @@ def _tasks_from_entries(entries: Any) -> List[SporadicTask]:
             raise ModelError(
                 f"task entry {index} must be an object, got {type(entry).__name__}"
             )
-        missing = [key for key in ("wcet", "deadline", "period") if key not in entry]
-        if missing:
+        if not ("wcet" in entry and "deadline" in entry and "period" in entry):
+            missing = [k for k in ("wcet", "deadline", "period") if k not in entry]
             raise ModelError(
                 f"task entry {index} is missing {', '.join(map(repr, missing))}"
             )
+        # JSON integers go to the model as they are (exact already);
+        # everything else, bool included, through _decode_time.
+        wcet, deadline, period = entry["wcet"], entry["deadline"], entry["period"]
+        phase = entry.get("phase", 0)
         tasks.append(
             SporadicTask(
-                wcet=_decode_time(entry["wcet"]),
-                deadline=_decode_time(entry["deadline"]),
-                period=_decode_time(entry["period"]),
-                phase=_decode_time(entry.get("phase", 0)),
-                name=entry.get("name", ""),
+                wcet if type(wcet) is int else _decode_time(wcet),
+                deadline if type(deadline) is int else _decode_time(deadline),
+                period if type(period) is int else _decode_time(period),
+                phase if type(phase) is int else _decode_time(phase),
+                entry.get("name", ""),
             )
         )
     return tasks

@@ -12,6 +12,17 @@ The feasibility analysis in this library considers the *synchronous* case
 worst case for sporadic task systems and therefore yields an exact test
 for them; phases are retained on the model because the simulator in
 :mod:`repro.sim` can replay asynchronous release patterns.
+
+Construction normalises every time field to an exact number once.  A
+plain ``int`` is exact as given, so a task whose four fields are all
+``int`` (every task of an integer task set) skips
+:func:`~repro.model.numeric.to_exact` and the write-backs and goes
+straight to the range checks; ``bool`` and other ``int`` subclasses
+still take the normalising path and become plain ``int``.  The
+dataclass-generated ``__init__`` stays: a hand-written one filling
+``self.__dict__`` is faster but loses the instance dict's shared keys,
+growing each task from ~121 to 185–249 bytes (tracemalloc, CPython
+3.11), and ``slots=True`` needs Python 3.10.
 """
 
 from __future__ import annotations
@@ -51,18 +62,24 @@ class SporadicTask:
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wcet", to_exact(self.wcet))
-        object.__setattr__(self, "deadline", to_exact(self.deadline))
-        object.__setattr__(self, "period", to_exact(self.period))
-        object.__setattr__(self, "phase", to_exact(self.phase))
-        if self.wcet < 0:
-            raise TaskParameterError(f"wcet must be >= 0, got {self.wcet}")
-        if self.deadline <= 0:
-            raise TaskParameterError(f"deadline must be > 0, got {self.deadline}")
-        if self.period <= 0:
-            raise TaskParameterError(f"period must be > 0, got {self.period}")
-        if self.phase < 0:
-            raise TaskParameterError(f"phase must be >= 0, got {self.phase}")
+        wcet, deadline, period, phase = self.wcet, self.deadline, self.period, self.phase
+        # Plain ints are already exact: only other types are normalised
+        # and written back (bool and int subclasses become plain ints).
+        if not (type(wcet) is type(deadline) is type(period) is type(phase) is int):
+            wcet, deadline = to_exact(wcet), to_exact(deadline)
+            period, phase = to_exact(period), to_exact(phase)
+            object.__setattr__(self, "wcet", wcet)
+            object.__setattr__(self, "deadline", deadline)
+            object.__setattr__(self, "period", period)
+            object.__setattr__(self, "phase", phase)
+        if wcet < 0:
+            raise TaskParameterError(f"wcet must be >= 0, got {wcet}")
+        if deadline <= 0:
+            raise TaskParameterError(f"deadline must be > 0, got {deadline}")
+        if period <= 0:
+            raise TaskParameterError(f"period must be > 0, got {period}")
+        if phase < 0:
+            raise TaskParameterError(f"phase must be >= 0, got {phase}")
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -57,6 +57,10 @@ far above their rounding error) and exactly only when they are too
 close: the largest deadline usually wins at the loads the controller
 runs at, and then neither the quotient nor the exact comparison of
 two `Fraction`s with denominators thousands of bits wide is formed.
+The exact stage's bound, the least of the three, divides once: the
+three share the denominator ``1 − U``, so their numerators are
+compared, under the same kind of float screen, and only the least is
+divided.
 
 Departures never need re-verification: removing a component lowers the
 demand bound function pointwise, so a feasible system stays feasible
@@ -179,6 +183,23 @@ class _Entry:
 
 def _exact(value: Fraction) -> ExactTime:
     return value.numerator if value.denominator == 1 else value
+
+
+def _less(x: Fraction, y: Fraction) -> bool:
+    """``x < y``, on floats while they clear each other by a 1e-6
+    relative margin (far above the rounding of a float conversion), and
+    exactly otherwise: the exact comparison of two sums with
+    denominators thousands of bits wide costs most of a division."""
+    try:
+        fx, fy = float(x), float(y)
+    except OverflowError:
+        return x < y
+    margin = 1e-6 * (abs(fx) + abs(fy)) + 1e-300  # + subnormal rounding
+    if fy - fx > margin:
+        return True
+    if fx - fy > margin:
+        return False
+    return x < y
 
 
 class _MaxTracker:
@@ -568,17 +589,6 @@ class AdmissionController:
 
     # -- bounds (mirror repro.analysis.bounds on the aggregates) -------
 
-    def _bound_baruah(self) -> Optional[ExactTime]:
-        if self._u >= 1:
-            return None
-        max_gap = self._gaps.max or Fraction(0)
-        return _exact((self._u * max_gap + self._oneshot) / (1 - self._u))
-
-    def _bound_george(self) -> Optional[ExactTime]:
-        if self._u >= 1:
-            return None
-        return _exact((self._george_num + self._oneshot) / (1 - self._u))
-
     def _bound_superposition(self) -> Optional[ExactTime]:
         if self._u >= 1:
             return None
@@ -599,18 +609,29 @@ class AdmissionController:
         return _exact(linear / headroom)
 
     def _best_bound(self) -> ExactTime:
-        candidates = [
-            b
-            for b in (
-                self._bound_baruah(),
-                self._bound_george(),
-                self._bound_superposition(),
-            )
-            if b is not None
-        ]
-        if candidates:
-            return min(candidates)
-        return self._busy_period()
+        """The least of the Baruah, George and superposition bounds.
+
+        All three are quotients by the same ``h = 1 − U > 0``:
+        ``min(a/h, b/h, max(dmax, lin/h)) = min(a, b, max(dmax·h, lin)) / h``.
+        The numerators are compared (:func:`_less`, in ``min``'s and
+        ``max``'s order) and one quotient is formed.
+        """
+        if self._u >= 1:
+            return self._busy_period()
+        if not self._kernel.n:
+            return 0
+        headroom = 1 - self._u
+        oneshot = self._oneshot
+        dmax_term = self._dmax.max * headroom
+        linear = self._superpos_num + oneshot
+        least = self._u * (self._gaps.max or Fraction(0)) + oneshot
+        for numerator in (
+            self._george_num + oneshot,
+            linear if _less(dmax_term, linear) else dmax_term,
+        ):
+            if _less(numerator, least):
+                least = numerator
+        return _exact(least / headroom)
 
     def _filter_bound(self) -> ExactTime:
         bound = self._bound_superposition()

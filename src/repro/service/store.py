@@ -110,8 +110,15 @@ def fingerprint_key(fingerprint: Any) -> str:
     source)`` per component; encoding through the tagged JSON scheme
     keeps exact rationals exact, so two systems collide iff a
     feasibility test cannot tell them apart.
+
+    The text is the same bytes as ``json.dumps(encode_value(fingerprint),
+    separators=(",", ":"))``, and so is every stored row's key: the C
+    encoder writes the tuples as lists and the ints, floats, strings and
+    ``None`` natively, and hands every other leaf (a `Fraction`) to
+    :func:`encode_value` for the same tag, without the recursive Python
+    pass over the whole fingerprint.
     """
-    canonical = json.dumps(encode_value(fingerprint), separators=(",", ":"))
+    canonical = json.dumps(fingerprint, separators=(",", ":"), default=encode_value)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

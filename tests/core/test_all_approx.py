@@ -116,6 +116,17 @@ class TestRevisionPolicies:
                 == processor_demand_test(ts).is_feasible
             ), (policy, ts.summary())
 
+    def test_largest_error_tie_revises_the_first_approximated(self):
+        """At I = 9, tau2 (approximated at 2) and tau3 (at 6) overshoot
+        their staircases by the same 3/4; tau2, first in insertion
+        order, is revised.  Revising tau3 instead reads 7 iterations, 2
+        revisions and 5 intervals."""
+        ts = TaskSet.of((2, 4, 5), (1, 2, 4), (2, 6, 8))
+        result = all_approx_test(ts, revision_policy=RevisionPolicy.LARGEST_ERROR)
+        assert result.is_feasible
+        counts = (result.iterations, result.revisions, result.intervals_checked)
+        assert counts == (9, 3, 6)
+
     def test_unknown_policy_rejected(self, simple_taskset):
         with pytest.raises(ValueError):
             all_approx_test(simple_taskset, revision_policy="random")

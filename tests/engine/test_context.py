@@ -1,6 +1,7 @@
 """Unit tests for the shared preflight pipeline (AnalysisContext)."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -11,11 +12,13 @@ from repro.analysis.bounds import BoundMethod
 from repro.analysis.busy_period import busy_period_of_components
 from repro.engine import (
     AnalysisContext,
+    analyze,
     clear_context_cache,
     context_cache_info,
     fingerprint_of,
     preflight,
 )
+from repro.kernel import SCALE_CAP, DemandKernel
 from repro.model import (
     DemandComponent,
     EventStream,
@@ -24,6 +27,8 @@ from repro.model import (
     SporadicTask,
     TaskSet,
     as_components,
+    task,
+    total_utilization,
 )
 from repro.result import Verdict
 
@@ -192,6 +197,32 @@ class TestFingerprint:
         assert built == []
         assert context_cache_info()["hits"] == 3
 
+    def test_cold_battery_builds_no_components(self, monkeypatch):
+        """A miss builds the context from the fingerprint rows and the
+        kernel from the same rows: the battery's tests never need the
+        `DemandComponent` objects."""
+        built = []
+        original = DemandComponent.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(DemandComponent, "__post_init__", counting)
+        rows = [(2, 6, 10), (3, 11, 16), (5, 25, 25), (0, 4, 8), (1, 30, 70)]
+        for test, options in [
+            ("devi", {}),
+            ("dynamic", {}),
+            ("all-approx", {}),
+            ("processor-demand", {"bound_method": "baruah"}),
+            ("processor-demand", {"bound_method": "best"}),
+            ("qpa", {}),
+        ]:
+            clear_context_cache()
+            analyze(TaskSet.of(*rows), test=test, **options)
+            assert context_cache_info()["misses"] == 1
+        assert built == []
+
     def test_generator_source_is_read_once(self):
         tasks = [SporadicTask(2, 6, 10), SporadicTask(3, 11, 16, name="x")]
         ctx = AnalysisContext.of(t for t in tasks)
@@ -200,6 +231,74 @@ class TestFingerprint:
         assert AnalysisContext.of(iter(tasks)) is ctx
         clear_context_cache()
         assert AnalysisContext.of(t for t in tasks).fingerprint == ctx.fingerprint
+
+
+def _reference_compile(components):
+    """The kernel's grid as the per-component compile computed it: the
+    lcm of every denominator, each value times it (or the values as
+    given past ``SCALE_CAP``), ``0`` for a one-shot's period."""
+    scale = 1
+    for c in components:
+        scale = lcm(scale, c.wcet.denominator, c.first_deadline.denominator)
+        if c.period is not None:
+            scale = lcm(scale, c.period.denominator)
+    exact = scale > SCALE_CAP
+
+    def grid(value):
+        return value if exact else int(value * scale)
+
+    return (
+        None if exact else scale,
+        tuple(grid(c.first_deadline) for c in components),
+        tuple(0 if c.period is None else grid(c.period) for c in components),
+        tuple(grid(c.wcet) for c in components),
+    )
+
+
+_KERNEL_VIEWS = ("n", "scale", "d0s", "periods", "wcets")
+_SORTED_VIEWS = ("_sorted_keys", "_sorted_pairs", "_sorted_triples")
+
+
+class TestNormalForm:
+    """The context's components and kernel come from its fingerprint
+    rows, and equal what the components themselves give."""
+
+    def _check(self, source):
+        ctx = AnalysisContext.of(source)
+        components = tuple(as_components(source))
+        assert ctx.components == components
+        assert ctx.utilization == total_utilization(components)
+        kernel, expected = ctx.kernel(), DemandKernel(components)
+        for view in _KERNEL_VIEWS + _SORTED_VIEWS:
+            assert getattr(kernel, view) == getattr(expected, view), view
+        grid = (kernel.scale, kernel.d0s, kernel.periods, kernel.wcets)
+        reference = _reference_compile(components)
+        assert grid == reference
+        assert [list(map(type, v)) for v in grid[1:]] == [
+            list(map(type, v)) for v in reference[1:]
+        ]
+        return kernel
+
+    @given(_sources)
+    def test_rows_give_the_components_and_the_kernel(self, source):
+        clear_context_cache()
+        self._check(source)
+
+    @pytest.mark.parametrize(
+        "source, scale",
+        [
+            (TaskSet.of((2, 6, 10), (3, 11, 16), (5, 25, 25)), 1),
+            ([DemandComponent(2, 6, 10), DemandComponent(1, 5, None, "shot")], 1),
+            ([EventStreamTask(EventStream.burst(3, 2, 40), wcet=2, deadline=9)], 1),
+            ([SporadicTask(Fraction(1, 3), Fraction(5, 2), 7), task(0.5, 3, 4)], 6),
+            # Denominators whose lcm is past SCALE_CAP: the exact grid.
+            ([task(Fraction(1, (1 << p) - 1), 1, 2) for p in (61, 89, 107)], None),
+            ([], 1),
+        ],
+        ids=["tasks", "one-shot", "event-stream", "rational", "past-cap", "empty"],
+    )
+    def test_fixed_sources(self, source, scale):
+        assert self._check(source).scale == scale
 
 
 class TestMemoizedQuantities:

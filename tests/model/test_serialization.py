@@ -51,6 +51,9 @@ class TestRoundTrip:
         assert load_taskset(path) == ts
 
 
+_TIME_FIELDS = ["wcet", "deadline", "period", "phase"]
+
+
 class TestValidation:
     def test_requires_tasks_key(self):
         with pytest.raises(ModelError):
@@ -60,17 +63,23 @@ class TestValidation:
         with pytest.raises(ModelError, match="format"):
             taskset_from_dict({"format": "other/v9", "tasks": []})
 
-    def test_rejects_bad_time_strings(self):
+    @pytest.mark.parametrize("field", _TIME_FIELDS)
+    @pytest.mark.parametrize("bad", ["not-a-number", "1/0", "", None, [1]])
+    def test_rejects_bad_time_strings(self, field, bad):
         doc = taskset_to_dict(TaskSet.of((1, 2, 3)))
-        doc["tasks"][0]["wcet"] = "not-a-number"
-        with pytest.raises(ModelError):
+        doc["tasks"][0][field] = bad
+        with pytest.raises(ModelError) as err:
             taskset_from_dict(doc)
+        assert str(err.value) == f"invalid time value {bad!r}"
 
-    def test_rejects_bool_time(self):
+    @pytest.mark.parametrize("field", _TIME_FIELDS)
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_bool_time(self, field, bad):
         doc = taskset_to_dict(TaskSet.of((1, 2, 3)))
-        doc["tasks"][0]["wcet"] = True
-        with pytest.raises(ModelError):
+        doc["tasks"][0][field] = bad
+        with pytest.raises(ModelError) as err:
             taskset_from_dict(doc)
+        assert str(err.value) == f"invalid time value {bad!r}"
 
     def test_float_times_accepted(self):
         doc = taskset_to_dict(TaskSet.of((1, 2, 3)))
@@ -78,11 +87,21 @@ class TestValidation:
         ts = taskset_from_dict(doc)
         assert ts[0].wcet == Fraction(1, 2)
 
-    def test_missing_task_fields_named_in_error(self):
-        doc = taskset_to_dict(TaskSet.of((1, 2, 3)))
-        del doc["tasks"][0]["period"]
-        with pytest.raises(ModelError, match="entry 0 is missing 'period'"):
+    @pytest.mark.parametrize(
+        "dropped, named",
+        [
+            (["period"], "'period'"),
+            (["wcet", "period"], "'wcet', 'period'"),
+            (["deadline", "wcet", "period"], "'wcet', 'deadline', 'period'"),
+        ],
+    )
+    def test_missing_task_fields_named_in_error(self, dropped, named):
+        doc = taskset_to_dict(TaskSet.of((1, 2, 3), (1, 4, 5)))
+        for key in dropped:
+            del doc["tasks"][1][key]
+        with pytest.raises(ModelError) as err:
             taskset_from_dict(doc)
+        assert str(err.value) == f"task entry 1 is missing {named}"
 
 
 def demo_system(assignment=(0, 1, 0)) -> PartitionedSystem:

@@ -10,11 +10,43 @@ from repro.model import SporadicTask, TaskSet
 from repro.model.components import DemandComponent, as_components
 from repro.model.validation import ModelError
 from repro.online import AdmissionController, Stage
+from repro.online.controller import _exact
 from repro.result import Verdict
 
 
 def _task(c, d, t, name=""):
     return SporadicTask(wcet=c, deadline=d, period=t, name=name)
+
+
+def _baruah(controller):
+    """Baruah's bound on the controller's aggregates, one division."""
+    if controller._u >= 1:
+        return None
+    max_gap = controller._gaps.max or Fraction(0)
+    numerator = controller._u * max_gap + controller._oneshot
+    return _exact(numerator / (1 - controller._u))
+
+
+def _george(controller):
+    """George's bound on the controller's aggregates, one division."""
+    if controller._u >= 1:
+        return None
+    numerator = controller._george_num + controller._oneshot
+    return _exact(numerator / (1 - controller._u))
+
+
+def _three_quotient_bound(controller):
+    """The least of the three bounds, each divided on its own."""
+    candidates = [
+        b
+        for b in (
+            _baruah(controller),
+            _george(controller),
+            controller._bound_superposition(),
+        )
+        if b is not None
+    ]
+    return min(candidates) if candidates else controller._busy_period()
 
 
 class TestLifecycle:
@@ -162,8 +194,8 @@ class TestBookkeeping:
         for index, task in enumerate(tasks):
             controller.admit(task, name=f"t{index}")
         ctx = AnalysisContext.of(list(controller.snapshot()))
-        assert controller._bound_baruah() == ctx.bound(BoundMethod.BARUAH)
-        assert controller._bound_george() == ctx.bound(BoundMethod.GEORGE)
+        assert _baruah(controller) == ctx.bound(BoundMethod.BARUAH)
+        assert _george(controller) == ctx.bound(BoundMethod.GEORGE)
         assert controller._bound_superposition() == ctx.bound(
             BoundMethod.SUPERPOSITION
         )
@@ -173,6 +205,48 @@ class TestBookkeeping:
         controller.remove("t7")
         ctx = AnalysisContext.of(list(controller.snapshot()))
         assert controller._best_bound() == ctx.bound(BoundMethod.BEST)
+
+    @pytest.mark.parametrize("size", [100, 500, 1000])
+    def test_best_bound_is_the_least_quotient(self, size):
+        """One division over the least numerator gives the least of the
+        three quotients, in value and in type, on sessions of the
+        admission population (``U = 0.85`` plus churn)."""
+        from repro.generation import GeneratorConfig, TaskSetGenerator
+
+        base = TaskSetGenerator(
+            GeneratorConfig(
+                tasks=(size, size),
+                utilization=(0.85, 0.85),
+                period_range=(1_000, 100_000),
+                gap=(0.1, 0.4),
+            ),
+            seed=2005 + size,
+        ).one()
+        controller = AdmissionController(base)
+        arrivals = [_task(40, 100, 1000), _task(3, 2000, 2500), _task(9, 60, 90)]
+        for index, arrival in enumerate(arrivals):
+            expected = _three_quotient_bound(controller)
+            got = controller._best_bound()
+            assert got == expected and type(got) is type(expected)
+            controller.admit(arrival, name=f"x{index}")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(5, 9, 20), (3, 10, 10)],  # George
+            [(4, 15, 12), (4, 15, 12), (4, 8, 20)],  # superposition
+            [(1, 16, 20)],  # Baruah = George
+            [(2, 3, 20), (1, 2, 10), (1, 4, 5)],  # George = superposition
+            [(4, 4, 12)],  # all three
+            [(1, 2, 2), (1, 3, 2)],  # U = 1: the busy period
+            [],
+        ],
+    )
+    def test_best_bound_on_small_systems(self, rows):
+        controller = AdmissionController([_task(*row) for row in rows])
+        expected = _three_quotient_bound(controller) if rows else 0
+        got = controller._best_bound()
+        assert got == expected and type(got) is type(expected)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_superposition_bound_near_a_tie(self, offset):

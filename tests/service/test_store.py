@@ -2,6 +2,7 @@
 
 import json
 import sqlite3
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,30 @@ class TestKeying:
         a = TaskSet.of((2, 6, 10),)
         b = TaskSet.of((2, 7, 10),)
         assert fingerprint_key(_fingerprint(a)) != fingerprint_key(_fingerprint(b))
+
+    @pytest.mark.parametrize(
+        "fingerprint, digest",
+        [
+            (
+                ((2, 6, 10, "tau1"), (3, 11, 16, "tau2"), (5, 25, 25, "ctl")),
+                "1038500a006b3f84b994c66dcbc9a9b34e2808d2cac552419a9a956a1ec26871",
+            ),
+            (
+                (
+                    (Fraction(1, 3), Fraction(5, 2), 7, "frac"),
+                    (0.25, 2.5, 10.0, "float"),
+                    (4, 9, None, "one-shot"),
+                    (1, 8, 12, "tâche-名前"),
+                ),
+                "33c286c3e3c9c8eb034a10017f1b2fb7fb395617e01c17f6b6d91082e2016991",
+            ),
+        ],
+        ids=["integers", "mixed"],
+    )
+    def test_key_format_is_pinned(self, fingerprint, digest):
+        """Every stored row is found by this digest: a change to the key
+        text would orphan them all."""
+        assert fingerprint_key(fingerprint) == digest
 
     def test_canonical_options_order_independent(self):
         assert canonical_options({"a": 1, "b": 2}) == canonical_options(
