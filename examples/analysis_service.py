@@ -26,10 +26,10 @@ from repro.service import AnalysisServer, ServiceClient
 
 def campaign(url: str, sets) -> dict:
     """Submit all sets as one batch job, wait, return the job snapshot."""
-    client = ServiceClient(url)
-    job_id = client.submit(sets, "qpa")
-    snapshot = client.wait(job_id, timeout=120)
-    verdicts = [r.verdict.value for r in client.results(job_id)]
+    with ServiceClient(url) as client:  # closes its kept-alive connections
+        job_id = client.submit(sets, "qpa")
+        snapshot = client.wait(job_id, timeout=120)
+        verdicts = [r.verdict.value for r in client.results(job_id)]
     accepted = sum(1 for v in verdicts if v == "feasible")
     print(f"  job {job_id}: {snapshot['state']}, "
           f"{accepted}/{len(verdicts)} feasible, "
@@ -49,7 +49,8 @@ def main() -> None:
         print("first server lifetime (everything is computed):")
         with AnalysisServer(port=0, store=store_path) as server:
             campaign(server.url, sets)
-            stats = ServiceClient(server.url).cache_stats()
+            with ServiceClient(server.url) as client:
+                stats = client.cache_stats()
             print(f"  store: {stats['store']['rows']} results persisted")
 
         # A real restart would be a new process; dropping the in-memory
@@ -60,7 +61,8 @@ def main() -> None:
         with AnalysisServer(port=0, store=store_path) as server:
             snapshot = campaign(server.url, sets)
             assert snapshot["computed"] == 0, "restart must serve from the store"
-            stats = ServiceClient(server.url).cache_stats()
+            with ServiceClient(server.url) as client:
+                stats = client.cache_stats()
             print(f"  store hits this lifetime: {stats['store']['hits']}")
 
 

@@ -325,6 +325,7 @@ class Coordinator:
         with self._lock:
             if self._closed:
                 raise RuntimeError("coordinator is closed")
+            previous = self._clients.get(worker_id)
             self._clients[worker_id] = ServiceClient(
                 url, timeout=self.shard_timeout
             )
@@ -339,6 +340,8 @@ class Coordinator:
                 )
                 self._threads[worker_id] = thread
                 thread.start()
+        if previous is not None:
+            previous.close()
         return {
             "worker": info.id,
             "state": info.state,
@@ -573,8 +576,10 @@ class Coordinator:
         with self._lock:
             lane = self._queues.pop(worker_id, None)
             self._threads.pop(worker_id, None)
-            self._clients.pop(worker_id, None)
+            client = self._clients.pop(worker_id, None)
             inflight = self._inflight.pop(worker_id, {})
+        if client is not None:
+            client.close()
         recovered.extend(inflight.values())
         if lane is not None:
             while True:
@@ -716,10 +721,13 @@ class Coordinator:
             self._timers.clear()
             lanes = list(self._queues.values())
             threads = list(self._threads.values())
+            clients = list(self._clients.values())
             self._queues.clear()
             self._threads.clear()
             self._clients.clear()
             self._inflight.clear()
+        for client in clients:
+            client.close()
         for timer in timers:
             timer.cancel()
         self.workers.stop()

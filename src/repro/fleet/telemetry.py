@@ -451,7 +451,7 @@ class FleetScraper:
 
     def _client(self, worker_id: str, url: str) -> ServiceClient:
         with self._lock:
-            client = self._clients.get(worker_id)
+            client = previous = self._clients.get(worker_id)
             if client is None or client.base_url != url.rstrip("/"):
                 client = ServiceClient(
                     url,
@@ -461,7 +461,9 @@ class FleetScraper:
                     retry_cap=0.5,
                 )
                 self._clients[worker_id] = client
-            return client
+        if previous is not None and previous is not client:
+            previous.close()  # the worker came back at another URL
+        return client
 
     def scrape_worker(self, worker_id: str, url: str) -> bool:
         """One full pull of one worker; ``True`` on success.
@@ -508,7 +510,9 @@ class FleetScraper:
                 self.telemetry.mark_stale(worker_id)
         for worker_id in self.telemetry.expire():
             with self._lock:
-                self._clients.pop(worker_id, None)
+                client = self._clients.pop(worker_id, None)
+            if client is not None:
+                client.close()
         return results
 
     # ------------------------------------------------------------------
@@ -525,10 +529,15 @@ class FleetScraper:
         return self
 
     def stop(self) -> None:
+        """Stop the sweep thread and close the scrape connections."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+        with self._lock:
+            clients, self._clients = self._clients, {}
+        for client in clients.values():
+            client.close()
 
     @property
     def running(self) -> bool:

@@ -2,7 +2,9 @@
 
 A :class:`FleetWorker` is one process of the analysis fleet.  It serves
 through the analysis server's HTTP layer (:mod:`repro.service.api`'s
-handler, with the worker as its ``service``) a small surface —
+server class and handler, with the worker as its ``service``: kept-alive
+connections, compact JSON, all connections cut on :meth:`close`) a
+small surface —
 
 * ``GET  /v1/health`` — liveness, identity, shard counters;
 * ``GET  /v1/metrics|events|traces`` — this process's telemetry,
@@ -39,7 +41,6 @@ import os
 import threading
 import time
 import uuid
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from .. import __version__
@@ -50,7 +51,13 @@ from ..obs import ResourceSampler
 from ..obs import continue_trace as _obs_continue_trace
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
-from ..service.api import ApiError, _Handler, is_telemetry_path, serve_telemetry
+from ..service.api import (
+    ApiError,
+    _Handler,
+    _HTTPServer,
+    is_telemetry_path,
+    serve_telemetry,
+)
 from ..service.client import ServiceClient, ServiceError
 from .faults import FaultPlan
 from .shards import entries_from_wire
@@ -120,10 +127,7 @@ class FleetWorker:
         self._registry = registry if registry is not None else default_registry()
         self._runner = BatchRunner(jobs=1, registry=registry)
         self._client = ServiceClient(self.coordinator_url, timeout=10.0)
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True
-        self.httpd.service = self  # type: ignore[attr-defined]
-        self.httpd.quiet = quiet  # type: ignore[attr-defined]
+        self.httpd = _HTTPServer((host, port), self, quiet)
         self._advertise_host = advertise_host or self.httpd.server_address[0]
         self._thread: Optional[threading.Thread] = None
         self._beat_thread: Optional[threading.Thread] = None
@@ -347,6 +351,7 @@ class FleetWorker:
         if self._beat_thread is not None:
             self._beat_thread.join(timeout=5)
             self._beat_thread = None
+        self._client.close()
 
     def __enter__(self) -> "FleetWorker":
         return self.start()

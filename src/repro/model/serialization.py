@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -97,21 +98,33 @@ def _decode_time(value: Union[int, float, str]) -> ExactTime:
     raise ModelError(f"invalid time value {value!r}")
 
 
+def _task_to_dict(task: SporadicTask) -> Dict[str, Any]:
+    wcet, deadline, period, phase = task.wcet, task.deadline, task.period, task.phase
+    if type(wcet) is type(deadline) is type(period) is type(phase) is int:
+        # Nearly every task: four plain ints are written as they are,
+        # without _encode_time's isinstance check against an ABC.
+        return {
+            "name": task.name,
+            "wcet": wcet,
+            "deadline": deadline,
+            "period": period,
+            "phase": phase,
+        }
+    return {
+        "name": task.name,
+        "wcet": _encode_time(wcet),
+        "deadline": _encode_time(deadline),
+        "period": _encode_time(period),
+        "phase": _encode_time(phase),
+    }
+
+
 def taskset_to_dict(tasks: TaskSet) -> Dict[str, Any]:
     """Encode a task set as a plain JSON-serializable dict."""
     return {
         "format": _FORMAT,
         "name": tasks.name,
-        "tasks": [
-            {
-                "name": t.name,
-                "wcet": _encode_time(t.wcet),
-                "deadline": _encode_time(t.deadline),
-                "period": _encode_time(t.period),
-                "phase": _encode_time(t.phase),
-            }
-            for t in tasks
-        ],
+        "tasks": [_task_to_dict(t) for t in tasks],
     }
 
 
@@ -298,10 +311,26 @@ def load_any(
 
 _MAX_FRAC_DIGITS = 50_000
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+#: The interpreter's int<->str digit limit (0 where it has none: then
+#: every text takes ``Fraction(text)``).
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _decode_fraction(text: Any) -> Fraction:
     """``Fraction(text)``, also for ``"p/q"`` terms past the digit limit."""
+    if type(text) is str and text.isascii():
+        # What encode_value writes, "p/q" in plain digits within the
+        # limit, parses as two ints, skipping Fraction's regex parse.
+        numerator, slash, denominator = text.partition("/")
+        limit = _int_max_str_digits()
+        if (
+            slash
+            and numerator.isdigit()
+            and denominator.isdigit()
+            and len(numerator) <= limit
+            and len(denominator) <= limit
+        ):
+            return Fraction(int(numerator), int(denominator))
     try:
         return Fraction(text)
     except ValueError:
@@ -436,13 +465,7 @@ def event_to_dict(event: "ArrivalEvent") -> Dict[str, Any]:
         "time": _encode_time(event.time),
     }
     if event.task is not None:
-        document["task"] = {
-            "name": event.task.name,
-            "wcet": _encode_time(event.task.wcet),
-            "deadline": _encode_time(event.task.deadline),
-            "period": _encode_time(event.task.period),
-            "phase": _encode_time(event.task.phase),
-        }
+        document["task"] = _task_to_dict(event.task)
     return document
 
 

@@ -66,16 +66,28 @@ Validation failures (unknown test, bad options, malformed documents)
 are 400s with an ``error`` string; unknown jobs and paths are 404s.
 The server never runs analyses on the request thread — POST returns a
 ``202 Accepted`` snapshot and clients poll or use the CLI's ``--wait``.
+
+Transport: the analysis server and fleet workers share one HTTP server
+class (``_HTTPServer``), a thread per connection with HTTP/1.1
+keep-alive.  It answers with compact JSON from the C encoder, turns
+Nagle's algorithm off (a response goes out as a header write and a body
+write, and with Nagle on, a kept-alive client's delayed ACK holds the
+body back ~40 ms), counts the connections it accepts
+(``repro_http_connections_total``) and, when closed, shuts down the
+connections it still holds, so no handler thread answers after
+:meth:`AnalysisServer.close`.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -121,6 +133,10 @@ _HTTP_REQUESTS = _obs_counter(
     "repro_http_requests_total",
     "API requests handled, by method and (coarse) endpoint.",
     labelnames=("method", "endpoint"),
+)
+_HTTP_CONNECTIONS = _obs_counter(
+    "repro_http_connections_total",
+    "TCP connections accepted by this process's HTTP servers.",
 )
 
 
@@ -342,6 +358,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = f"repro-edf/{__version__}"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # see the module docstring
 
     # ------------------------------------------------------------------
 
@@ -349,23 +366,25 @@ class _Handler(BaseHTTPRequestHandler):
         if not getattr(self.server, "quiet", True):  # pragma: no cover
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            # Say so: a kept-alive client would otherwise send its next
+            # request on a connection this handler is about to close.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        # No indent: that would make json fall back to its Python encoder.
+        self._send(status, json.dumps(payload).encode("utf-8"), "application/json")
 
     def _send_text(
         self, status: int, body: str, content_type: str = "text/plain"
     ) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        self._send(status, body.encode("utf-8"), content_type)
 
     def _read_json(self) -> Any:
         try:
@@ -410,6 +429,61 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         self._route("DELETE")
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """The HTTP server of :class:`AnalysisServer` and
+    :class:`~repro.fleet.worker.FleetWorker`: a daemon thread per
+    connection, each request routed by :class:`_Handler` to *service*.
+
+    It tracks the connections it accepted and shuts them down in
+    :meth:`server_close`: the handler thread of a kept-alive connection
+    would otherwise go on answering after the server closed (and a
+    fleet worker "killed" by closing its server would not look dead).
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], service: Any, quiet: bool) -> None:
+        super().__init__(address, _Handler)
+        self.service = service
+        self.quiet = quiet
+        self._lock = threading.Lock()  # guards the two fields below
+        self._connections: Set[socket.socket] = set()
+        self._closed = False
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._lock:
+            closed = self._closed
+            if not closed:
+                self._connections.add(request)
+        if closed:  # accepted just as server_close() ran
+            self.shutdown_request(request)
+            return
+        _HTTP_CONNECTIONS.inc()
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            connections, self._connections = self._connections, set()
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A peer that went away, or a connection server_close() cut
+        # mid-request, is no server fault worth a traceback.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 class AnalysisServer:
@@ -480,10 +554,7 @@ class AnalysisServer:
             registry=self.registry,
         )
         self.sessions = AdmissionSessionManager()
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True
-        self.httpd.service = self  # type: ignore[attr-defined]
-        self.httpd.quiet = quiet  # type: ignore[attr-defined]
+        self.httpd = _HTTPServer((host, port), self, quiet)
         self._thread: Optional[threading.Thread] = None
         self._closed = False
         self._sampler: Optional[ResourceSampler] = None

@@ -1,4 +1,4 @@
-"""HTTP client for the analysis service (stdlib ``urllib`` only).
+"""HTTP client for the analysis service.
 
 :class:`ServiceClient` wraps the JSON API in typed helpers so callers
 never hand-build request documents: submit a :class:`~repro.model.
@@ -6,17 +6,27 @@ taskset.TaskSet` (or many), poll status, fetch decoded
 :class:`~repro.result.FeasibilityResult` objects back.  Errors come
 back as :class:`ServiceError` carrying the HTTP status and the server's
 ``error`` string.
+
+The transport is :mod:`http.client` with HTTP/1.1 keep-alive: a client
+keeps a few idle connections to its server and sends each request on
+one of them, so a fleet coordinator's shards, a scraper's pages and a
+CLI's polls do not each pay a TCP handshake and a new server thread.
+:meth:`ServiceClient.close` closes them.  Proxy settings in the
+environment (``http_proxy`` and friends) are not read: the client
+always talks to ``base_url`` directly.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import select
 import socket
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional, Sequence
+from urllib.parse import urlsplit
 
 from ..model.serialization import result_from_dict, taskset_to_dict
 from ..model.taskset import TaskSet
@@ -33,6 +43,20 @@ __all__ = ["ServiceClient", "ServiceError", "TransientServiceError"]
 # HTTP statuses that signal a momentarily-overloaded or restarting
 # server rather than a caller mistake.
 _TRANSIENT_STATUSES = frozenset({502, 503})
+#: Idle connections a client keeps; more concurrent requests than this
+#: still run, and the extra connections close once answered.
+_MAX_IDLE = 4
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether *sock* has input (or EOF) waiting.  An idle keep-alive
+    connection that does was closed by the server, or carries bytes no
+    request asked for: either way it cannot carry the next request."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])  # pragma: no cover
 
 
 class ServiceError(Exception):
@@ -73,8 +97,16 @@ class ServiceClient:
     :class:`TransientServiceError` so callers can apply their own
     policy (the request may have executed server-side).
 
+    Requests reuse kept-alive connections (see the module docstring).
+    A connection goes back to the pool only after a complete response
+    the server did not mark ``Connection: close``; any failure closes
+    it, so a response that arrives after its request timed out is
+    never read as the answer to a later request.  Redirects are not
+    followed: a 3xx is a :class:`ServiceError` like a 4xx.
+
     Args:
-        base_url: e.g. ``http://127.0.0.1:8787`` (trailing slash ok).
+        base_url: e.g. ``http://127.0.0.1:8787`` (trailing slash ok);
+            ``https://`` URLs verify the server's certificate.
         timeout: per-request socket timeout in seconds.
         retries: total attempts for idempotent GETs (1 disables retry).
         retry_base / retry_cap: backoff delay for attempt *n* is
@@ -95,22 +127,73 @@ class ServiceClient:
         if retries < 1:
             raise ValueError(f"retries must be >= 1, got {retries}")
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(f"not an http(s) URL: {base_url!r}")
+        self._netloc = parts.netloc
+        self._path = parts.path
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
         self.timeout = timeout
         self.retries = retries
         self.retry_base = retry_base
         self.retry_cap = retry_cap
         self.retry_jitter = retry_jitter
         self._rng = random.Random()
+        self._lock = threading.Lock()  # guards the two fields below
+        self._idle: List[http.client.HTTPConnection] = []
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
 
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle pooled connection the server has not closed, or a new
+        (not yet connected) one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if not _readable(connection.sock):
+                return connection
+            connection.close()
+        return self._connection_class(self._netloc, timeout=self.timeout)
+
+    def _release(
+        self, connection: http.client.HTTPConnection, reusable: bool
+    ) -> None:
+        with self._lock:
+            if reusable and not self._closed and len(self._idle) < _MAX_IDLE:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def close(self) -> None:
+        """Close the idle connections.  A request in flight on another
+        thread closes its connection once answered; requests made after
+        this open a connection each and close it again."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
     def _request_once(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> str:
         url = f"{self.base_url}{path}"
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         # Propagate the caller's trace — or originate one per request —
         # so the server's spans (HTTP → queue → engine → kernel) hang
@@ -120,41 +203,38 @@ class ServiceClient:
             traceparent = format_traceparent(new_trace_id(), new_span_id())
         headers["traceparent"] = traceparent
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
+        connection = self._checkout()
+        reusable = False
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as err:
-            detail = err.read().decode("utf-8", errors="replace")
-            try:
-                message = json.loads(detail).get("error", detail)
-            except ValueError:
-                message = detail or err.reason
-            if err.code in _TRANSIENT_STATUSES:
-                raise TransientServiceError(
-                    err.code, message, reason="http"
-                ) from None
-            raise ServiceError(err.code, message) from None
-        except urllib.error.URLError as err:
-            if isinstance(err.reason, (TimeoutError, socket.timeout)):
-                raise TransientServiceError(
-                    0, f"timed out talking to {url}", reason="timeout"
-                ) from None
-            raise TransientServiceError(
-                0, f"cannot reach {url}: {err.reason}", reason="unreachable"
-            ) from None
+            connection.request(method, self._path + path, body, headers)
+            response = connection.getresponse()
+            data = response.read()
+            reusable = not response.will_close
         except (TimeoutError, socket.timeout):
             raise TransientServiceError(
                 0, f"timed out talking to {url}", reason="timeout"
             ) from None
-        except (ConnectionError, OSError) as err:
+        except http.client.InvalidURL as err:  # e.g. a space in a path id
+            raise ValueError(str(err)) from None
+        except (OSError, http.client.HTTPException) as err:
+            # Refused, reset, or closed before a whole response arrived.
             raise TransientServiceError(
                 0, f"cannot reach {url}: {err}", reason="unreachable"
             ) from None
+        finally:
+            self._release(connection, reusable)
+        if response.status < 300:
+            return data.decode("utf-8")
+        detail = data.decode("utf-8", errors="replace")
+        try:
+            message = json.loads(detail).get("error", detail)
+        except ValueError:
+            message = detail or response.reason
+        if response.status in _TRANSIENT_STATUSES:
+            raise TransientServiceError(response.status, message, reason="http")
+        raise ServiceError(response.status, message)
 
     def _request_text(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None

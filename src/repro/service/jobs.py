@@ -55,7 +55,7 @@ from ..obs import parse_traceparent as _obs_parse_traceparent
 from ..obs import profile_spans as _obs_profile_spans
 from ..obs import span as _obs_span
 from ..obs import span_log as _obs_span_log
-from .store import ResultStore
+from .store import ResultStore, StoreKey, store_key
 
 __all__ = ["JobState", "Job", "JobQueue"]
 
@@ -606,16 +606,19 @@ class JobQueue:
         self, job: Job, shard: Sequence[Tuple[int, _JobRequest]]
     ) -> None:
         """Answer *shard* from the store, run the misses, store them:
-        one store read and at most one store write per shard."""
+        one store read and at most one store write per shard, on row
+        keys computed once."""
         cached: List[Optional[FeasibilityResult]] = [None] * len(shard)
+        keys: List[Optional[StoreKey]] = [None] * len(shard)
         if self.store is not None:
-            cached = self.store.get_many(
-                [(r.fingerprint, r.test, r.options) for _, r in shard]
-            )
+            keys = [store_key(r.fingerprint, r.test, r.options) for _, r in shard]
+            cached = self.store.get_keyed(keys)
         pending: List[Tuple[int, _JobRequest]] = []
-        for (index, request), result in zip(shard, cached):
+        pending_keys: List[Optional[StoreKey]] = []
+        for (index, request), key, result in zip(shard, keys, cached):
             if result is None:
                 pending.append((index, request))
+                pending_keys.append(key)
             else:
                 job.results[index] = result
         hits = len(shard) - len(pending)
@@ -637,12 +640,7 @@ class JobQueue:
         for (index, _), outcome in zip(pending, outcomes):
             job.results[index] = outcome
         if self.store is not None:
-            self.store.put_many(
-                [
-                    (r.fingerprint, r.test, r.options, outcome)
-                    for (_, r), outcome in zip(pending, outcomes)
-                ]
-            )
+            self.store.put_keyed(list(zip(pending_keys, outcomes)))
         with self._lock:
             job.computed += len(pending)
         _REQUESTS_COMPUTED.inc(len(pending))

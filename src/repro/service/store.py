@@ -15,10 +15,13 @@ object identities, so equal systems share rows however they arrive.
 Options are canonicalized post-resolution: submitting a default
 explicitly and omitting it hit the same row.
 
-The job queue reads and writes a whole shard at a time.
-:meth:`ResultStore.get_many` looks every request up under one lock hold
+The job queue reads and writes a whole shard at a time, computing each
+request's row key (:func:`store_key`) once for both.
+:meth:`ResultStore.get_keyed` looks every key up under one lock hold
 and bumps the hits' LRU position in one transaction;
-:meth:`ResultStore.put_many` inserts every row and evicts in another.
+:meth:`ResultStore.put_keyed` inserts every row and evicts in another.
+:meth:`~ResultStore.get_many` and :meth:`~ResultStore.put_many` take
+``(fingerprint, test, options)`` entries instead of keys, and
 :meth:`~ResultStore.get` and :meth:`~ResultStore.put` are their
 one-element cases.  A batch write is all or nothing: a lock retry
 re-runs the whole batch, and a process that dies mid-shard loses that
@@ -56,7 +59,7 @@ from ..obs import counter as _obs_counter
 from ..obs import emit as _obs_emit
 from ..result import FeasibilityResult
 
-__all__ = ["ResultStore", "fingerprint_key", "canonical_options"]
+__all__ = ["ResultStore", "fingerprint_key", "canonical_options", "store_key"]
 
 # Process-wide store tallies for the metrics exposition.  The
 # per-instance `_hits`/`_misses` cells stay authoritative for
@@ -130,6 +133,16 @@ def canonical_options(options: Mapping[str, Any]) -> str:
     """
     encoded = {str(k): encode_value(v) for k, v in options.items()}
     return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
+
+
+#: A row key: ``(fingerprint_key, test, canonical_options)``.
+StoreKey = Tuple[str, str, str]
+
+
+def store_key(fingerprint: Any, test: str, options: Mapping[str, Any]) -> StoreKey:
+    """The key a result for this request is stored under (*options*
+    registry-resolved)."""
+    return (fingerprint_key(fingerprint), test, canonical_options(options))
 
 
 class ResultStore:
@@ -299,22 +312,25 @@ class ResultStore:
         *options* must be registry-resolved; a hit bumps the row's LRU
         position and per-row hit counter.
         """
-        return self.get_many([(fingerprint, test, options)])[0]
+        return self.get_keyed([store_key(fingerprint, test, options)])[0]
 
     def get_many(
         self, entries: Sequence[Tuple[Any, str, Mapping[str, Any]]]
     ) -> List[Optional[FeasibilityResult]]:
         """Stored results for the ``(fingerprint, test, options)``
-        *entries*, ``None`` for each miss.
+        *entries*, ``None`` for each miss (see :meth:`get_keyed`)."""
+        return self.get_keyed([store_key(*entry) for entry in entries])
+
+    def get_keyed(
+        self, keys: Sequence[StoreKey]
+    ) -> List[Optional[FeasibilityResult]]:
+        """Stored results for the :func:`store_key` *keys*, ``None`` for
+        each miss.
 
         One lock hold for the whole batch.  The hits' LRU bumps (in
         request order) and the deletion of corrupted rows, which count
         as misses, share one transaction.
         """
-        keys = [
-            (fingerprint_key(fingerprint), test, canonical_options(options))
-            for fingerprint, test, options in entries
-        ]
         results: List[Optional[FeasibilityResult]] = [None] * len(keys)
         with self._lock:
             if self._conn is None:
@@ -373,27 +389,34 @@ class ResultStore:
         result: FeasibilityResult,
     ) -> None:
         """Insert or refresh the stored result for the triple."""
-        self.put_many([(fingerprint, test, options, result)])
+        self.put_keyed([(store_key(fingerprint, test, options), result)])
 
     def put_many(
         self,
         entries: Sequence[Tuple[Any, str, Mapping[str, Any], FeasibilityResult]],
     ) -> None:
         """Insert or refresh every ``(fingerprint, test, options,
-        result)`` of *entries* in one transaction.
+        result)`` of *entries* (see :meth:`put_keyed`)."""
+        self.put_keyed(
+            [
+                (store_key(fingerprint, test, options), result)
+                for fingerprint, test, options, result in entries
+            ]
+        )
+
+    def put_keyed(
+        self, rows: Sequence[Tuple[StoreKey, FeasibilityResult]]
+    ) -> None:
+        """Insert or refresh every ``(key, result)`` of *rows* in one
+        transaction.
 
         Rows keep their hit counters and take LRU positions in entry
         order; eviction runs once, after the whole batch.  A write that
         stays locked past the retries is dropped whole.
         """
         encoded = [
-            (
-                fingerprint_key(fingerprint),
-                test,
-                canonical_options(options),
-                json.dumps(result_to_dict(result), separators=(",", ":")),
-            )
-            for fingerprint, test, options, result in entries
+            (*key, json.dumps(result_to_dict(result), separators=(",", ":")))
+            for key, result in rows
         ]
         if not encoded:
             return

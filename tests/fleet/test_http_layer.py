@@ -14,6 +14,8 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 import threading
@@ -25,6 +27,7 @@ import pytest
 
 from repro import obs
 from repro.engine.batch import AnalysisRequest
+from repro.fleet import FleetWorker
 from repro.fleet.telemetry import _PAGE_LIMIT
 from repro.model.serialization import result_to_dict, taskset_to_dict
 from repro.service import AnalysisServer, ServiceClient
@@ -282,6 +285,148 @@ class TestHostileInput:
         worker = local_workers("untraced")
         payload = ServiceClient(worker.url).fleet_shard(shard_document(5))
         assert len(payload["results"]) == 3
+
+
+# ----------------------------------------------------------------------
+# Kept-alive connections, on the server and on a worker alike
+# ----------------------------------------------------------------------
+
+
+def exchange(url: str, data: bytes) -> bytes:
+    """Everything one raw connection answers to *data*, read until the
+    server hangs up (after our end stops sending)."""
+    parts = urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+def http_request(method: str, path: str, headers: dict, body: bytes = b"") -> bytes:
+    lines = [f"{method} {path} HTTP/1.1", "Host: probe"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+HEALTH = http_request("GET", "/v1/health", {})
+
+
+def wait_until(condition, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def connections_accepted() -> float:
+    return obs.registry().get("repro_http_connections_total").value
+
+
+def open_connections(worker) -> int:
+    """Connections the worker's server holds open."""
+    return len(worker.worker.httpd._connections)
+
+
+#: Hostile input after a valid request on one kept-alive connection,
+#: as a function of the target's POST path, and the status of its first
+#: answer (``None``: an error page without a status line, HTTP/0.9
+#: style, then the server hangs up).
+HOSTILE = {
+    "non-numeric length": (
+        lambda path: http_request("POST", path, json_headers("abc")),
+        400,
+    ),
+    "oversize length": (
+        lambda path: http_request("POST", path, json_headers(str(1 << 40))),
+        413,
+    ),
+    "garbage request line": (lambda path: b"GARBAGE\r\n\r\n", None),
+    # The server reads the next request's first bytes as this body.
+    "short body, then a request": (
+        lambda path: http_request("POST", path, json_headers("20"), b'{"tasks"')
+        + HEALTH,
+        400,
+    ),
+}
+
+
+class TestKeptAliveConnections:
+    @pytest.mark.parametrize("hostile", sorted(HOSTILE))
+    def test_hostile_input_is_a_4xx_or_a_hang_up(self, post_target, hostile):
+        url, path = post_target
+        data, first = HOSTILE[hostile]
+        with ServiceClient(url) as client, ServiceClient(url) as later:
+            assert client.health()["ok"] is True
+            received = exchange(url, HEALTH + data(path))  # returns on hang-up
+            assert client.health()["ok"] is True  # on its kept-alive connection
+            assert later.health()["ok"] is True  # on a new one
+        statuses = [int(s) for s in re.findall(rb"HTTP/1\.[01] (\d{3}) ", received)]
+        assert statuses[0] == 200
+        assert statuses[1:2] == ([] if first is None else [first])
+        assert all(400 <= status < 500 for status in statuses[1:])
+
+    def test_closed_worker_answers_no_kept_alive_connection(self):
+        coord = make_coordinator()
+        with AnalysisServer(port=0, sampler_interval=None, coordinator=coord) as server:
+            worker = FleetWorker(server.url, worker_id="closing").start()
+            parts = urlsplit(worker.url)
+            connection = http.client.HTTPConnection(
+                parts.hostname, parts.port, timeout=10
+            )
+            try:
+                connection.request("GET", "/v1/health")
+                assert json.loads(connection.getresponse().read())["ok"] is True
+                worker.close()
+                with pytest.raises((OSError, http.client.HTTPException)):
+                    connection.request("GET", "/v1/health")
+                    connection.getresponse().read()
+            finally:
+                connection.close()
+                worker.close()
+
+    def test_scrapes_share_a_connection_and_it_is_counted(self, local_workers):
+        """The CI fleet smoke's reuse check in process: a worker's
+        accepted connections, against its scrapes (three GETs or more
+        each), in the fleet view."""
+        worker = local_workers("counted")
+        coord = make_coordinator()
+        try:
+            coord.register(worker.id, worker.url)
+            before = connections_accepted()
+            for _ in range(3):
+                assert coord.scraper.scrape_all() == {"counted": True}
+            assert connections_accepted() - before == 1
+            text = coord.telemetry.exposition()
+            assert 'repro_http_connections_total{worker="counted"}' in text
+        finally:
+            coord.close()
+
+    def test_coordinator_hangs_up_on_workers_it_drops(self, local_workers):
+        worker = local_workers("dropped")
+        coord = make_coordinator()
+        try:
+            coord.register(worker.id, worker.url)
+            coord.run_campaign(campaign_requests(make_tasksets(4), test="dynamic"))
+            assert coord.scraper.scrape_all() == {"dropped": True}
+            assert open_connections(worker) == 2  # the lane's and the scraper's
+            # Held here, so only close() can hang them up, not the GC.
+            lane_client = coord._clients[worker.id]
+            scrape_client = coord.scraper._clients[worker.id]
+            coord.deregister(worker.id)
+            assert wait_until(lambda: open_connections(worker) == 1)
+            assert lane_client.health()["ok"] is True  # closed, still usable
+            assert wait_until(lambda: open_connections(worker) == 1)
+        finally:
+            coord.close()
+        assert wait_until(lambda: open_connections(worker) == 0)
+        assert scrape_client.base_url == worker.url
 
 
 # ----------------------------------------------------------------------

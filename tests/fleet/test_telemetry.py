@@ -77,6 +77,10 @@ def http_get(url: str):
         return err.code, dict(err.headers), err.read()
 
 
+#: The worker's accepted-connection counter, which a new scraper moves.
+CONNECTIONS = "repro_http_connections_total"
+
+
 def series_map(export: dict, family: str) -> dict:
     """``{label-key-tuple: raw value-or-cells}`` for one family."""
     document = export.get(family) or {}
@@ -447,11 +451,17 @@ class TestScraper:
                     name: document
                     for name, document in export.items()
                     if not name.startswith("repro_fleet_")
+                    and name != CONNECTIONS
                 }
+
+            def connections():
+                export = coord.telemetry.build_registry().export_state()
+                return series_map(export, CONNECTIONS)[("idem",)]
 
             merged_events = len(coord.telemetry.events)
             merged_spans = len(coord.telemetry.spans)
             baseline = fleet_families()
+            connections_before = connections()
 
             # Same scraper again, then a brand-new scraper over the
             # same telemetry — the restart case.  Cursors live in the
@@ -466,6 +476,10 @@ class TestScraper:
             assert len(coord.telemetry.events) == merged_events
             assert len(coord.telemetry.spans) == merged_spans
             assert fleet_families() == baseline
+            # The one family the worker itself moved: the old scraper's
+            # kept-alive connection carried its second sweep, the fresh
+            # scraper opened one more, and it counts once.
+            assert connections() == connections_before + 1
             view = coord.telemetry.snapshot()["workers"]["idem"]
             assert view["scrapes"] == 3
         finally:

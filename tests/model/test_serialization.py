@@ -1,9 +1,15 @@
 """Unit tests for JSON round-tripping of task sets and systems."""
 
+import enum
 import json
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model import (
     ModelError,
@@ -24,6 +30,7 @@ from repro.model import (
     taskset_from_dict,
     taskset_to_dict,
 )
+from repro.model.serialization import _encode_time, decode_value
 from repro.partition import PartitionedSystem, Platform
 
 
@@ -253,3 +260,121 @@ class TestExactValuesPastTheDigitLimit:
             decode_value({"$frac": "7" * 200_000 + "/3"})
         with pytest.raises(ValueError):
             decode_value({"$frac": "7" * 5_000 + "/x"})
+
+
+# ---------------------------------------------------------------------------
+# The codec's fast paths for plain integers, against the general paths
+# ---------------------------------------------------------------------------
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+def reference_taskset_to_dict(tasks):
+    """taskset_to_dict as it was before its int fast path."""
+    return {
+        "format": "repro/taskset-v1",
+        "name": tasks.name,
+        "tasks": [
+            {
+                "name": t.name,
+                "wcet": _encode_time(t.wcet),
+                "deadline": _encode_time(t.deadline),
+                "period": _encode_time(t.period),
+                "phase": _encode_time(t.phase),
+            }
+            for t in tasks
+        ],
+    }
+
+
+def reference_decode_fraction(text):
+    """The `$frac` decoder before its int fast path: ``Fraction(text)``,
+    then the `Decimal` route past the digit limit."""
+    try:
+        exact = Fraction(text)
+    except ValueError:
+        if not isinstance(text, str):
+            raise
+        terms = text.strip().split("/")
+        if len(terms) > 2 or not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in terms):
+            raise
+        if max(map(len, terms)) > 50_000:
+            raise ValueError("too many digits") from None
+        exact = Fraction(*(int(Decimal(t)) for t in terms))
+    return exact.numerator if exact.denominator == 1 else exact
+
+
+def outcome(decode, text):
+    """``(type, value)`` of a decode, or the type of what it raised."""
+    try:
+        value = decode(text)
+    except Exception as err:  # the exception type is the outcome
+        return type(err)
+    return type(value), value
+
+
+_FIELDS = st.one_of(
+    st.integers(min_value=0, max_value=10**30),
+    st.sampled_from(list(_Level)),
+    st.integers(min_value=0, max_value=10**6).map(Fraction),  # integral
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**9),
+)
+_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)  # leading zeros too
+_TERMS = st.one_of(
+    _DIGITS,
+    st.tuples(st.sampled_from(["+", "-", " ", "\t", "0"]), _DIGITS).map("".join),
+    st.tuples(_DIGITS, st.sampled_from([" ", "\n", "_0", ".5", "e3"])).map("".join),
+    st.sampled_from(["0", "000", "", "٣", "²", "१२", "０", "x", "-0"]),  # non-ASCII digits
+    st.sampled_from([_LIMIT - 1, _LIMIT, _LIMIT + 1]).filter(lambda n: n > 0).map(
+        lambda n: "7" * n
+    ),
+)
+_TEXTS = st.one_of(
+    st.tuples(_TERMS, st.sampled_from(["/", " / ", "//"]), _TERMS).map("".join),
+    _TERMS,
+    st.tuples(_TERMS, st.just("/"), _TERMS, st.just("/"), _TERMS).map("".join),
+)
+
+
+class TestCodecFastPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_FIELDS, _FIELDS, _FIELDS, _FIELDS), max_size=6))
+    def test_taskset_to_dict_matches_the_reference(self, rows):
+        tasks = []
+        for index, fields in enumerate(rows):
+            task = SporadicTask(1, 1, 1, 0, f"t{index}")
+            for name, value in zip(("wcet", "deadline", "period", "phase"), fields):
+                object.__setattr__(task, name, value)  # past the model's normalising
+            tasks.append(task)
+        tasks = TaskSet(tasks, name="fields")
+        document = taskset_to_dict(tasks)
+        expected = reference_taskset_to_dict(tasks)
+        assert document == expected
+        assert [list(map(type, t.values())) for t in document["tasks"]] == [
+            list(map(type, t.values())) for t in expected["tasks"]
+        ]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_TEXTS, st.integers(), st.lists(st.integers(), max_size=2)))
+    def test_frac_decode_matches_the_reference(self, text):
+        decode = lambda value: decode_value({"$frac": value})  # noqa: E731
+        assert outcome(decode, text) == outcome(reference_decode_fraction, text)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str limit"
+    )
+    @pytest.mark.parametrize("width", [600, 640, 641, 1000])
+    @pytest.mark.parametrize("limit", [640, 0])
+    def test_frac_decode_follows_the_current_digit_limit(self, width, limit):
+        text = "7" * width + "/" + "3" * (width // 2)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            decode = lambda value: decode_value({"$frac": value})  # noqa: E731
+            assert outcome(decode, text) == outcome(reference_decode_fraction, text)
+        finally:
+            sys.set_int_max_str_digits(saved)

@@ -199,6 +199,30 @@ class TestStoreIntegration:
         assert snapshot["from_store"] == 32
         assert commits == 1
 
+    def test_one_store_key_per_request(self, tmp_path, monkeypatch):
+        """A shard's store read and write share its row keys: one
+        fingerprint_key per request, not one per store call."""
+        import repro.service.store as store_module
+
+        calls = []
+        real = store_module.fingerprint_key
+
+        def counting(fingerprint):
+            calls.append(fingerprint)
+            return real(fingerprint)
+
+        monkeypatch.setattr(store_module, "fingerprint_key", counting)
+        sets = [generate_taskset(n=6, utilization=0.8, seed=i) for i in range(8)]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            q = JobQueue(store=store, shard_size=4)
+            try:
+                job = q.submit(_requests(sets, "qpa"))
+                snapshot = q.wait(job, timeout=60)
+            finally:
+                q.shutdown()
+        assert snapshot["computed"] == 8
+        assert len(calls) == 8
+
 
 class TestProgress:
     def test_progress_advances_by_shards(self):

@@ -3,8 +3,10 @@ and queue shutdown semantics (drain vs cancel)."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import sqlite3
+import statistics
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -13,7 +15,7 @@ import pytest
 
 from repro.engine import AnalysisContext, AnalysisRequest, analyze
 from repro.model import TaskSet
-from repro.service import JobQueue, JobState, ResultStore
+from repro.service import AnalysisServer, JobQueue, JobState, ResultStore
 from repro.service.client import (
     ServiceClient,
     ServiceError,
@@ -116,6 +118,192 @@ class TestClientRetry:
     def test_retries_validated(self):
         with pytest.raises(ValueError):
             ServiceClient("http://127.0.0.1:9", retries=0)
+
+    def test_malformed_path_is_the_callers_error(self, flaky_server):
+        httpd, url = flaky_server(fail_first=0)
+        with make_client(url) as client:
+            with pytest.raises(ValueError, match="control characters"):
+                client.trace("not a trace id")
+        assert httpd.counts == {}  # refused before sending, not retried
+
+    def test_flaky_http10_server_answers_on_new_connections(self, flaky_server):
+        """An HTTP/1.0 server closes after every answer; nothing is
+        pooled, and every call still lands."""
+        httpd, url = flaky_server(fail_first=0)
+        with make_client(url) as client:
+            for _ in range(3):
+                assert client.health() == {"ok": True}
+        assert httpd.counts["GET"] == 3
+
+
+# ----------------------------------------------------------------------
+# ServiceClient: kept-alive connections
+# ----------------------------------------------------------------------
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1: answers request *k* (counted server-wide) with
+    ``{"n": k}`` after ``server.delays.get(k, 0)`` seconds, and closes
+    the connection after the requests in ``server.close_after``
+    without saying so.  Records each request's client address (one per
+    connection)."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):  # noqa: A002 - http.server API
+        pass
+
+    def do_GET(self):  # noqa: N802 - http.server API
+        server = self.server
+        with server.lock:
+            server.peers.append(self.client_address)
+            number = len(server.peers)
+        time.sleep(server.delays.get(number, 0.0))
+        body = json.dumps({"n": number}).encode()
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:
+            pass  # the client gave up on this answer
+        self.close_connection = number in server.close_after
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self, delays=None, close_after=()):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.lock = threading.Lock()
+        self.peers = []
+        self.delays = delays or {}
+        self.close_after = set(close_after)
+        self.closed = threading.Semaphore(0)  # one release per connection
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    @property
+    def connections(self) -> int:
+        with self.lock:
+            return len(set(self.peers))
+
+
+@pytest.fixture
+def keepalive_server():
+    servers = []
+
+    def spawn(**kwargs):
+        httpd = _KeepAliveServer(**kwargs)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        servers.append(httpd)
+        return httpd, f"http://127.0.0.1:{httpd.server_address[1]}"
+
+    yield spawn
+    for httpd in servers:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+class TestKeptAliveTransport:
+    def test_calls_share_one_connection(self, keepalive_server):
+        httpd, url = keepalive_server()
+        client = make_client(url)
+        for number in range(1, 21):
+            assert client.health() == {"n": number}
+        assert httpd.connections == 1
+        client.close()
+        assert httpd.closed.acquire(timeout=5)  # close() hung it up
+        assert client.health() == {"n": 21}  # and the client still works
+
+    def test_connection_closed_while_idle_is_replaced(self, keepalive_server):
+        httpd, url = keepalive_server(close_after={1})
+        with make_client(url, retries=1) as client:
+            assert client.health() == {"n": 1}
+            assert httpd.closed.acquire(timeout=5)  # the server hung up
+            assert client.health() == {"n": 2}
+        assert httpd.connections == 2
+
+    def test_late_answer_never_answers_the_next_request(self, keepalive_server):
+        httpd, url = keepalive_server(delays={1: 1.0})
+        with make_client(url, timeout=0.3, retries=1) as client:
+            with pytest.raises(TransientServiceError) as excinfo:
+                client.health()
+            assert excinfo.value.reason == "timeout"
+            assert client.health() == {"n": 2}
+        assert httpd.connections == 2
+
+    def test_url_scheme_picks_the_connection(self):
+        assert isinstance(
+            ServiceClient("https://service.invalid")._checkout(),
+            http.client.HTTPSConnection,
+        )
+        with pytest.raises(ValueError, match="http"):
+            ServiceClient("ftp://service.invalid")
+
+
+class TestServerConnections:
+    """The analysis server's side of kept-alive connections (fleet
+    workers share its server class; see tests/fleet/test_http_layer.py)."""
+
+    @pytest.fixture
+    def server(self):
+        with AnalysisServer(port=0, sampler_interval=None) as server:
+            yield server
+
+    def test_kept_alive_answers_are_not_delayed(self, server):
+        """Header and body leave in two writes; with Nagle on, every
+        answer after the first waits out the client's delayed ACK."""
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            times = []
+            for _ in range(20):
+                begin = time.perf_counter()
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                assert json.loads(response.read())["ok"] is True
+                times.append(time.perf_counter() - begin)
+        finally:
+            connection.close()
+        assert statistics.median(times) < 0.020
+
+    def test_closed_server_answers_no_kept_alive_connection(self, server):
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.request("GET", "/v1/health")
+            assert connection.getresponse().read()
+            server.close()
+            with pytest.raises((OSError, http.client.HTTPException)):
+                connection.request("GET", "/v1/health")
+                connection.getresponse().read()
+        finally:
+            connection.close()
+
+    def test_request_after_a_closing_400_uses_a_new_connection(self, server):
+        """A POST without a body is a 400 after which the server hangs
+        up, and says so; the client's next request must not go to that
+        connection."""
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            connection.request("POST", "/v1/jobs", headers={"Content-Length": "0"})
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+        finally:
+            connection.close()
+        with make_client(server.url, retries=1) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/v1/jobs")
+            assert excinfo.value.status == 400
+            assert "Content-Length" in excinfo.value.message
+            document = {"test": "qpa", "taskset": {"tasks": [
+                {"wcet": 1, "deadline": 4, "period": 4}]}}
+            assert client._request("POST", "/v1/jobs", document)["job"]
+            assert client.health()["ok"] is True
 
 
 # ----------------------------------------------------------------------
