@@ -15,8 +15,9 @@ canonical fingerprint of the task set, so that
   module-level context cache instead of recomputing.
 
 The fingerprint is the normal form.  :func:`fingerprint_of` reads its
-``(wcet, first_deadline, period, source)`` rows straight off the
-source's task and component entries, and the cache is looked up with
+``(wcet, first_deadline, period, source)`` rows straight off a
+`TaskSet`'s ``(C, D, T, phase, name)`` rows, or off the source's task
+and component entries, and the cache is looked up with
 it, so a hit (every test of a battery after the first, each handed its
 own equal `TaskSet`) builds nothing.  A miss builds the context from the
 same rows: the utilization is a :func:`~repro.model.numeric.rate_sum`
@@ -25,7 +26,7 @@ compiles from them (:meth:`~repro.kernel.DemandKernel.from_rows`).
 :attr:`AnalysisContext.components` builds the equal `DemandComponent`
 tuple on first read, for the few readers that need objects, so the
 tests that run on the kernel — the paper's battery among them — never
-build a component.
+build a component, nor, on an integer set, a task.
 
 The cache is a small LRU — analysis sweeps over millions of *distinct*
 sets stay O(cache size) in memory.  It lives and dies with the process:
@@ -42,9 +43,15 @@ from typing import Any, Dict, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
-from ..model.components import DemandComponent, DemandSource, as_components
+from ..model.components import (
+    DemandComponent,
+    DemandSource,
+    as_components,
+    component_rows,
+)
 from ..model.numeric import ExactTime, Time, rate_sum, to_exact
 from ..model.task import SporadicTask
+from ..model.taskset import TaskSet
 from ..obs import counter as _obs_counter
 from ..obs import span as _obs_span
 from ..result import FeasibilityResult, Verdict
@@ -127,8 +134,9 @@ class AnalysisContext:
         a miss builds the context from that fingerprint."""
         if isinstance(source, AnalysisContext):
             return source
-        if iter(source) is source:  # an iterator: read it once
-            source = tuple(source)
+        # (A TaskSet is no iterator, and iter() would build its tasks.)
+        if not isinstance(source, TaskSet) and iter(source) is source:
+            source = tuple(source)  # an iterator: read it once
         key = fingerprint_of(source)
         with _CACHE_LOCK:
             cached = _CONTEXTS.get(key)
@@ -285,16 +293,19 @@ def fingerprint_of(source: DemandSource) -> Fingerprint:
     """Canonical fingerprint of *source* without touching any cache.
 
     The key ``as_components(source)`` would give, read in one pass
-    straight off task and component entries: no `DemandComponent` is
-    built for a task, no LRU churn, no context.  Only ``to_components()``
-    entries go through :func:`as_components`, and so do unsupported
-    entries, which it rejects with its usual `ModelError`.  The service
-    layer keys store lookups with this for requests it has not decided
-    to execute yet; a context built later for the same system reports an
-    identical :attr:`AnalysisContext.fingerprint`.
+    straight off a `TaskSet`'s rows or off task and component entries:
+    no task or `DemandComponent` is built, no LRU churn, no context.
+    Only ``to_components()`` entries go through :func:`as_components`,
+    and so do unsupported entries, which it rejects with its usual
+    `ModelError`.  The service layer keys store lookups with this for
+    requests it has not decided to execute yet; a context built later
+    for the same system reports an identical
+    :attr:`AnalysisContext.fingerprint`.
     """
     if isinstance(source, AnalysisContext):
         return source.fingerprint
+    if isinstance(source, TaskSet):
+        return component_rows(source)
     key = []
     for index, entry in enumerate(source):
         if isinstance(entry, DemandComponent):

@@ -22,6 +22,16 @@ Rendezvous (highest-random-weight) hashing rather than a modulo ring:
 when a worker dies only *its* groups move, everyone else's stay put —
 exactly the property that keeps surviving workers' caches warm through
 a failure.
+
+On the wire (``POST /v1/fleet/shard``) each request carries its task
+set as a row list, ``"rows": [[C, D, T], ...]``, read straight off
+:attr:`TaskSet.rows`.  A row grows to ``[C, D, T, phase, name]`` only
+for a task with a nonzero phase or a name, a value that is not an
+``int`` travels tagged (``{"$frac": "p/q"}``), and the set's name
+travels as ``"name"`` only when it is not empty.  The worker decodes
+plain-``int`` rows into a row-backed `TaskSet` without building a task
+(16 sets of 40 tasks: ~16 kB, against ~51 kB as ``repro/taskset-v1``
+documents).
 """
 
 from __future__ import annotations
@@ -29,17 +39,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..engine.batch import AnalysisRequest
 from ..engine.context import fingerprint_of
 from ..engine.registry import TestRegistry, default_registry
-from ..model.serialization import (
-    decode_value,
-    encode_value,
-    taskset_from_dict,
-    taskset_to_dict,
-)
+from ..model.numeric import ExactTime
+from ..model.serialization import decode_value, encode_value
 from ..model.taskset import TaskSet
 
 __all__ = [
@@ -202,32 +209,71 @@ def next_shard_id(prefix: str = "s") -> str:
 # ----------------------------------------------------------------------
 
 
+def _rows_to_wire(tasks: TaskSet) -> List[List[Any]]:
+    wire = []
+    for c, d, t, phase, label in tasks.rows:
+        row = [c, d, t, phase, label] if phase or label else [c, d, t]
+        if not (type(c) is type(d) is type(t) is type(phase) is int):
+            row = [encode_value(value) for value in row]
+        wire.append(row)
+    return wire
+
+
+def _time_from_wire(value: Any) -> ExactTime:
+    exact = decode_value(value) if type(value) is dict else value
+    if type(exact) is int or type(exact) is Fraction:
+        return exact
+    raise ValueError(f"invalid time value {value!r}")
+
+
+def _taskset_from_wire(rows: Any, name: Any) -> TaskSet:
+    if type(rows) is not list:
+        raise ValueError("'rows' must be a list of [C, D, T] rows")
+    if type(name) is not str:
+        raise ValueError("'name' must be a string")
+    decoded = []
+    for position, row in enumerate(rows):
+        if type(row) is list and len(row) == 3:
+            c, d, t = row
+            phase, label = 0, ""
+        elif type(row) is list and len(row) == 5 and type(row[4]) is str:
+            c, d, t, phase, label = row
+        else:
+            raise ValueError(
+                f"row {position} must be [C, D, T] or [C, D, T, phase, name]"
+            )
+        if not (type(c) is type(d) is type(t) is type(phase) is int):
+            c, d, t, phase = map(_time_from_wire, (c, d, t, phase))
+        decoded.append((c, d, t, phase, label))
+    return TaskSet.from_rows(decoded, name)
+
+
 def shard_to_wire(shard: Shard) -> Dict[str, Any]:
     """Encode a shard as the JSON body a worker executes.
 
     Sources must be :class:`TaskSet` (everything the HTTP API produces
     is; the coordinator runs a shard that raises ``TypeError`` here
-    locally); options go through the tagged value codec so exact
-    rationals survive the trip.
+    locally) and travel as row lists; options go through the tagged
+    value codec so exact rationals survive the trip.
     """
     entries = []
     for entry in shard.entries:
-        if not isinstance(entry.source, TaskSet):
+        source = entry.source
+        if not isinstance(source, TaskSet):
             raise TypeError(
                 f"request {entry.index}: only TaskSet sources are "
-                f"fleet-dispatchable, got {type(entry.source).__name__}"
+                f"fleet-dispatchable, got {type(source).__name__}"
             )
-        entries.append(
-            {
-                "index": entry.index,
-                "test": entry.test,
-                "options": {
-                    str(k): encode_value(v) for k, v in entry.options.items()
-                },
-                "tag": encode_value(entry.tag),
-                "taskset": taskset_to_dict(entry.source),
-            }
-        )
+        item = {
+            "index": entry.index,
+            "test": entry.test,
+            "options": {str(k): encode_value(v) for k, v in entry.options.items()},
+            "tag": encode_value(entry.tag),
+            "rows": _rows_to_wire(source),
+        }
+        if source.name:
+            item["name"] = source.name
+        entries.append(item)
     return {
         "shard": shard.id,
         "attempt": shard.attempts,
@@ -240,7 +286,8 @@ def entries_from_wire(
     document: Mapping[str, Any]
 ) -> List[Dict[str, Any]]:
     """Decode a shard body into ``{index, source, test, options, tag}``
-    dicts (the worker re-resolves options against its own registry)."""
+    dicts (the worker re-resolves options against its own registry).
+    Raises ``ValueError`` on any malformed entry, the worker's 400."""
     raw = document.get("entries")
     if not isinstance(raw, list) or not raw:
         raise ValueError("a shard body needs a non-empty 'entries' list")
@@ -254,7 +301,7 @@ def entries_from_wire(
         try:
             index = int(item["index"])
             test = item["test"]
-            source = taskset_from_dict(item["taskset"])
+            source = _taskset_from_wire(item["rows"], item.get("name", ""))
             options = {k: decode_value(v) for k, v in options.items()}
             tag = decode_value(item.get("tag"))
         except (ArithmeticError, KeyError, TypeError, ValueError) as err:

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .numeric import ExactTime, Time, floor_div, rate_sum, to_exact
 from .task import SporadicTask
 from .taskset import TaskSet
 from .validation import ModelError
 
-__all__ = ["DemandComponent", "as_components", "DemandSource"]
+__all__ = ["DemandComponent", "as_components", "component_rows", "DemandSource"]
 
 
 @dataclass(frozen=True)
@@ -173,14 +173,29 @@ class DemandComponent:
 DemandSource = Union[TaskSet, Sequence[SporadicTask], Sequence[DemandComponent]]
 
 
+def component_rows(tasks: TaskSet) -> Tuple[Tuple[ExactTime, ...], ...]:
+    """The ``(wcet, first_deadline, period, source)`` of each component
+    :func:`as_components` makes of *tasks*, read off its rows: one per
+    task with ``C > 0``, labelled by its name or ``tau{i}`` (``i``
+    counting every task)."""
+    return tuple(
+        (c, d, t, label or f"tau{index}")
+        for index, (c, d, t, _, label) in enumerate(tasks.rows, 1)
+        if c > 0
+    )
+
+
 def as_components(source: DemandSource) -> List[DemandComponent]:
     """Normalise *source* to a list of demand components.
 
     Accepts a :class:`TaskSet`, an iterable of tasks, an iterable of
     ready-made components, or an iterable of event-stream tasks (anything
     exposing ``to_components()``).  Zero-demand entries are dropped: they
-    contribute nothing to any demand bound function.
+    contribute nothing to any demand bound function.  A `TaskSet` is read
+    from its rows, without building its tasks.
     """
+    if isinstance(source, TaskSet):
+        return [DemandComponent(*row) for row in component_rows(source)]
     items: Iterable = source
     components: List[DemandComponent] = []
     for index, entry in enumerate(items):

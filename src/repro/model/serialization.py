@@ -16,6 +16,11 @@ Three document formats:
 Time values survive a round trip exactly: integers stay integers and
 Fractions are encoded as ``"p/q"`` strings, so an analysis re-run on a
 deserialized set reproduces verdicts and iteration counts bit-for-bit.
+Task sets are written from their ``(C, D, T, phase, name)`` rows
+(:attr:`TaskSet.rows`).  A document whose task times are all plain JSON
+integers decodes to rows (:meth:`TaskSet.from_rows`) without building a
+task; any other goes through the normalising per-task path, which
+raises the same errors for the same documents.
 Assignments round-trip verbatim, so a packed system written by the CLI
 re-verifies identically when loaded back.
 """
@@ -29,11 +34,11 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from .numeric import ExactTime
 from .task import SporadicTask
-from .taskset import TaskSet
+from .taskset import Row, TaskSet
 from .validation import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -98,20 +103,20 @@ def _decode_time(value: Union[int, float, str]) -> ExactTime:
     raise ModelError(f"invalid time value {value!r}")
 
 
-def _task_to_dict(task: SporadicTask) -> Dict[str, Any]:
-    wcet, deadline, period, phase = task.wcet, task.deadline, task.period, task.phase
+def _row_to_dict(row: Row) -> Dict[str, Any]:
+    wcet, deadline, period, phase, name = row
     if type(wcet) is type(deadline) is type(period) is type(phase) is int:
         # Nearly every task: four plain ints are written as they are,
         # without _encode_time's isinstance check against an ABC.
         return {
-            "name": task.name,
+            "name": name,
             "wcet": wcet,
             "deadline": deadline,
             "period": period,
             "phase": phase,
         }
     return {
-        "name": task.name,
+        "name": name,
         "wcet": _encode_time(wcet),
         "deadline": _encode_time(deadline),
         "period": _encode_time(period),
@@ -119,13 +124,36 @@ def _task_to_dict(task: SporadicTask) -> Dict[str, Any]:
     }
 
 
+def _task_to_dict(task: SporadicTask) -> Dict[str, Any]:
+    return _row_to_dict((task.wcet, task.deadline, task.period, task.phase, task.name))
+
+
 def taskset_to_dict(tasks: TaskSet) -> Dict[str, Any]:
     """Encode a task set as a plain JSON-serializable dict."""
     return {
         "format": _FORMAT,
         "name": tasks.name,
-        "tasks": [_task_to_dict(t) for t in tasks],
+        "tasks": [_row_to_dict(row) for row in tasks.rows],
     }
+
+
+def _int_rows(entries: Any) -> Optional[List[Row]]:
+    """The ``(C, D, T, phase, name)`` rows of *entries* when every entry
+    is an object whose times are plain JSON integers, else ``None``:
+    such entries need :func:`_tasks_from_entries`' normalisation and
+    errors.  :meth:`TaskSet.from_rows` checks the ranges and names."""
+    if type(entries) is not list:
+        return None
+    rows = []
+    for entry in entries:
+        if type(entry) is not dict:
+            return None
+        wcet, deadline = entry.get("wcet"), entry.get("deadline")
+        period, phase = entry.get("period"), entry.get("phase", 0)
+        if not (type(wcet) is type(deadline) is type(period) is type(phase) is int):
+            return None
+        rows.append((wcet, deadline, period, phase, entry.get("name", "")))
+    return rows
 
 
 def _tasks_from_entries(entries: Any) -> List[SporadicTask]:
@@ -160,6 +188,13 @@ def _tasks_from_entries(entries: Any) -> List[SporadicTask]:
     return tasks
 
 
+def _taskset_from_entries(entries: Any, name: Any) -> TaskSet:
+    rows = _int_rows(entries)
+    if rows is not None:
+        return TaskSet.from_rows(rows, name)
+    return TaskSet(_tasks_from_entries(entries), name=name)
+
+
 def taskset_from_dict(data: Dict[str, Any]) -> TaskSet:
     """Decode a task set produced by :func:`taskset_to_dict`."""
     if not isinstance(data, dict) or "tasks" not in data:
@@ -167,7 +202,7 @@ def taskset_from_dict(data: Dict[str, Any]) -> TaskSet:
     declared = data.get("format", _FORMAT)
     if declared != _FORMAT:
         raise ModelError(f"unsupported task set format {declared!r}")
-    return TaskSet(_tasks_from_entries(data["tasks"]), name=data.get("name", ""))
+    return _taskset_from_entries(data["tasks"], data.get("name", ""))
 
 
 def dumps_taskset(tasks: TaskSet, indent: int = 2) -> str:
@@ -242,7 +277,7 @@ def system_from_dict(data: Dict[str, Any]) -> "PartitionedSystem":
     )
     if "tasks" not in data:
         raise ModelError("system document must carry a 'tasks' list")
-    tasks = TaskSet(_tasks_from_entries(data["tasks"]), name=data.get("name", ""))
+    tasks = _taskset_from_entries(data["tasks"], data.get("name", ""))
     assignment = data.get("assignment")
     if assignment is not None and not isinstance(assignment, list):
         raise ModelError(

@@ -26,9 +26,11 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro import obs
-from repro.engine.batch import AnalysisRequest
-from repro.fleet import FleetWorker
+from repro.engine.batch import AnalysisRequest, BatchRunner
+from repro.experiments.harness import paper_test_battery
+from repro.fleet import FleetWorker, Shard, group_requests, shard_to_wire
 from repro.fleet.telemetry import _PAGE_LIMIT
+from repro.model import SporadicTask, TaskSet
 from repro.model.serialization import result_to_dict, taskset_to_dict
 from repro.service import AnalysisServer, ServiceClient
 
@@ -68,11 +70,11 @@ def json_headers(length: str) -> dict:
 
 
 def shard_document(traceparent=None) -> dict:
-    entries = [
-        {"index": i, "test": "qpa", "options": {}, "taskset": taskset_to_dict(ts)}
-        for i, ts in enumerate(make_tasksets(3, seed=7))
-    ]
-    return {"shard": "s-probe", "traceparent": traceparent, "entries": entries}
+    requests = campaign_requests(make_tasksets(3, seed=7), test="qpa")
+    shard = Shard(
+        id="s-probe", groups=group_requests(requests), traceparent=traceparent
+    )
+    return shard_to_wire(shard)
 
 
 # ----------------------------------------------------------------------
@@ -104,18 +106,19 @@ class TestOneChannel:
 
     def test_shard_response_carries_results_only(self, local_workers):
         worker = local_workers("lean")
-        payload = ServiceClient(worker.url).fleet_shard(shard_document())
+        with ServiceClient(worker.url) as client:
+            payload = client.fleet_shard(shard_document())
         assert set(payload) == {"shard", "worker", "results"}
         assert [item["index"] for item in payload["results"]] == [0, 1, 2]
 
     def test_worker_serves_trace_listing_and_lookup(self, local_workers):
         worker = local_workers("tracer")
-        client = ServiceClient(worker.url)
         trace_id = obs.new_trace_id()
         traceparent = obs.format_traceparent(trace_id, obs.new_span_id())
-        client.fleet_shard(shard_document(traceparent))
-        assert trace_id in [entry["trace"] for entry in client.traces()]
-        names = {record["name"] for record in client.trace(trace_id)}
+        with ServiceClient(worker.url) as client:
+            client.fleet_shard(shard_document(traceparent))
+            assert trace_id in [entry["trace"] for entry in client.traces()]
+            names = {record["name"] for record in client.trace(trace_id)}
         assert {"fleet.shard", "engine.analyze", "kernel.qpa"} <= names
 
     def test_profiled_fleet_job_counts_each_span_once(self, local_workers):
@@ -128,10 +131,10 @@ class TestOneChannel:
         ) as server:
             for worker in workers:
                 coord.register(worker.id, worker.url)
-            client = ServiceClient(server.url)
-            job = client.submit(make_tasksets(16), test="dynamic", profile=True)
-            assert client.wait(job, timeout=60)["state"] == "done"
-            report = client.raw_results(job)["profile"]
+            with ServiceClient(server.url) as client:
+                job = client.submit(make_tasksets(16), test="dynamic", profile=True)
+                assert client.wait(job, timeout=60)["state"] == "done"
+                report = client.raw_results(job)["profile"]
         rows = {row["span"]: row for row in report["rows"]}
         assert rows["engine.analyze"]["count"] == 16
         assert rows["fleet.shard"]["count"] == sum(
@@ -162,7 +165,8 @@ class TestOneChannel:
             # With this process's copies gone, the lookup serves the
             # scraped records alone, and every one of them comes back.
             obs.span_log().clear()
-            spans = ServiceClient(server.url).trace(trace_id)
+            with ServiceClient(server.url) as client:
+                spans = client.trace(trace_id)
         assert len({record["span_id"] for record in spans}) == burst
         assert {record["attrs"]["worker"] for record in spans} == {"burst"}
 
@@ -246,6 +250,26 @@ class TestHostileInput:
             {"options": {"bound_method": {"a": 1}}},  # unhashable option
             {"tag": {"$frac": [1, 0]}},  # tagged value of the wrong type
             {"tag": {"$frac": "1/0"}},
+            {"rows": {"0": [1, 5, 10]}},  # rows that are not a list
+            {"rows": [7]},  # a row that is not a list
+            {"rows": [[1, 5]]},  # rows of the wrong length
+            {"rows": [[1, 5, 10, 0]]},
+            {"rows": [[1, 5, 10, 0, "a", 1]]},
+            {"rows": [[True, 5, 10]]},  # bool values
+            {"rows": [[1, 5, 10, False, ""]]},
+            {"rows": [[-1, 5, 10]]},  # negative or zero values
+            {"rows": [[1, 5, 10, -2, ""]]},
+            {"rows": [[1, 0, 10]]},
+            {"rows": [[1, 5, {"$frac": "1/0"}]]},  # malformed $frac
+            {"rows": [[1, 5, {"$frac": "ten"}]]},
+            {"rows": [[1, 5, {"$frac": [10, 1]}]]},
+            {"rows": [[1, 5, {"$frac": "-1/2"}]]},
+            {"rows": [[1, 5, 10.5]]},  # untagged values that are not ints
+            {"rows": [[1, 5, "10"]]},
+            {"rows": [[1, 5, None]]},
+            {"rows": [[1, 5, 10, 0, 7]]},  # a task name that is not a string
+            {"rows": [[1, 5, 10, 0, "a"], [2, 6, 10, 0, "a"]]},  # duplicate names
+            {"name": ["a set"]},  # a set name that is not a string
         ],
     )
     def test_malformed_shard_entry_is_400(self, local_workers, entry):
@@ -283,7 +307,8 @@ class TestHostileInput:
 
     def test_non_string_traceparent_is_dropped(self, local_workers):
         worker = local_workers("untraced")
-        payload = ServiceClient(worker.url).fleet_shard(shard_document(5))
+        with ServiceClient(worker.url) as client:
+            payload = client.fleet_shard(shard_document(5))
         assert len(payload["results"]) == 3
 
 
@@ -459,6 +484,53 @@ class TestLocalBackstop:
 
 
 # ----------------------------------------------------------------------
+# Integer sets stay rows
+# ----------------------------------------------------------------------
+
+
+def test_row_sets_build_no_task(local_workers, monkeypatch):
+    """From `TaskSet.of` on plain ints to the kernel, in process through
+    the paper's battery and through a fleet campaign's shard wire, an
+    integer set is read as rows: not one `SporadicTask` is built."""
+    triples = [
+        [(t.wcet, t.deadline, t.period) for t in ts]
+        for ts in make_tasksets(16, seed=5)
+    ]
+    workers = [local_workers("rows-a"), local_workers("rows-b")]
+    coord = make_coordinator()
+    built = []
+    original = SporadicTask.__post_init__
+
+    def counting(task):
+        built.append(task)
+        original(task)
+
+    try:
+        for worker in workers:
+            coord.register(worker.id, worker.url)
+        monkeypatch.setattr(SporadicTask, "__post_init__", counting)
+        battery = [
+            AnalysisRequest(
+                source=TaskSet.of(*rows), test=spec.test, options=spec.options
+            )
+            for rows in triples
+            for spec in paper_test_battery()
+        ]
+        assert len(BatchRunner(jobs=1).run(battery)) == 64
+        campaign = [
+            AnalysisRequest(source=TaskSet.of(*rows), test="dynamic", options={})
+            for rows in triples
+        ]
+        results = coord.run_campaign(campaign)
+        assert built == []
+        monkeypatch.undo()
+        assert sum(w.worker.health()["shards_done"] for w in workers) >= 1
+        assert [result_to_dict(r) for r in results] == sequential_docs(campaign)
+    finally:
+        coord.close()
+
+
+# ----------------------------------------------------------------------
 # Cross-process: one scrape joins the worker's spans into the trace
 # ----------------------------------------------------------------------
 
@@ -487,22 +559,22 @@ def test_trace_reaches_subprocess_worker_kernel_spans():
                 assert time.monotonic() < deadline, "worker never registered"
                 assert process.poll() is None, "worker process exited"
                 time.sleep(0.05)
-            client = ServiceClient(server.url)
             document = {
                 "test": "qpa",
                 "tasksets": [
                     taskset_to_dict(ts) for ts in make_tasksets(4, seed=11)
                 ],
             }
-            snapshot = client.submit_document(document)
-            assert client.wait(snapshot["job"], timeout=60)["state"] == "done"
-            assert coord.scraper.scrape_all() == {"xp-w1": True}
-            spans = client.trace(snapshot["trace_id"])
+            with ServiceClient(server.url) as client:
+                snapshot = client.submit_document(document)
+                assert client.wait(snapshot["job"], timeout=60)["state"] == "done"
+                assert coord.scraper.scrape_all() == {"xp-w1": True}
+                spans = client.trace(snapshot["trace_id"])
 
-            # A profiled job scrapes its workers itself before reporting.
-            profiled = client.submit_document({**document, "profile": True})
-            assert client.wait(profiled["job"], timeout=60)["state"] == "done"
-            report = client.raw_results(profiled["job"])["profile"]
+                # A profiled job scrapes its workers itself before reporting.
+                profiled = client.submit_document({**document, "profile": True})
+                assert client.wait(profiled["job"], timeout=60)["state"] == "done"
+                report = client.raw_results(profiled["job"])["profile"]
         finally:
             process.terminate()
             process.wait(timeout=10)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+
 import pytest
 
 from repro.engine.batch import AnalysisRequest
+from repro.engine.context import fingerprint_of
 from repro.fleet import (
     Shard,
     entries_from_wire,
@@ -14,7 +18,8 @@ from repro.fleet import (
     rendezvous_ranking,
     shard_to_wire,
 )
-from repro.model import TaskSet
+from repro.generation import GeneratorConfig, TaskSetGenerator
+from repro.model import SporadicTask, TaskSet
 
 from .conftest import campaign_requests, make_tasksets
 
@@ -146,6 +151,56 @@ class TestWireFormat:
             assert entry["options"] == original.options
             assert entry["tag"] == original.tag
 
+    def test_round_trip_keeps_rationals_phases_and_names(self):
+        sets = [
+            TaskSet(
+                [
+                    SporadicTask(Fraction(1, 3), 4, 9),
+                    SporadicTask(0, 5, 10, name="idle"),
+                    SporadicTask(2, Fraction(15, 2), 12, phase=3),
+                    SporadicTask(1, 6, 8, phase=Fraction(1, 2), name="b"),
+                ],
+                name="mixed",
+            ),
+            TaskSet.of((0, 3, 4), (1, 5, 10)),
+            TaskSet([SporadicTask(2, 9, 7, name="late")], name="one"),
+        ]
+        shard = Shard(id="s-rows", groups=group_requests(campaign_requests(sets)))
+        wire = json.loads(json.dumps(shard_to_wire(shard)))
+        assert wire["entries"][0]["rows"] == [
+            [{"$frac": "1/3"}, 4, 9],
+            [0, 5, 10, 0, "idle"],
+            [2, {"$frac": "15/2"}, 12, 3, ""],
+            [1, 6, 8, {"$frac": "1/2"}, "b"],
+        ]
+        assert wire["entries"][1]["rows"] == [[0, 3, 4], [1, 5, 10]]
+        assert [entry.get("name") for entry in wire["entries"]] == [
+            "mixed", None, "one",
+        ]
+        decoded = [entry["source"] for entry in entries_from_wire(wire)]
+        for source, original in zip(decoded, sets):
+            assert source.rows == original.rows
+            assert source.name == original.name
+            assert list(source) == list(original)
+            assert [t.name for t in source] == [t.name for t in original]
+            assert fingerprint_of(source) == fingerprint_of(original)
+
+    def test_sixteen_forty_task_sets_fit_in_twenty_kilobytes(self):
+        generator = TaskSetGenerator(
+            GeneratorConfig(
+                tasks=(40, 40),
+                utilization=(0.97, 0.97),
+                period_range=(1_000, 100_000),
+                gap=(0.0, 0.4),
+            ),
+            seed=25,
+        )
+        sets = [generator.one() for _ in range(16)]
+        requests = campaign_requests(sets, test="dynamic")
+        shard = Shard(id="s-size", groups=group_requests(requests))
+        body = json.dumps(shard_to_wire(shard)).encode("utf-8")
+        assert len(body) < 20_000
+
     def test_non_taskset_source_rejected(self):
         shard = Shard(
             id="s-bad",
@@ -162,7 +217,8 @@ class TestWireFormat:
             {"entries": []},
             {"entries": ["nope"]},
             {"entries": [{"index": 0}]},
-            {"entries": [{"index": 0, "test": 7, "taskset": {}}]},
+            {"entries": [{"index": 0, "test": 7, "rows": []}]},
+            {"entries": [{"index": 0, "test": "qpa", "taskset": {"tasks": []}}]},
         ],
     )
     def test_malformed_bodies_raise(self, document):
