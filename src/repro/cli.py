@@ -14,7 +14,8 @@ Subcommands:
 * ``serve`` — run the long-lived analysis service (persistent result
   store + async job queue + HTTP JSON API);
 * ``submit`` / ``status`` / ``fetch`` — talk to a running service:
-  submit task-set files as a job, poll it, print its results;
+  submit task-set files as a job, wait for it (polling only if the
+  server did not finish it within the submit), print its results;
 * ``trace`` — generate an arrival trace (Poisson, bursty, ramp, churn)
   for the online admission layer;
 * ``replay`` — replay a trace through an admission controller (or an
@@ -1614,8 +1615,8 @@ def _job_options(args: argparse.Namespace) -> dict:
     return options
 
 
-def _print_job_results(client: ServiceClient, job_id: str) -> int:
-    raw = client.raw_results(job_id)
+def _print_job_results(raw: dict) -> int:
+    """Print a job's result document; the exit code of its verdicts."""
     print(f"{'tag':>6}  {'test':>18s}  {'verdict':>10s}  {'iterations':>10s}")
     worst = 0
     for entry in raw["results"]:
@@ -1636,8 +1637,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .obs import span
+    from .service import JobState
 
-    client = _service_client(args.url)
     options = _job_options(args)
     if args.test == "superpos" and args.level is None:
         print("error: --test superpos requires --level", file=sys.stderr)
@@ -1659,7 +1660,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     # request carries its traceparent, so the server-side span tree
     # (HTTP handler → queue wait → engine → kernel) shares one trace id
     # — the one printed below and reconstructed by `repro obs trace`.
-    with span("cli.submit", files=len(args.files), test=args.test):
+    with _service_client(args.url) as client, span(
+        "cli.submit", files=len(args.files), test=args.test
+    ):
         snapshot = client.submit_document(body)
         job_id = snapshot["job"]
         print(f"job {job_id} submitted ({snapshot['total']} analyses)")
@@ -1667,7 +1670,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             print(f"trace {snapshot['trace_id']}")
         if args.no_wait:
             return 0
-        snapshot = client.wait(job_id, timeout=args.timeout)
+        if snapshot["state"] not in JobState.TERMINAL:  # not done in the POST
+            snapshot = client.wait(job_id, timeout=args.timeout)
         if snapshot["state"] != "done":
             print(
                 f"error: job {job_id} ended {snapshot['state']}"
@@ -1675,16 +1679,16 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        code = _print_job_results(client, job_id)
+        raw = client.raw_results(job_id)
+        code = _print_job_results(raw)
         if args.profile:
-            _print_remote_profile(client, job_id)
+            _print_remote_profile(raw.get("profile"))
         return code
 
 
-def _print_remote_profile(client: ServiceClient, job_id: str) -> None:
+def _print_remote_profile(report: Optional[dict]) -> None:
     from .obs import render_profile
 
-    report = client.raw_results(job_id).get("profile")
     if report:
         print()
         print(render_profile(report))
@@ -1829,11 +1833,12 @@ def _obs_events(
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    client = _service_client(args.url)
+    with _service_client(args.url) as client:
+        raw = client.raw_results(args.job)
     if args.json:
-        print(json.dumps(client.raw_results(args.job), indent=2))
+        print(json.dumps(raw, indent=2))
         return 0
-    return _print_job_results(client, args.job)
+    return _print_job_results(raw)
 
 
 if __name__ == "__main__":  # pragma: no cover

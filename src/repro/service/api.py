@@ -23,7 +23,8 @@ GET       /v1/traces                  newest-first per-trace span rollups
                                       (``?since=N`` for a cursor span page)
 GET       /v1/traces/{trace_id}       every retained span of one trace (plus
                                       the scraped worker spans, in fleet mode)
-POST      /v1/jobs                    submit a single or batch job (202)
+POST      /v1/jobs                    submit a single or batch job (202; the
+                                      snapshot once done, or after 0.1 s)
 GET       /v1/jobs                    list job snapshots
 GET       /v1/jobs/{id}               one job's status/progress
 GET       /v1/jobs/{id}/result        results of a finished job
@@ -64,8 +65,11 @@ sets::
 
 Validation failures (unknown test, bad options, malformed documents)
 are 400s with an ``error`` string; unknown jobs and paths are 404s.
-The server never runs analyses on the request thread — POST returns a
-``202 Accepted`` snapshot and clients poll or use the CLI's ``--wait``.
+Analyses run on the job queue's workers, never on the request thread.
+A POST queues its job, then waits on it for at most ``_SUBMIT_WAIT``
+(0.1 s) and answers ``202 Accepted`` with the job's snapshot: ``done``
+with results ready at ``/result`` if the job finished by then, else
+``queued`` or ``running``, and the client polls.
 
 Transport: the analysis server and fleet workers share one HTTP server
 class (``_HTTPServer``), a thread per connection with HTTP/1.1
@@ -128,6 +132,11 @@ _MAX_BODY = 64 * 1024 * 1024  # a 64 MiB body is an attack, not a campaign
 _MAX_PAGE_LIMIT = 1000
 _EXPOSITION = "text/plain; version=0.0.4; charset=utf-8"
 _TELEMETRY_PATHS = frozenset({"/v1/metrics", "/v1/events", "/v1/traces"})
+#: Seconds a ``POST /v1/jobs`` waits for the job it queued before it
+#: answers: a job finished by then is answered ``done``, so its client
+#: needs no poll.  Twice the Python client's first poll (50 ms); a
+#: longer job is answered ``queued`` or ``running`` and runs on.
+_SUBMIT_WAIT = 0.1
 
 _HTTP_REQUESTS = _obs_counter(
     "repro_http_requests_total",
@@ -687,7 +696,7 @@ class AnalysisServer:
                 )
             except ValueError as err:
                 raise ApiError(400, str(err)) from None
-            handler._send_json(202, self.queue.status(job_id))
+            handler._send_json(202, self.queue.wait(job_id, _SUBMIT_WAIT))
             return True
         if path == "/v1/jobs" and method == "GET":
             handler._send_json(200, {"jobs": self.queue.list_jobs()})

@@ -37,6 +37,7 @@ from ..obs import (
     new_trace_id,
 )
 from ..result import FeasibilityResult
+from .jobs import JobState
 
 __all__ = ["ServiceClient", "ServiceError", "TransientServiceError"]
 
@@ -342,6 +343,17 @@ class ServiceClient:
         *profile* opts the job into the server-side span profiler: the
         result document gains a per-stage ``profile`` breakdown.
         """
+        return self._submit(tasksets, test, priority, profile, **options)["job"]
+
+    def _submit(
+        self,
+        tasksets: Sequence[TaskSet],
+        test: str = "all-approx",
+        priority: int = 0,
+        profile: bool = False,
+        **options: Any,
+    ) -> Dict[str, Any]:
+        """:meth:`submit`, returning the POST's job snapshot."""
         sets = list(tasksets)
         if not sets:
             raise ValueError("submit needs at least one task set")
@@ -354,7 +366,7 @@ class ServiceClient:
             document["taskset"] = taskset_to_dict(sets[0])
         else:
             document["tasksets"] = [taskset_to_dict(ts) for ts in sets]
-        return self.submit_document(document)["job"]
+        return self.submit_document(document)
 
     def status(self, job_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/v1/jobs/{job_id}")
@@ -401,7 +413,7 @@ class ServiceClient:
         delay = poll
         while True:
             snapshot = self.status(job_id)
-            if snapshot["state"] in ("done", "failed", "cancelled"):
+            if snapshot["state"] in JobState.TERMINAL:
                 return snapshot
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -418,9 +430,12 @@ class ServiceClient:
         timeout: float = 60.0,
         **options: Any,
     ) -> List[FeasibilityResult]:
-        """Submit, wait, fetch — the synchronous convenience path."""
-        job_id = self.submit(tasksets, test, **options)
-        snapshot = self.wait(job_id, timeout=timeout)
+        """Submit, wait, fetch — the synchronous convenience path.  A
+        job the server finished within its POST is fetched at once."""
+        snapshot = self._submit(tasksets, test, **options)
+        job_id = snapshot["job"]
+        if snapshot["state"] not in JobState.TERMINAL:
+            snapshot = self.wait(job_id, timeout=timeout)
         if snapshot["state"] != "done":
             raise ServiceError(
                 0,
