@@ -11,9 +11,9 @@ and ``qpa`` with its BEST bound — each timed with the context cache
 cleared, exactly what a stateless service pays per event.
 
 The event workload is admit/remove churn of small tasks against a
-U ≈ 0.85 resident system: every arrival runs the full staged pipeline
-(utilization gate → windowed ε-filter → exact stage when needed), and
-per-event verdicts are spot-checked against fresh engine analysis.
+U ≈ 0.85 resident system: every arrival passes the utilization gate
+and is decided by the windowed exact QPA walk, and per-event verdicts
+are spot-checked against fresh engine analysis.
 
 Results land in ``BENCH_online.json``; the committed copy is the
 baseline ``bench_diff.py`` gates against.
@@ -81,8 +81,7 @@ def test_online_event_speedup(benchmark, bench_record):
         for size in SIZES:
             controller = AdmissionController(_base_taskset(size))
             churn = _churn_events(EVENTS, seed=97 + size)
-            # Warm-up: first contacts compile the kernel's lazy pieces
-            # (rates) and touch every code path once.
+            # Warm-up: the first arrival touches every code path once.
             controller.admit(churn[0], name="warmup")
             controller.remove("warmup")
             # Every event is removed again, so this is the system each
@@ -116,9 +115,7 @@ def test_online_event_speedup(benchmark, bench_record):
             # Ratios anchor the trajectory but never gate (no *_seconds).
             payload[f"online_speedup_vs_pda_{size}"] = round(speedup_pda, 2)
             payload[f"online_speedup_vs_qpa_{size}"] = round(speedup_qpa, 2)
-            stats = controller.stats()
-            payload[f"online_filter_decisions_{size}"] = stats["approx-filter"]
-            payload[f"online_exact_decisions_{size}"] = stats["exact"]
+            payload[f"online_exact_decisions_{size}"] = controller.stats()["exact"]
             rows.append(
                 [
                     str(size),

@@ -2,11 +2,11 @@
 """Online admission control: a live system deciding arrivals in real time.
 
 Builds an admission controller over a resident task set, walks it
-through individual arrivals (admitted via the cheap ε-filter, rejected
-at the utilization gate, or settled by the windowed exact stage), then
-replays a generated churn trace with the from-scratch parity oracle on,
-and finally routes a burst of arrivals onto a 2-core platform with
-online worst-fit placement.
+through individual arrivals (rejected at the utilization gate, or
+decided by the windowed exact QPA walk, with its bound and the ``dbf``
+evaluations it took), then replays a generated churn trace with the
+from-scratch parity oracle on, and finally routes a burst of arrivals
+onto a 2-core platform with online worst-fit placement.
 
 The same loops from the shell:
 
@@ -18,18 +18,16 @@ The same loops from the shell:
 Run:  python examples/online_admission.py
 """
 
-from fractions import Fraction
-
 from repro.generation import churn_trace, generate_taskset
 from repro.model import SporadicTask
-from repro.online import AdmissionController, OnlinePlacer, replay
+from repro.online import AdmissionController, OnlinePlacer, Stage, replay
 
 # ---------------------------------------------------------------------------
 # 1. A live controller: admit, reject, depart
 # ---------------------------------------------------------------------------
 
 base = generate_taskset(n=12, utilization=0.6, seed=2005)
-controller = AdmissionController(base, epsilon=Fraction(1, 10))
+controller = AdmissionController(base)
 print(f"resident system: {len(base)} tasks, U = {float(base.utilization):.3f}")
 
 arrivals = [
@@ -40,10 +38,13 @@ arrivals = [
 for name, task in arrivals:
     decision = controller.admit(task, name=name)
     outcome = "admitted" if decision.admitted else "REJECTED"
+    walk = ""
+    if decision.stage == Stage.EXACT:
+        walk = f", QPA bound {decision.bound}: {decision.iterations} dbf evaluations"
     print(
         f"  {name:<6s} {outcome:<9s} via {decision.stage:<16s} "
         f"U -> {float(decision.utilization):.3f} "
-        f"({decision.latency_seconds * 1e3:.2f} ms)"
+        f"({decision.latency_seconds * 1e3:.2f} ms{walk})"
     )
 controller.remove("audio")
 print(f"after audio departs: {len(controller)} entries, "

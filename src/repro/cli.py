@@ -409,13 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--base", default=None, help="task-set JSON seeding the initial system"
     )
     p_replay.add_argument(
-        "--epsilon",
-        default="1/10",
-        metavar="EPS",
-        help="filter error bound, e.g. 0.1 or 1/10 ('none' disables the "
-        "approximate filter stage)",
-    )
-    p_replay.add_argument(
         "--oracle",
         action="store_true",
         help="assert per-event verdict parity against from-scratch engine "
@@ -460,12 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--file",
         default=None,
         help="task-set JSON whose tasks are admitted in order",
-    )
-    p_admit.add_argument(
-        "--epsilon",
-        default="1/10",
-        metavar="EPS",
-        help="filter error bound ('none' disables the approximate filter)",
     )
 
     p_status = sub.add_parser("status", help="show a submitted job's status")
@@ -1224,12 +1211,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return code
 
 
-def _parse_epsilon(raw: str):
-    if raw == "none":
-        return None
-    return Fraction(raw)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .generation import generate_trace
 
@@ -1264,7 +1245,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from .online import ARRIVE, AdmissionController, replay
 
     trace = load_trace(args.trace)
-    epsilon = _parse_epsilon(args.epsilon)
     if args.cores is not None:
         # Refuse silently dropping flags the placed mode does not honour.
         if args.oracle:
@@ -1281,14 +1261,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        return _replay_placed(trace, args, epsilon)
+        return _replay_placed(trace, args)
     controller = None
     if args.base:
-        controller = AdmissionController(load_taskset(args.base), epsilon=epsilon)
+        controller = AdmissionController(load_taskset(args.base))
     report = replay(
         trace,
         controller=controller,
-        epsilon=epsilon,
         oracle=args.oracle,
         oracle_test=args.oracle_test,
     )
@@ -1307,10 +1286,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_placed(trace, args: argparse.Namespace, epsilon) -> int:
+def _replay_placed(trace, args: argparse.Namespace) -> int:
     from .online import ARRIVE, OnlinePlacer
 
-    placer = OnlinePlacer(args.cores, heuristic=args.heuristic, epsilon=epsilon)
+    placer = OnlinePlacer(args.cores, heuristic=args.heuristic)
     for event in trace:
         if event.kind == ARRIVE:
             decision = placer.admit(event.task, name=event.name)
@@ -1338,7 +1317,7 @@ def _cmd_admit(args: argparse.Namespace) -> int:
     from .online import AdmissionController
 
     base = load_taskset(args.base)
-    controller = AdmissionController(base, epsilon=_parse_epsilon(args.epsilon))
+    controller = AdmissionController(base)
     candidates = []
     if args.file:
         candidates.extend(load_taskset(args.file))

@@ -100,7 +100,7 @@ def all_approx_test(
     # Backstop for U == 1, where the implicit superposition bound
     # diverges; within U < 1 the test list provably drains on its own.
     hi = kernel.inclusive_scaled(ctx.busy_period()) if u == 1 else inf
-    walk = EnvelopeWalk(kernel, 1, 0, hi)
+    walk = EnvelopeWalk(kernel, 1, hi)
     weights = walk.weights
 
     def revise(walk: EnvelopeWalk, interval: ExactTime):

@@ -121,7 +121,7 @@ def dynamic_test(
         # level-th deadline, lies beyond it).
         return [j for j in approximated if d0s[j] + (level - 1) * periods[j] > interval]
 
-    walk = EnvelopeWalk(kernel, 1, 0, kernel.inclusive_scaled(bound))
+    walk = EnvelopeWalk(kernel, 1, kernel.inclusive_scaled(bound))
     stop = walk.run(raise_level)
     counts = dict(
         test_name=name,

@@ -138,12 +138,10 @@ def superposition_test(
     the approximation has slope ``U_ready <= U <= 1`` and cannot newly
     cross the capacity line (paper Lemma 3/4), so these checks suffice.
 
-    The walk is :meth:`repro.kernel.DemandKernel.superpos_scan` over the
-    whole staircase (window floor 0): the kernel's
-    :class:`~repro.kernel.kernel.EnvelopeWalk` stopping at its first
-    failed check, the loop the Dynamic and All-Approximated tests run
-    with their revision policies, and the walk the online admission
-    controller runs on the window an arrival perturbs.  It runs on the
+    The walk is :meth:`repro.kernel.DemandKernel.superpos_scan`: the
+    kernel's :class:`~repro.kernel.kernel.EnvelopeWalk` stopping at its
+    first failed check, the loop the Dynamic and All-Approximated tests
+    run with their revision policies.  It runs on the
     compiled kernel's flat arrays with integer envelope sums, and pops
     coincident deadlines in the component-based implementation's FIFO
     order, so iteration counts and witnesses are bit-exact.
@@ -168,7 +166,7 @@ def superposition_test(
         raise AssertionError("no finite bound despite U <= 1")
 
     interval, demand, iterations, intervals = ctx.kernel().superpos_scan(
-        level, 0, bound
+        level, bound
     )
     if interval is not None:
         return FeasibilityResult(

@@ -157,7 +157,7 @@ def ramp_trace(
     name: str = "ramp",
 ) -> Trace:
     """Pure arrivals — utilization ramps monotonically through 1, so a
-    replay exercises the full accept → filter-miss → reject transition."""
+    replay exercises the full accept → reject transition near U = 1."""
     rng = random.Random(seed)
     stream = []
     for index in range(events):

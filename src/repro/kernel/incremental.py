@@ -33,20 +33,20 @@ mutable:
 All read primitives are inherited unchanged from `DemandKernel` — the
 flat attributes are lists instead of tuples, which every inherited loop
 (indexing, ``zip``, ``bisect``, heap setup slices) handles identically.
-The one override is :meth:`~IncrementalKernel.envelope_weights`, which
-hands the envelope walk the maintained `Fraction` rates over ``H = 1``
-instead of integer weights over the lcm ``H`` of the periods.  Churn
-changes that lcm with every new period, so ``(H, w)`` would be rebuilt
-per event, and it is wide: on a 1000-task U = 0.85 system of the
-admission benchmark ``H`` has 6,400–7,000 bits, and building ``(H, w)``
-takes 2.7–3.0 ms, about three windowed filter walks (median 1.0 ms);
-at 500 tasks, ~3,800 bits and 0.8 ms against 0.6 ms (Intel Xeon,
-Python 3.11).  The rates' sums carry denominators as wide as that
-``H``, but the walk adds them up only at a fold (see
-:class:`~repro.kernel.kernel.EnvelopeWalk`): a check too close for its
-float screen, a failure, or :meth:`~repro.kernel.kernel.EnvelopeWalk.demand`.
-A filter walk whose checks all clear the screen reads each rate once,
-as a float.
+The one override is the loop choice, :meth:`~IncrementalKernel._walk`:
+every walk runs on the python loop, whatever its size, so a live
+admission server never loads numpy.  Every mutation changes the arrays,
+so numpy's loop would rebuild its int64 arrays for each walk, and the
+import alone grows a process by ~12 MB (26 → 38 MB resident after
+importing :mod:`repro.online` and :mod:`repro.service`), a third of an
+admission server.  On the admission benchmark's churn (U = 0.85, one
+arrival and its departure per step) the two loops cost about the same:
+python 0.42–0.67 ms against numpy 0.43–0.69 ms per step at 500 tasks,
+0.68–1.11 against 0.62–1.04 ms at 1000 (min of 7 interleaved passes of
+200 steps, three processes; Intel Xeon, Python 3.11, numpy 2.4).  Since
+the size rule's answer is never read, the mutators keep neither numpy's
+arrays (never built here) nor the rule's cached ``Σ 1/T`` up to date;
+they drop the lazily built ``rates``.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from ..model.components import DemandComponent
 from ..model.numeric import ExactTime
 from ..obs import counter as _obs_counter
 from ..obs import emit as _obs_emit
-from .kernel import SCALE_CAP, DemandKernel
+from .kernel import _CALLS, SCALE_CAP, DemandKernel
 
 __all__ = ["IncrementalKernel"]
 
@@ -95,26 +95,14 @@ class IncrementalKernel(DemandKernel):
         self.d0s = list(self.d0s)
         self.periods = list(self.periods)
         self.wcets = list(self.wcets)
-        if self._rates is not None:  # pragma: no cover - rates are lazy
-            self._rates = list(self._rates)
 
-    @property
-    def rates(self):
-        """Per-component ``C/T`` (0 for one-shot), maintained as a list
-        so the mutators can extend/shrink it in step with the arrays."""
-        rates = self._rates
-        if rates is None:
-            rates = [
-                Fraction(c) / Fraction(p) if p else Fraction(0)
-                for c, p in zip(self.wcets, self.periods)
-            ]
-            self._rates = rates
-        return rates
-
-    def envelope_weights(self):
-        """``(1, rates)``: the maintained `Fraction` rates over a unit
-        ``H``, on every grid."""
-        return 1, self.rates
+    def _walk(
+        self, name: str, jobs: float, python_loop: Callable[..., Any], *args: Any
+    ) -> Any:
+        """Run every walk on *python_loop*, whatever its size (see the
+        module docstring)."""
+        _CALLS.inc()
+        return python_loop(*args)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -149,10 +137,7 @@ class IncrementalKernel(DemandKernel):
         self.d0s.append(d0_s)
         self.periods.append(period_s)
         self.wcets.append(wcet_s)
-        if self._rates is not None:
-            self._rates.append(
-                Fraction(wcet_s) / Fraction(period_s) if period_s else Fraction(0)
-            )
+        self._rates = None
         self.n += 1
         # One bisection finds the slot for all three parallel sorted
         # views (the new index is the largest, so the (d0, index) order
@@ -161,7 +146,6 @@ class IncrementalKernel(DemandKernel):
         self._sorted_pairs.insert(at, (d0_s, index))
         self._sorted_keys.insert(at, d0_s)
         self._sorted_triples.insert(at, (d0_s, period_s, wcet_s))
-        self._job_rate = self._vec_cache = None
         return index
 
     def remove_span(self, start: int, count: int = 1) -> None:
@@ -188,10 +172,8 @@ class IncrementalKernel(DemandKernel):
                 (d0, idx - count) if idx >= end else (d0, idx) for d0, idx in pairs
             ]
         del self.d0s[start:end], self.periods[start:end], self.wcets[start:end]
-        if self._rates is not None:
-            del self._rates[start:end]
+        self._rates = None
         self.n -= count
-        self._job_rate = self._vec_cache = None
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -206,7 +188,6 @@ class IncrementalKernel(DemandKernel):
         self.d0s = [v * factor for v in self.d0s]
         self.periods = [v * factor for v in self.periods]
         self.wcets = [v * factor for v in self.wcets]
-        # rates are scale-invariant (C*k / T*k) — nothing to fix.
         self._sorted_keys = [k * factor for k in self._sorted_keys]
         self._sorted_pairs = [(d * factor, i) for d, i in self._sorted_pairs]
         self._sorted_triples = [

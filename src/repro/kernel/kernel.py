@@ -44,21 +44,21 @@ factor without giving up exactness:
   The python loops are the reference: a call numpy's loops decline
   re-runs them, and both return bit-identical results.
 * **One walk per question.**  :class:`EnvelopeWalk` is the one
-  ``SuperPos`` walk: ``SuperPos(x)`` (:meth:`superpos_scan`, windowed
-  to ``[lo, hi]``), the Dynamic Error test and the All-Approximated
-  test are failure policies over its single loop (stop; raise the level
-  and revise; revise one component).  :meth:`qpa` with ``floor=`` is
-  the backward walk, stopping FEASIBLE below the floor.  The engine
-  tests run these walks on the whole staircase, the online
-  :class:`~repro.online.AdmissionController` runs :meth:`superpos_scan`
-  and :meth:`qpa` on the window an arrival can perturb.
+  ``SuperPos`` walk: ``SuperPos(x)`` (:meth:`superpos_scan`), the
+  Dynamic Error test and the All-Approximated test are failure policies
+  over its single loop (stop; raise the level and revise; revise one
+  component).  :meth:`qpa` with ``floor=`` is the backward walk,
+  stopping FEASIBLE below the floor.  The engine tests run these walks
+  on the whole staircase; the online
+  :class:`~repro.online.AdmissionController` runs :meth:`qpa` on the
+  window an arrival can perturb.
 * **Integer envelopes.**  :meth:`envelope_weights` returns ``(H, w)``
   with ``H`` the lcm of the grid periods and ``w_i = C_i · H / T_i``,
   so ``w_i / H`` is the rate ``C_i / T_i`` exactly.  The envelope walk
   and the closed-form bounds keep their envelope sums as integers
-  scaled by ``H`` instead of `Fraction` sums of rates.  The
-  incremental kernel returns ``(1, rates)`` instead (see
-  :mod:`repro.kernel.incremental`); the walk's loop serves both.
+  scaled by ``H`` instead of `Fraction` sums of rates.  The exact
+  fallback grid returns ``(1, rates)`` instead; the walk's loop serves
+  both.
 * **Lazy exact sums.**  The :class:`EnvelopeWalk` state is the heap,
   the counted jobs and their exact demand, and the envelope sums
   ``slope = Σ w`` and ``base = Σ w·anchor``.  A float screen decides
@@ -68,9 +68,7 @@ factor without giving up exactness:
   close for the screen (or with the screen off, as for an ``H`` past
   float range), which includes every failed check, and in
   :meth:`EnvelopeWalk.demand`.  A walk whose checks all clear the
-  screen — the admission filter's common case, on `Fraction` rates
-  whose sums have denominators thousands of bits wide — never adds up
-  its exact sums.
+  screen never adds up its exact sums.
 
 Scaling by a positive constant preserves every comparison the tests
 make (``dbf(I) <= I`` ⇔ ``dbf_s(I_s) <= I_s``), every tie between
@@ -249,7 +247,7 @@ class DemandKernel:
             keeps the hot loops branching on truthiness only).
         rates: per-component utilization ``C/T`` as `Fraction` (``0``
             for one-shot components) — scale-invariant; the envelope
-            weights on the exact grid and on incremental kernels.
+            weights on the exact grid.
 
     All public methods accept and return values in *original* time
     units; the ``*_scaled`` variants expose the internal grid for the
@@ -312,7 +310,7 @@ class DemandKernel:
         self.wcets: Tuple[ExactTime, ...] = wcets
         self._rates: Optional[Tuple[Fraction, ...]] = None
         # Σ 1/T for the size rule, and the int64 arrays of numpy's
-        # loops: built lazily, invalidated by incremental mutation.
+        # loops: built lazily, once per kernel.
         self._job_rate = None
         self._vec_cache = None
         pairs = sorted(zip(self.d0s, range(self.n)))
@@ -708,16 +706,13 @@ class DemandKernel:
     # ------------------------------------------------------------------
 
     def superpos_scan(
-        self, level: int, lo: Time, hi: Time
+        self, level: int, hi: Time
     ) -> Tuple[Optional[ExactTime], Optional[ExactTime], int, int]:
-        """``SuperPos(level)`` over the change points in ``[lo, hi]``.
+        """``SuperPos(level)`` over the change points up to *hi*.
 
         The :class:`EnvelopeWalk` at a fixed *level*, stopping at its
-        first failed check.  With ``lo = 0`` this is the full test of
-        :func:`repro.core.superposition.superposition_test`; a window is
-        sound only under the caller's invariant that every change point
-        below *lo* already passes (the admission controller's
-        ``approx_clean``).
+        first failed check: the walk of
+        :func:`repro.core.superposition.superposition_test`.
 
         Returns ``(interval, demand, iterations, intervals)``: the first
         point where the approximated demand exceeds the interval, in
@@ -726,12 +721,7 @@ class DemandKernel:
         """
         if level < 1:
             raise ValueError(f"superposition level must be >= 1, got {level}")
-        walk = EnvelopeWalk(
-            self,
-            level,
-            self.exclusive_scaled(lo) if lo else 0,
-            self.inclusive_scaled(hi),
-        )
+        walk = EnvelopeWalk(self, level, self.inclusive_scaled(hi))
         interval = walk.run(_stop)
         if interval is None:
             return None, None, walk.iterations, walk.intervals
@@ -772,11 +762,10 @@ class EnvelopeWalk:
     * ``counted`` jobs per component and their ``exact`` demand.
     * ``slope = Σ w`` and ``base = Σ w·anchor`` over the approximated
       components, with ``(hyper, weights)`` from
-      :meth:`DemandKernel.envelope_weights`: integers on a compiled
-      kernel, `Fraction` rates over ``1`` on an incremental one.  These
-      exact sums are kept lazily: a switch, like each component the
-      window seed enters already switched, appends ``(w, anchor)`` to
-      ``pending`` and updates only the float screen.
+      :meth:`DemandKernel.envelope_weights`: integers on the integer
+      grid, `Fraction` rates over ``1`` on the exact fallback grid.
+      These exact sums are kept lazily: a switch appends ``(w, anchor)``
+      to ``pending`` and updates only the float screen.
     * ``approx``: approximated component → anchor, in insertion order
       (All-Approximated's FIFO order; ``sorted()`` gives Dynamic's index
       order).
@@ -794,57 +783,22 @@ class EnvelopeWalk:
     screen is off), hence before every ``on_fail`` call, and in
     :meth:`demand`.
 
-    A window floor ``lo > 0`` seeds the walk with its state there:
-    components whose level-th job falls below *lo* enter already
-    switched to their envelopes (anchored at that job, and not listed in
-    ``approx``), the others with their below-window jobs counted.
-    Pre-switched components cannot be revised, so windowed walks serve
-    only policies that stop at the first failure.  Deadlines above *hi*
-    are never pushed (``math.inf`` bounds nothing).
+    Deadlines above *hi* are never pushed (``math.inf`` bounds nothing).
     """
 
-    def __init__(
-        self, kernel: DemandKernel, level: int, lo: ExactTime, hi: ExactTime
-    ) -> None:
-        periods, wcets = kernel.periods, kernel.wcets
-        hyper, weights = kernel.envelope_weights()
-        counted = [0] * kernel.n
-        exact: ExactTime = 0
-        pending: List[Tuple[ExactTime, ExactTime]] = []
-        # Seeds from the by-deadline view: in-window first deadlines,
-        # then each below-window component's state at the floor.
-        pairs, keys = kernel._sorted_pairs, kernel._sorted_keys
-        start = bisect_left(keys, lo)
-        heap = [(d0, idx, idx) for d0, idx in pairs[start : bisect_right(keys, hi)]]
-        for d0, idx in pairs[:start]:
-            p = periods[idx]
-            if not p:
-                exact += wcets[idx]
-                counted[idx] = 1
-                continue
-            below = -((d0 - lo) // p)  # jobs with deadline < lo
-            if below >= level:
-                exact += level * wcets[idx]
-                counted[idx] = level
-                pending.append((weights[idx], d0 + (level - 1) * p))
-                continue
-            exact += below * wcets[idx]
-            counted[idx] = below
-            nxt = d0 + below * p
-            if nxt <= hi:
-                heap.append((nxt, idx, idx))
-        heapify(heap)
+    def __init__(self, kernel: DemandKernel, level: int, hi: ExactTime) -> None:
         self.kernel = kernel
         self.level = level
         self.hi = hi
-        self.heap = heap
-        self.counted = counted
-        self.exact = exact
-        self.hyper = hyper
-        self.weights = weights
+        # The by-deadline view up to hi is sorted, hence a valid heap.
+        cut = bisect_right(kernel._sorted_keys, hi)
+        self.heap = [(d0, idx, idx) for d0, idx in kernel._sorted_pairs[:cut]]
+        self.counted = [0] * kernel.n
+        self.exact: ExactTime = 0
+        self.hyper, self.weights = kernel.envelope_weights()
         self.slope: ExactTime = 0
         self.base: ExactTime = 0
-        self.pending = pending
+        self.pending: List[Tuple[ExactTime, ExactTime]] = []
         self.approx = {}
         self.iterations = 0
         self.intervals = 0
@@ -888,18 +842,16 @@ class EnvelopeWalk:
         pending = self.pending
         iterations, intervals = self.iterations, self.intervals
         revisions, seq = self.revisions, self._seq
+        # ``pending`` is empty here: a walk starts with no switch, and
+        # every stop short of a drained heap follows a fold.
         try:  # hf == 0.0: the screen is off
             hf = float(hyper)
             uf, bf = float(slope) / hf, float(base) / hf
-            for w, anchor in pending:
-                wf = float(w) / hf
-                uf += wf
-                bf += wf * anchor
         except OverflowError:
             hf = uf = bf = 0.0
         # A flag, not ``slope`` itself: the truth test of a `Fraction`
         # slope is a method call at every step.
-        enveloped = bool(slope) or bool(pending)
+        enveloped = bool(slope)
         last = None
         while heap:
             interval, _, idx = heap[0]

@@ -180,8 +180,9 @@ def count_steps(kernel, bound_scaled):
 def _arrays(kernel):
     """Cached int64 views of the kernel's flat arrays.
 
-    Built once per kernel (the ``_vec_cache`` slot; invalidated by the
-    incremental mutators) and refused — permanently for this kernel —
+    Built once per kernel (the ``_vec_cache`` slot; an incremental
+    kernel, whose arrays change, never runs numpy's loops) and refused —
+    permanently for this kernel —
     when it runs on the exact `Fraction` path, any scaled parameter
     exceeds the int64 headroom, or numpy fails to import.
     """

@@ -2,69 +2,47 @@
 
 Everything else in this library analyzes a *frozen* system from scratch.
 An :class:`AdmissionController` holds a *live* one — tasks arrive and
-depart at run time, and every event gets a feasibility verdict through a
-staged pipeline whose per-event cost is far below a from-scratch
-``analyze()``:
+depart at run time, and every event gets an exact feasibility verdict
+whose per-event cost is far below a from-scratch ``analyze()``:
 
 1. **Utilization gate** — O(1).  The controller maintains the exact
    total utilization incrementally; a candidate pushing it past 1 is
    rejected outright (the same INFEASIBLE verdict every test's
    preflight produces).
-2. **ε-approximate superposition filter** — the paper's scheme as the
-   fast accept path.  ``SuperPos(ceil(1/ε))`` acceptance is a
-   feasibility *proof* (paper Lemma 1), so a pass admits without any
-   exact work.  While every past event has passed the filter
-   (``approx_clean``), the filter run is *windowed*: the approximate
-   demand of the unchanged components below the candidate's first
-   deadline is already known to fit, so only change points the arrival
-   can perturb — ``[d0_new, bound]`` — are walked, seeded with the
-   aggregate walk state at the window floor.  An event that needs the
-   exact stage dirties the window; the next full filter pass that
-   succeeds re-establishes it.  The walk is the kernel's
-   :meth:`~repro.kernel.DemandKernel.superpos_scan`, the one the engine's
-   ``superpos`` test runs with the window floor at 0.  On the live
-   :class:`~repro.kernel.incremental.IncrementalKernel` its envelope
-   sums are the maintained `Fraction` rates (``H = 1``), since churn
-   keeps changing the lcm of the periods an integer ``H`` would need;
-   the walk's float screen decides every check that clears the capacity
-   line by a margin, and the walk adds up its exact `Fraction` sums
-   (denominators thousands of bits wide at 1000 tasks) only for a
-   closer check or a failure, so a common-case pass does no `Fraction`
-   addition at all.
-3. **Exact confirmation** — QPA restricted to the perturbed demand
-   window.  The controller's invariant is that the admitted system is
-   exactly feasible, i.e. ``dbf(t) <= t`` for *all* ``t``; an arrival
-   only changes demand at ``t >= d0_new``, so the backward QPA walk can
-   stop with a FEASIBLE verdict as soon as it steps below the window
-   floor — :meth:`~repro.kernel.DemandKernel.qpa` with ``floor=``.  Up
-   to that early exit the walk is step-for-step the engine's ``qpa``
-   test on the same bound, so rejections carry the same witness a
-   from-scratch run would produce.
+2. **Windowed exact QPA** — every other arrival.  The controller's
+   invariant is that the admitted system is exactly feasible, i.e.
+   ``dbf(t) <= t`` for *all* ``t``; an arrival only changes demand at
+   ``t >= d0_new``, so the backward QPA walk can stop with a FEASIBLE
+   verdict as soon as it steps below the window floor —
+   :meth:`~repro.kernel.DemandKernel.qpa` with ``floor=``.  Up to that
+   early exit the walk is step-for-step the engine's ``qpa`` test on
+   the same bound, so rejections carry the same witness a from-scratch
+   run would produce.  On the admission benchmark's churn a decision
+   takes a median of 2 ``dbf`` evaluations.  The paper's point holds
+   here: an exact test this cheap leaves nothing for a sufficient
+   filter in front of it to save.
 
 The system lives in an :class:`~repro.kernel.incremental.IncrementalKernel`
 — arrivals merge one component's scaled stride triple into the compiled
 flat arrays, departures remove a span by bisection; no per-event
-recompile.  The feasibility bounds the stages search under (Baruah /
-George / superposition) are linear functionals of the component set
-plus two maxima, all maintained incrementally as exact `Fraction` sums,
-so each event reconstitutes the exact same bound values a fresh
+recompile, and every walk on the python loop.  The feasibility bounds
+QPA searches under (Baruah / George / superposition) are linear
+functionals of the component set plus two maxima, all maintained
+incrementally as exact `Fraction` sums, so each event reconstitutes the
+exact same bound values a fresh
 :class:`~repro.engine.context.AnalysisContext` would compute — which is
-what makes controller verdicts bit-exact with from-scratch engine
-analysis (the replay harness's oracle mode asserts this per event).
-The filter's superposition bound ``max(dmax, linear / (1 − U))`` is
-compared before it is divided, on floats first (a 1e-6 relative margin
-far above their rounding error) and exactly only when they are too
-close: the largest deadline usually wins at the loads the controller
-runs at, and then neither the quotient nor the exact comparison of
-two `Fraction`s with denominators thousands of bits wide is formed.
-The exact stage's bound, the least of the three, divides once: the
-three share the denominator ``1 − U``, so their numerators are
-compared, under the same kind of float screen, and only the least is
-divided.
+what makes controller verdicts and witnesses bit-exact with from-scratch
+engine analysis (the replay harness's oracle mode asserts this per
+event).  The three bounds share the denominator ``1 − U``, so their
+numerators are compared, under a float screen, and only the least is
+divided, by integer floor division and rounded up to the kernel's grid:
+QPA starts at the last deadline at or below the bound, and deadlines lie
+on the grid, so rounding does not move the walk, and the decision
+documents carry a grid value instead of a quotient thousands of digits
+wide.
 
 Departures never need re-verification: removing a component lowers the
-demand bound function pointwise, so a feasible system stays feasible
-(and an approx-clean one stays approx-clean).
+demand bound function pointwise, so a feasible system stays feasible.
 """
 
 from __future__ import annotations
@@ -75,7 +53,6 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.busy_period import busy_period_of_components
-from ..core.epsilon import epsilon_to_level
 from ..kernel.incremental import IncrementalKernel
 from ..model.components import (
     DemandComponent,
@@ -83,7 +60,7 @@ from ..model.components import (
     as_components,
     total_utilization,
 )
-from ..model.numeric import ExactTime, Time, to_exact
+from ..model.numeric import ExactTime
 from ..model.task import SporadicTask
 from ..model.validation import ModelError
 from ..obs import DEFAULT_BUCKETS, ITERATION_BUCKETS
@@ -93,12 +70,10 @@ from ..result import FailureWitness, Verdict
 
 __all__ = ["AdmissionController", "AdmissionDecision", "Stage"]
 
-# Per-stage accept/reject tallies and iteration distributions: the
-# approximation-stage hit rates are the quantities the paper's
-# staged-pipeline efficiency argument is about, so they are first-class
-# series.  Everything is recorded once per *event* inside _decide.  The
-# exact stage's walk is the kernel's ``qpa``, which feeds the shared QPA
-# iteration histogram itself (the series the engine's qpa test fills).
+# Per-stage accept/reject tallies and iteration distributions, recorded
+# once per *event* inside _decide.  The exact stage's walk is the
+# kernel's ``qpa``, which feeds the shared QPA iteration histogram
+# itself (the series the engine's qpa test fills).
 _DECISIONS = _obs_counter(
     "repro_admission_decisions_total",
     "Admission decisions, by pipeline stage and outcome.",
@@ -122,7 +97,6 @@ class Stage:
     the wire in the admission API's decision documents)."""
 
     GATE = "utilization-gate"
-    FILTER = "approx-filter"
     EXACT = "exact"
     DEPARTURE = "departure"
     ABSENT = "absent"
@@ -145,11 +119,15 @@ class AdmissionDecision:
         latency_seconds: wall time the decision took.
         utilization: exact system utilization after the event.
         tasks: admitted entries after the event.
-        iterations: demand-vs-capacity comparisons performed (filter
-            plus exact stage — the paper's effort metric).
-        bound: feasibility bound the deciding search ran under, if any.
+        iterations: ``dbf`` evaluations of the exact stage's windowed
+            QPA walk (the paper's effort metric); 0 for other stages.
+        bound: the exact stage's QPA bound, the least of the Baruah,
+            George and superposition bounds rounded up to the kernel's
+            grid (``ceil(B·s)/s`` for grid scale ``s``, an ``int`` on
+            an integer grid; the exact bound on the exact fallback
+            grid), or ``None`` for other stages.
         witness: exact overflow certificate for rejections decided by
-            the exact stage.
+            the exact stage, equal to a from-scratch ``qpa`` run's.
     """
 
     event: str
@@ -240,9 +218,6 @@ class AdmissionController:
     Args:
         source: initial system (task set, tasks, components, or event
             streams); verified exactly feasible at construction.
-        epsilon: error bound of the approximate filter stage; the filter
-            runs ``SuperPos(ceil(1/epsilon))``.  ``None`` disables the
-            filter (every arrival goes straight to the exact stage).
         name: label carried into stats and reports.
 
     Raises:
@@ -255,16 +230,9 @@ class AdmissionController:
         self,
         source: DemandSource = (),
         *,
-        epsilon: Optional[Time] = Fraction(1, 10),
         name: str = "online",
     ) -> None:
         self.name = name
-        self.epsilon: Optional[ExactTime] = (
-            to_exact(epsilon) if epsilon is not None else None
-        )
-        self.level: Optional[int] = (
-            epsilon_to_level(self.epsilon) if self.epsilon is not None else None
-        )
         self._entries: List[_Entry] = []
         self._index: Dict[str, int] = {}
         self._components: List[DemandComponent] = []
@@ -277,9 +245,6 @@ class AdmissionController:
         self._superpos_num = Fraction(0)
         self._gaps = _MaxTracker()
         self._dmax = _MaxTracker()
-        #: True while the whole admitted system is known to pass the
-        #: filter predicate — the precondition for windowed filter runs.
-        self._approx_clean = True
         self.stats_counters: Dict[str, int] = {
             "events": 0,
             "arrivals": 0,
@@ -287,7 +252,6 @@ class AdmissionController:
             "admitted": 0,
             "rejected": 0,
             Stage.GATE: 0,
-            Stage.FILTER: 0,
             Stage.EXACT: 0,
         }
         self._total_latency = 0.0
@@ -315,11 +279,6 @@ class AdmissionController:
         """Handles of the admitted entries, in admission order."""
         return tuple(entry.name for entry in self._entries)
 
-    @property
-    def approx_clean(self) -> bool:
-        """Whether the filter invariant currently holds system-wide."""
-        return self._approx_clean
-
     def snapshot(self) -> Tuple[DemandComponent, ...]:
         """The admitted system as engine-ready demand components.
 
@@ -333,12 +292,9 @@ class AdmissionController:
         events = self.stats_counters["events"]
         return {
             "name": self.name,
-            "epsilon": None if self.epsilon is None else str(self.epsilon),
-            "level": self.level,
             "tasks": len(self._entries),
             "components": len(self._components),
             "utilization": float(self._u),
-            "approx_clean": self._approx_clean,
             "mean_latency_seconds": (
                 self._total_latency / events if events else 0.0
             ),
@@ -378,26 +334,8 @@ class AdmissionController:
             kernel.add(component)
         self._accrete(components)
         window_floor = min(c.first_deadline for c in components)
-        iterations = 0
-        if self.level is not None:
-            filter_bound = self._filter_bound()
-            failed, _, steps, _ = kernel.superpos_scan(
-                self.level,
-                window_floor if self._approx_clean else 0,
-                filter_bound,
-            )
-            iterations += steps
-            if failed is None:
-                self._approx_clean = True
-                self._install(handle, components)
-                self._count(Stage.FILTER)
-                return self._decide(
-                    "arrive", handle, True, Verdict.FEASIBLE, Stage.FILTER,
-                    start, iterations=iterations, bound=filter_bound,
-                )
         bound = self._best_bound()
-        status, interval, demand, steps = kernel.qpa(bound, floor=window_floor)
-        iterations += steps
+        status, interval, demand, iterations = kernel.qpa(bound, floor=window_floor)
         self._count(Stage.EXACT)
         if status == "infeasible":
             kernel.remove_span(span_start, len(components))
@@ -413,10 +351,6 @@ class AdmissionController:
                 start, iterations=iterations, bound=bound,
                 witness=FailureWitness(interval=interval, demand=demand, exact=True),
             )
-        # Admitted past the filter: the approximate predicate is not
-        # known to hold any more — the window is dirty until a full
-        # filter pass succeeds again.
-        self._approx_clean = False
         self._install(handle, components)
         return self._decide(
             "arrive", handle, True, Verdict.FEASIBLE, Stage.EXACT,
@@ -496,21 +430,13 @@ class AdmissionController:
         for component in components:
             self._kernel.add(component)
         self._accrete(components)
-        clean = False
-        if self.level is not None:
-            failed, _, _, _ = self._kernel.superpos_scan(
-                self.level, 0, self._filter_bound()
+        status, interval, demand, _ = self._kernel.qpa(self._best_bound())
+        if status == "infeasible":
+            raise ModelError(
+                "initial system is infeasible "
+                f"(dbf({interval}) = {demand}); an "
+                "admission controller must start from a feasible system"
             )
-            clean = failed is None
-        if not clean:
-            status, interval, demand, _ = self._kernel.qpa(self._best_bound())
-            if status == "infeasible":
-                raise ModelError(
-                    "initial system is infeasible "
-                    f"(dbf({interval}) = {demand}); an "
-                    "admission controller must start from a feasible system"
-                )
-        self._approx_clean = clean
         self._install("initial", components)
 
     def _decide(
@@ -589,32 +515,20 @@ class AdmissionController:
 
     # -- bounds (mirror repro.analysis.bounds on the aggregates) -------
 
-    def _bound_superposition(self) -> Optional[ExactTime]:
-        if self._u >= 1:
-            return None
-        if not self._kernel.n:
-            return 0
-        # max(dmax, linear / (1 - U)), compared before dividing, on
-        # floats while they clear it by a margin far above their
-        # rounding error (see the module docstring).
-        dmax = self._dmax.max
-        linear = self._superpos_num + self._oneshot
-        headroom = 1 - self._u
-        try:
-            clear = float(linear) < 0.999999 * float(dmax) * float(headroom)
-        except OverflowError:
-            clear = False
-        if clear or linear <= dmax * headroom:
-            return _exact(dmax)
-        return _exact(linear / headroom)
-
     def _best_bound(self) -> ExactTime:
-        """The least of the Baruah, George and superposition bounds.
+        """The least of the Baruah, George and superposition bounds,
+        rounded up to the kernel's grid.
 
         All three are quotients by the same ``h = 1 − U > 0``:
         ``min(a/h, b/h, max(dmax, lin/h)) = min(a, b, max(dmax·h, lin)) / h``.
         The numerators are compared (:func:`_less`, in ``min``'s and
-        ``max``'s order) and one quotient is formed.
+        ``max``'s order), and the least one ``N`` is divided by integer
+        floor division into ``ceil(N/h · s)`` for the grid scale ``s``:
+        the bound is ``ceil(N/h · s) / s``, an ``int`` on an integer
+        grid.  QPA's first limit, ``ceil((B + 1)·s) = ceil(B·s) + s``,
+        is the same from either bound.  The exact fallback grid gets the
+        exact quotient.  At ``U = 1`` the bound is the busy period, a sum
+        of whole jobs and hence on the grid already.
         """
         if self._u >= 1:
             return self._busy_period()
@@ -631,13 +545,14 @@ class AdmissionController:
         ):
             if _less(numerator, least):
                 least = numerator
-        return _exact(least / headroom)
-
-    def _filter_bound(self) -> ExactTime:
-        bound = self._bound_superposition()
-        if bound is None:  # U == 1: same busy-period fallback as the engine
-            bound = self._busy_period()
-        return bound
+        scale = self._kernel.scale
+        if scale is None:
+            return _exact(least / headroom)
+        grid = -(
+            (-least.numerator * headroom.denominator * scale)
+            // (least.denominator * headroom.numerator)
+        )
+        return grid if scale == 1 else _exact(Fraction(grid, scale))
 
     def _busy_period(self) -> ExactTime:
         # Only reachable at U == 1 exactly (U > 1 never passes the gate).

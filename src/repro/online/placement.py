@@ -7,9 +7,9 @@ core of a :class:`~repro.partition.platform.Platform` and routes each
 arriving task through the packing heuristics' probe orders — first-fit
 by index, best-fit fullest-first, worst-fit emptiest-first, with the
 partition layer's lowest-index tie-break.  A core's controller decides
-admission with its full staged pipeline, so a completed placement is a
-per-core feasibility *proof*, exactly like an offline packing under the
-``exact-dbf`` admission predicate.
+admission exactly, so a completed placement is a per-core feasibility
+*proof*, exactly like an offline packing under the ``exact-dbf``
+admission predicate.
 
 Besides per-core stats the placer tracks *diversions* — tasks that were
 admitted, but not by the first core their heuristic probed (the online
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..model.numeric import Time
 from ..model.task import SporadicTask
 from ..model.taskset import TaskSet
 from ..model.validation import ModelError
@@ -70,7 +69,6 @@ class OnlinePlacer:
         platform: Union[int, Platform],
         *,
         heuristic: str = "ff",
-        epsilon: Optional[Time] = Fraction(1, 10),
     ) -> None:
         if heuristic not in PLACEMENT_HEURISTICS:
             raise ValueError(
@@ -82,7 +80,7 @@ class OnlinePlacer:
         )
         self.heuristic = heuristic
         self.controllers: Tuple[AdmissionController, ...] = tuple(
-            AdmissionController(epsilon=epsilon, name=f"core{k}")
+            AdmissionController(name=f"core{k}")
             for k in range(self.platform.cores)
         )
         self._owner: Dict[str, int] = {}

@@ -13,6 +13,11 @@ whole incremental pipeline:
   must be INFEASIBLE from scratch;
 * after a **departure** the snapshot must be FEASIBLE from scratch.
 
+Under the ``qpa`` oracle, an exact-stage rejection's witness
+``(interval, demand)`` must also equal the from-scratch run's: the
+controller's windowed walk from its grid-rounded bound is step-for-step
+the engine's walk.
+
 A violation raises :class:`ParityError` naming the event, so randomized
 churn suites get a precise failure location for free.
 """
@@ -20,12 +25,10 @@ churn suites get a precise failure location for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..model.components import DemandComponent, as_components
-from ..model.numeric import Time
-from .controller import AdmissionController, AdmissionDecision
+from .controller import AdmissionController, AdmissionDecision, Stage
 from .trace import ARRIVE, ArrivalEvent, Trace
 
 __all__ = ["ParityError", "ReplayRecord", "ReplayReport", "replay"]
@@ -113,7 +116,6 @@ def replay(
     trace: Trace,
     *,
     controller: Optional[AdmissionController] = None,
-    epsilon: Optional[Time] = Fraction(1, 10),
     oracle: bool = False,
     oracle_test: str = "qpa",
 ) -> ReplayReport:
@@ -122,21 +124,17 @@ def replay(
     Args:
         trace: the event sequence to drive.
         controller: a live controller to continue from; a fresh empty
-            one (with *epsilon*) is created when omitted.
-        epsilon: filter error bound for the fresh controller.
+            one is created when omitted.
         oracle: re-analyze from scratch after every event and raise
-            :class:`ParityError` on any verdict mismatch.
+            :class:`ParityError` on any verdict mismatch (and, under
+            ``qpa``, any exact-stage witness mismatch).
         oracle_test: exact engine test the oracle runs (``qpa`` or
             ``processor-demand``).
 
     Returns:
         A :class:`ReplayReport` with one record per event.
     """
-    ctl = (
-        controller
-        if controller is not None
-        else AdmissionController(epsilon=epsilon)
-    )
+    ctl = controller if controller is not None else AdmissionController()
     records: List[ReplayRecord] = []
     for index, event in enumerate(trace):
         before: Tuple[DemandComponent, ...] = ()
@@ -182,6 +180,15 @@ def _check_event(
                 f"({decision.stage}) but from-scratch {oracle_test} says "
                 f"{fresh.verdict}"
             )
+        if oracle_test == "qpa" and decision.stage == Stage.EXACT:
+            got = (decision.witness.interval, decision.witness.demand)
+            expected = (fresh.witness.interval, fresh.witness.demand)
+            if got != expected:
+                raise ParityError(
+                    f"event {index}: controller rejected {event.name!r} "
+                    f"with witness dbf({got[0]}) = {got[1]} but "
+                    f"from-scratch qpa finds dbf({expected[0]}) = {expected[1]}"
+                )
         return
     fresh = analyze(list(ctl.snapshot()), test=oracle_test)
     if not fresh.is_feasible:

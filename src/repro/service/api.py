@@ -48,11 +48,10 @@ DELETE    /v1/admission/{id}          close the session
 
 Admission sessions wrap a live
 :class:`~repro.online.controller.AdmissionController`: the create body
-may seed an initial ``taskset`` and set ``epsilon`` (number or
-``"p/q"`` string; ``null`` disables the approximate filter stage), an
-events body is ``{"events": [...]}`` in ``repro/trace-v1`` event shape
-(a full trace document works as-is), and the decision log doubles as a
-poll-based stream via its ``since`` cursor.
+may seed an initial ``taskset`` and set a ``name`` (other keys are
+ignored), an events body is ``{"events": [...]}`` in ``repro/trace-v1``
+event shape (a full trace document works as-is), and the decision log
+doubles as a poll-based stream via its ``since`` cursor.
 
 A submission body carries the test selection and one source of task
 sets::
@@ -88,7 +87,6 @@ import json
 import socket
 import sys
 import threading
-from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
@@ -887,14 +885,6 @@ class AnalysisServer:
     def _create_session(self, document: Any) -> Dict[str, Any]:
         if not isinstance(document, dict):
             raise ApiError(400, "the request body must be a JSON object")
-        epsilon: Any = document.get("epsilon", "1/10")
-        if epsilon is not None:
-            try:
-                epsilon = Fraction(str(epsilon))
-            except (ValueError, ZeroDivisionError):
-                raise ApiError(
-                    400, f"invalid epsilon {document.get('epsilon')!r}"
-                ) from None
         initial: Any = ()
         if "taskset" in document:
             try:
@@ -905,9 +895,7 @@ class AnalysisServer:
         if not isinstance(name, str):
             raise ApiError(400, "'name' must be a string")
         try:
-            session = self.sessions.create(
-                initial=initial, epsilon=epsilon, name=name
-            )
+            session = self.sessions.create(initial=initial, name=name)
         except (ModelError, ValueError) as err:
             raise ApiError(400, str(err)) from None
         return session.snapshot()

@@ -503,19 +503,10 @@ class ServiceClient:
     # ------------------------------------------------------------------
 
     def create_admission_session(
-        self,
-        taskset: Optional[TaskSet] = None,
-        epsilon: Optional[Any] = "1/10",
-        name: str = "",
+        self, taskset: Optional[TaskSet] = None, name: str = ""
     ) -> str:
-        """Create an admission session; returns its id.
-
-        ``epsilon=None`` disables the approximate filter stage.
-        """
-        document: Dict[str, Any] = {
-            "epsilon": None if epsilon is None else str(epsilon),
-            "name": name,
-        }
+        """Create an admission session; returns its id."""
+        document: Dict[str, Any] = {"name": name}
         if taskset is not None:
             document["taskset"] = taskset_to_dict(taskset)
         return self._request("POST", "/v1/admission", document)["session"]

@@ -19,10 +19,8 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from ..model.numeric import to_exact
 from ..model.serialization import encode_value, event_from_dict
 from ..model.validation import ModelError
 from ..obs import counter as _obs_counter
@@ -163,7 +161,6 @@ class AdmissionSessionManager:
         self,
         *,
         initial: Any = (),
-        epsilon: Optional[Any] = Fraction(1, 10),
         name: str = "",
     ) -> AdmissionSession:
         """Build a controller and register it; raises ``ModelError`` for
@@ -179,11 +176,7 @@ class AdmissionSessionManager:
         with self._lock:
             if len(self._sessions) >= self.max_sessions:
                 raise limit_error
-        controller = AdmissionController(
-            initial,
-            epsilon=to_exact(epsilon) if epsilon is not None else None,
-            name=name or "session",
-        )
+        controller = AdmissionController(initial, name=name or "session")
         session = AdmissionSession(uuid.uuid4().hex[:12], controller, name=name)
         with self._lock:
             if len(self._sessions) >= self.max_sessions:

@@ -410,17 +410,13 @@ class TestOnlineCommands:
         )
         out = capsys.readouterr().out
         assert "(oracle: qpa)" in out
-        assert "approx-filter" in out
+        assert "stage exact" in out
 
     def test_replay_onto_cores(self, trace_file, capsys):
         assert main(["replay", trace_file, "--cores", "2", "--heuristic", "wf"]) == 0
         out = capsys.readouterr().out
         assert "2 cores (wf)" in out
         assert "core 1:" in out
-
-    def test_replay_epsilon_none(self, trace_file, capsys):
-        assert main(["replay", trace_file, "--epsilon", "none"]) == 0
-        assert "stage exact" in capsys.readouterr().out
 
     def test_admit_accepts_and_rejects(self, taskset_file, capsys):
         assert (

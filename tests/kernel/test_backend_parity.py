@@ -471,63 +471,43 @@ def test_processor_demand_batch_matches_sequential():
 
 
 # ----------------------------------------------------------------------
-# Incremental kernels: numpy's array cache must invalidate on mutation
+# Incremental kernels: every walk on the python loop
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
-def test_incremental_mutation_invalidates_vectorized_cache():
-    """A 300-task live kernel, whose walks all run on numpy's loops,
-    answers like a fresh compile on the python loop after one heavy
-    arrival and after its departure."""
+def test_incremental_kernel_walks_stay_on_the_python_loop():
+    """A 300-task live kernel runs every walk on the python loop, even
+    with the size rule sending every walk to numpy's loops: it builds no
+    numpy array, counts each walk and no fallback, and answers like a
+    fresh compile on the python loop after a heavy arrival and after
+    its departure."""
     base = list(_vectorized_qpa_components(1, 5))
     bound = AnalysisContext.of(base).bound(BoundMethod.BEST)
-    live = IncrementalKernel(base)
-    live.qpa(bound)
-    live.first_overflow(bound)
-    assert live._vec_cache is not None  # numpy's arrays are built
-
-    def check(components):
-        fresh = DemandKernel(as_components(components))
-        with _min_vector_jobs(math.inf):
-            expected = (fresh.qpa(bound), fresh.first_overflow(bound))
-        reset_walk_counters()
-        assert (live.qpa(bound), live.first_overflow(bound)) == expected
-        assert backend_info()["fallbacks"] == 0
-        return expected
-
     heavy = DemandComponent(wcet=3_000, first_deadline=3_000, period=40_000)
+
+    def walks(kernel):
+        return (
+            kernel.qpa(bound),
+            kernel.qpa(bound, floor=3_000),
+            kernel.first_overflow(bound),
+            kernel.best_ratio(bound, Fraction(1, 2)),
+            kernel.count_steps(bound),
+        )
+
+    def check(live, components, status):
+        with _min_vector_jobs(math.inf):
+            expected = walks(DemandKernel(as_components(components)))
+        assert expected[0][0] == status
+        reset_walk_counters()
+        with _min_vector_jobs(0):
+            assert walks(live) == expected
+        assert live._vec_cache is None
+        info = backend_info()
+        assert (info["calls"], info["fallbacks"]) == (5, 0)
+
+    live = IncrementalKernel(base)
+    check(live, base, "feasible")
     live.add(heavy)
-    status, _, _, _ = check(base + [heavy])[0]
-    assert status == "infeasible"  # the arrival changes the verdict
-
+    check(live, base + [heavy], "infeasible")
     live.remove_span(live.n - 1)
-    status, _, _, _ = check(base)[0]
-    assert status == "feasible"
-
-
-def test_incremental_mutation_refreshes_the_size_rule():
-    """The size rule's ``Σ 1/T`` is cached per kernel and must follow
-    ``add`` and ``remove_span``.  To the grid bound 1,000, 15 tasks of
-    period 64 stay in python (``15 + 1000 · 15/64 < 256``) and 16 reach
-    numpy (``16 + 1000/4 ≥ 256``); a stale sum picks the other loop
-    either way."""
-    tasks = list(_uniform_components(16))
-    bound = 1_000
-    live = IncrementalKernel(tasks[:15])
-    live.first_overflow(bound)
-    assert live._vec_cache is None
-
-    live.add(tasks[15])
-    fresh = DemandKernel(as_components(tasks))
-    with _min_vector_jobs(math.inf):
-        expected = fresh.first_overflow(bound)
-    assert live.first_overflow(bound) == expected
-    assert (live._vec_cache is not None) == HAS_NUMPY
-
-    live.remove_span(15)
-    fresh = DemandKernel(as_components(tasks[:15]))
-    with _min_vector_jobs(math.inf):
-        expected = fresh.first_overflow(bound)
-    assert live.first_overflow(bound) == expected
-    assert live._vec_cache is None
+    check(live, base, "feasible")

@@ -210,12 +210,12 @@ class TestSuperposScan:
                 [DemandComponent(1, 1, 2), DemandComponent(wcet=huge, first_deadline=2)]
             )
         )
-        assert kernel.superpos_scan(1, 0, 10) == (2, huge + Fraction(3, 2), 2, 2)
+        assert kernel.superpos_scan(1, 10) == (2, huge + Fraction(3, 2), 2, 2)
 
     def test_rejects_level_zero_and_accepts_empty_systems(self):
         with pytest.raises(ValueError, match="level"):
-            DemandKernel(_mixed_components()).superpos_scan(0, 0, 10)
-        assert DemandKernel(()).superpos_scan(3, 0, 10) == (None, None, 0, 0)
+            DemandKernel(_mixed_components()).superpos_scan(0, 10)
+        assert DemandKernel(()).superpos_scan(3, 10) == (None, None, 0, 0)
 
 
 class TestContextIntegration:

@@ -20,9 +20,8 @@ the compiled kernel must reproduce the component-based reference
   the closed-form bounds against their ``Fraction`` loops (both in
   ``reference_walks.py``), also on exact-grid systems and one-shot sets;
 * equal results and types for ``superpos_scan`` over the two envelope
-  representations the walk serves (the compiled kernel's integer
-  weights, the incremental kernel's `Fraction` rates) at several window
-  floors;
+  representations the walk serves (integer weights over the lcm ``H``,
+  and `Fraction` rates over ``H = 1`` as on the exact fallback grid);
 * full ``FeasibilityResult`` equality for Devi's test on the kernel grid
   against its ``Fraction`` prefix loop (``reference_walks.py``), with
   the witness interval's and demand's types, on the random population,
@@ -50,7 +49,7 @@ from repro.engine import analyze
 from repro.engine.context import AnalysisContext, clear_context_cache
 from repro.generation import example_systems
 from repro.core.superposition import approximated_dbf
-from repro.kernel import DemandKernel, EnvelopeWalk, IncrementalKernel
+from repro.kernel import DemandKernel, EnvelopeWalk
 from repro.model.components import DemandComponent, as_components
 
 from .reference_walks import (
@@ -403,7 +402,7 @@ def test_superposition_ties_pop_in_push_order(spec, level):
         ivs,
     )
     assert (result.witness.interval, result.witness.demand) == (w_interval, w_demand)
-    _assert_same_superpos_scans(comps, level, [0], bound)
+    _assert_same_superpos_scans(comps, level, bound)
 
 
 def test_superposition_parity_on_the_exact_grid():
@@ -531,57 +530,59 @@ _DYNAMIC_TIE_ORDER_SETS = [
 ]
 
 
-def _assert_same_superpos_scans(comps, level, floors, hi):
-    """``superpos_scan`` over the compiled kernel's integer ``(H, w)``
-    and over the incremental kernel's `Fraction` rates: equal results,
-    equal types, at every window floor."""
-    compiled, incremental = DemandKernel(comps), IncrementalKernel(comps)
-    for lo in floors:
-        expected = compiled.superpos_scan(level, lo, hi)
-        got = incremental.superpos_scan(level, lo, hi)
-        assert got == expected, (level, lo)
-        assert [type(v) for v in got] == [type(v) for v in expected], (level, lo)
+class _RateKernel(DemandKernel):
+    """A compiled kernel whose envelope weights are its `Fraction` rates
+    over ``H = 1``: the exact fallback grid's representation, on any
+    grid."""
+
+    __slots__ = ()
+
+    def envelope_weights(self):
+        return 1, self.rates
 
 
-_WINDOW_SYSTEMS = (
+def _assert_same_superpos_scans(comps, level, hi):
+    """``superpos_scan`` over the integer ``(H, w)`` and over the
+    `Fraction` rates: equal results, equal types."""
+    expected = DemandKernel(comps).superpos_scan(level, hi)
+    got = _RateKernel(comps).superpos_scan(level, hi)
+    assert got == expected, level
+    assert [type(v) for v in got] == [type(v) for v in expected], level
+
+
+_WALK_SYSTEMS = (
     [pytest.param(_POPULATION[i], id=str(i)) for i in range(0, SET_COUNT, 4)]
     + [pytest.param(s, id=f"exact-grid-{i}") for i, s in enumerate(_EXACT_GRID_SETS)]
     + [pytest.param(s, id=f"one-shot-{i}") for i, s in enumerate(_ONE_SHOT_SETS)]
 )
 
 
-@pytest.mark.parametrize("comps", _WINDOW_SYSTEMS)
+@pytest.mark.parametrize("comps", _WALK_SYSTEMS)
 def test_superpos_scan_agrees_across_envelope_representations(comps):
-    """Both envelope representations pop in the same FIFO order from the
-    same window seeds: identical results for every window floor, not
-    only the engine's ``lo = 0``."""
-    deadlines = [c.first_deadline for c in comps]
-    floors = sorted({0, *deadlines[:4], max(deadlines) + 1})
-    for level in (1, 3):
-        _assert_same_superpos_scans(comps, level, floors, 80)
+    """Both envelope representations pop in the same FIFO order and
+    decide every check alike: identical results at every level."""
+    for level in (1, 2, 3, 5):
+        _assert_same_superpos_scans(comps, level, 80)
 
 
 def test_accepted_walk_demand_is_the_approximated_dbf():
     """After a walk accepts up to its bound ``hi``, ``demand(hi)`` is
     ``dbf'(hi)`` of paper Def. 5: the switched components' envelopes,
     which the walk adds to its exact sums only when it needs them, plus
-    the exact demand of the others, on both envelope representations
-    and from every window floor."""
+    the exact demand of the others, on both envelope representations."""
     accepted = 0
-    for param in _WINDOW_SYSTEMS:
+    for param in _WALK_SYSTEMS:
         comps = param.values[0]
-        floors = {0, *(c.first_deadline for c in comps[:4] if c.first_deadline <= 80)}
-        for kernel in (DemandKernel(comps), IncrementalKernel(comps)):
+        for kernel in (DemandKernel(comps), _RateKernel(comps)):
             hi = kernel.inclusive_scaled(80)
-            for level in (1, 3):
-                for lo in sorted(floors):
-                    walk = EnvelopeWalk(kernel, level, kernel.exclusive_scaled(lo), hi)
-                    if walk.run(lambda walk, interval: interval) is not None:
-                        continue
-                    accepted += 1
-                    expected = approximated_dbf(comps, kernel.unscale(hi), level)
-                    assert walk.demand(hi) == expected, (param.id, level, lo)
-    assert accepted >= 100, accepted
+            for level in (1, 2, 3, 5):
+                walk = EnvelopeWalk(kernel, level, hi)
+                if walk.run(lambda walk, interval: interval) is not None:
+                    continue
+                accepted += 1
+                expected = approximated_dbf(comps, kernel.unscale(hi), level)
+                assert walk.demand(hi) == expected, (param.id, level)
+    assert accepted >= 400, accepted
 
 
 def _assert_same_result(result, expected, label=None):

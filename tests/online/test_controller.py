@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from repro.analysis.bounds import BoundMethod
 from repro.engine import analyze
+from repro.engine.context import AnalysisContext
 from repro.generation import generate_taskset
 from repro.model import SporadicTask, TaskSet
 from repro.model.components import DemandComponent, as_components
@@ -35,18 +37,39 @@ def _george(controller):
     return _exact(numerator / (1 - controller._u))
 
 
+def _superposition(controller):
+    """The superposition bound on the controller's aggregates."""
+    if controller._u >= 1:
+        return None
+    linear = controller._superpos_num + controller._oneshot
+    return max(controller._dmax.max, _exact(linear / (1 - controller._u)))
+
+
+def _on_grid(controller, bound):
+    """*bound* rounded up to the controller's kernel grid: ``ceil(B·s)/s``
+    (an ``int`` on an integer grid), *bound* itself on the exact grid."""
+    scale = controller._kernel.scale
+    if scale is None:
+        return bound
+    grid = -(-Fraction(bound) * scale // 1)
+    return grid if scale == 1 else _exact(Fraction(grid, scale))
+
+
 def _three_quotient_bound(controller):
-    """The least of the three bounds, each divided on its own."""
+    """The least of the three bounds, each divided on its own, rounded
+    up to the grid."""
     candidates = [
         b
         for b in (
             _baruah(controller),
             _george(controller),
-            controller._bound_superposition(),
+            _superposition(controller),
         )
         if b is not None
     ]
-    return min(candidates) if candidates else controller._busy_period()
+    if not candidates:
+        return controller._busy_period()
+    return _on_grid(controller, min(candidates))
 
 
 class TestLifecycle:
@@ -115,22 +138,18 @@ class TestPipelineStages:
         assert len(controller) == 1
         assert controller.utilization == Fraction(2, 5)
 
-    def test_filter_accepts_comfortable_arrival(self):
+    def test_exact_stage_admits_past_the_gate(self):
+        # A comfortable arrival and (1,1,3)+(4,6,8), exactly feasible
+        # although SuperPos(2) overestimates it past capacity: both go
+        # to the windowed exact stage, with its bound and walk length.
         controller = AdmissionController(TaskSet.of((1, 10, 10)))
         decision = controller.admit(_task(1, 10, 10), name="x")
-        assert decision.admitted and decision.stage == Stage.FILTER
-        assert controller.approx_clean
-
-    def test_exact_stage_decides_when_filter_is_inconclusive(self):
-        # (1,1,3)+(4,6,8) is exactly feasible but SuperPos(2) — epsilon
-        # 0.9 — overestimates past capacity, so the filter stays
-        # inconclusive and the windowed exact stage must admit.
-        controller = AdmissionController(
-            TaskSet.of((1, 1, 3)), epsilon=Fraction(9, 10)
-        )
+        assert decision.admitted and decision.stage == Stage.EXACT
+        controller = AdmissionController(TaskSet.of((1, 1, 3)))
         decision = controller.admit(_task(4, 6, 8), name="x")
         assert decision.admitted and decision.stage == Stage.EXACT
-        assert not controller.approx_clean
+        assert decision.bound == controller._best_bound()
+        assert decision.iterations >= 1
 
     def test_exact_stage_rejects_with_witness(self):
         controller = AdmissionController(TaskSet.of((1, 1, 2)))
@@ -148,31 +167,12 @@ class TestPipelineStages:
         # Rollback left the admitted system intact and feasible.
         assert analyze(list(controller.snapshot()), test="qpa").is_feasible
 
-    def test_filter_disabled_goes_straight_to_exact(self):
-        controller = AdmissionController(epsilon=None)
-        decision = controller.admit(_task(1, 10, 10), name="x")
-        assert decision.admitted and decision.stage == Stage.EXACT
-
     def test_zero_demand_entity_is_trivial(self):
         controller = AdmissionController()
         decision = controller.admit(_task(0, 5, 5), name="idle")
         assert decision.admitted and decision.stage == Stage.TRIVIAL
         assert controller.snapshot() == ()
         controller.remove("idle")  # the handle still exists
-
-    def test_approx_clean_reestablished_by_full_filter_pass(self):
-        controller = AdmissionController(
-            TaskSet.of((1, 1, 3)), epsilon=Fraction(9, 10)
-        )
-        controller.admit(_task(4, 6, 8), name="tight")
-        assert not controller.approx_clean
-        controller.remove("tight")
-        # Dirty flag survives departures...
-        assert not controller.approx_clean
-        # ...until the next arrival's full filter pass succeeds.
-        decision = controller.admit(_task(1, 100, 100), name="easy")
-        assert decision.admitted and decision.stage == Stage.FILTER
-        assert controller.approx_clean
 
 
 class TestBookkeeping:
@@ -186,9 +186,6 @@ class TestBookkeeping:
         assert controller.utilization == Fraction(1, 3)
 
     def test_bounds_match_engine_context(self):
-        from repro.analysis.bounds import BoundMethod
-        from repro.engine.context import AnalysisContext
-
         controller = AdmissionController()
         tasks = generate_taskset(n=12, utilization=0.8, seed=17)
         for index, task in enumerate(tasks):
@@ -196,15 +193,50 @@ class TestBookkeeping:
         ctx = AnalysisContext.of(list(controller.snapshot()))
         assert _baruah(controller) == ctx.bound(BoundMethod.BARUAH)
         assert _george(controller) == ctx.bound(BoundMethod.GEORGE)
-        assert controller._bound_superposition() == ctx.bound(
-            BoundMethod.SUPERPOSITION
-        )
-        assert controller._best_bound() == ctx.bound(BoundMethod.BEST)
+        assert _superposition(controller) == ctx.bound(BoundMethod.SUPERPOSITION)
+        best = ctx.bound(BoundMethod.BEST)
+        assert controller._best_bound() == _on_grid(controller, best)
         # Bounds stay exact after removals (max trackers recompute).
         controller.remove("t3")
         controller.remove("t7")
         ctx = AnalysisContext.of(list(controller.snapshot()))
-        assert controller._best_bound() == ctx.bound(BoundMethod.BEST)
+        best = ctx.bound(BoundMethod.BEST)
+        assert controller._best_bound() == _on_grid(controller, best)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # integer grid
+            [(5, 9, 20), (3, 10, 10), (7, 40, 50)],
+            # rational grid (scale 21)
+            [
+                (Fraction(5, 3), 9, 20),
+                (3, Fraction(71, 7), 11),
+                (Fraction(2, 7), 4, Fraction(41, 3)),
+            ],
+            # exact fallback grid (scale past SCALE_CAP)
+            [(1, 5, 8)]
+            + [
+                (Fraction(1, p), Fraction(4, p) + i, 3 + i)
+                for i, p in enumerate([(1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1])
+            ],
+        ],
+        ids=["integer", "rational", "fallback"],
+    )
+    def test_best_bound_is_the_engine_bound_on_the_grid(self, rows):
+        """``_best_bound`` is ``ctx.bound(BEST)`` rounded up to the
+        kernel's grid, and QPA from either bound walks alike."""
+        controller = AdmissionController([_task(*row) for row in rows])
+        kernel = controller._kernel
+        best = AnalysisContext.of(list(controller.snapshot())).bound(BoundMethod.BEST)
+        got = controller._best_bound()
+        assert got == _on_grid(controller, best)
+        assert type(got) is type(_on_grid(controller, best))
+        assert (kernel.scale == 1) == (type(got) is int)
+        assert got >= best and (kernel.scale is not None or got == best)
+        assert kernel.qpa(got) == kernel.qpa(best)
+        for floor in (0, 9, 20):
+            assert kernel.qpa(got, floor=floor) == kernel.qpa(best, floor=floor)
 
     @pytest.mark.parametrize("size", [100, 500, 1000])
     def test_best_bound_is_the_least_quotient(self, size):
@@ -254,12 +286,13 @@ class TestBookkeeping:
         offset 0), too close for the float screen: the exact comparison
         picks the larger term on either side of the tie.  Here
         ``linear / (1 − U) ≤ D_max`` iff ``Σ (C/T)(T − D + D_max) ≤
-        D_max``, i.e. ``0.8 · 105 + C_B ≤ 104``."""
-        from repro.analysis.bounds import superposition_bound
-
+        D_max``, i.e. ``0.8 · 105 + C_B ≤ 104``.  George's bound equals
+        ``linear / (1 − U)`` here, so above the tie a wrong pick of
+        ``D_max`` would make the least bound ``D_max``."""
         tasks = [_task(8, 9, 10), _task(20 + Fraction(offset, 10**6), 104, 1000)]
         controller = AdmissionController(tasks)
-        assert controller._bound_superposition() == superposition_bound(tasks)
+        best = AnalysisContext.of(tasks).bound(BoundMethod.BEST)
+        assert controller._best_bound() == _on_grid(controller, best)
 
     def test_stats_counters(self):
         controller = AdmissionController()

@@ -1,11 +1,11 @@
-"""The controller's windowed use of the shared kernel walks.
+"""The controller's windowed use of the kernel's QPA walk.
 
-The admission controller runs the engine's own walks —
-``DemandKernel.superpos_scan`` and ``DemandKernel.qpa`` — on the window
-an arrival can perturb.  These tests pin the two properties the
-controller relies on: a windowed filter walk decides exactly like the
-full walk on an approx-clean system plus one arrival, and the filter
-path never loads numpy (the walk stays off the backend seam).
+The admission controller runs the engine's own backward walk,
+``DemandKernel.qpa``, on the window an arrival can perturb.  These tests
+pin the two properties the controller relies on: on a feasible system
+plus one arrival, the walk windowed to the arrival's first deadline
+decides exactly like the full walk, with the same witness, and the live
+kernel's walks never load numpy.
 """
 
 import os
@@ -14,8 +14,6 @@ import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
-
-import pytest
 
 from repro.analysis.bounds import BoundMethod
 from repro.engine.context import AnalysisContext
@@ -41,41 +39,45 @@ CHURN = {
 }
 
 
-@pytest.mark.parametrize("config", CHURN.values(), ids=CHURN.keys())
-def test_windowed_filter_walk_decides_like_the_full_walk(config):
-    """On an approx-clean system plus one arrival, the walk windowed to
-    ``[d0_new, bound]`` accepts iff the full walk from 0 does, and fails
-    at the same interval (the soundness invariant of the controller's
-    windowed filter)."""
-    config = dict(config)
-    trace = churn_trace(config.pop("events"), mixed_types=True, **config)
-    controller = AdmissionController()
+def test_windowed_qpa_walk_decides_like_the_full_walk():
+    """On a feasible system plus one arrival, the walk windowed to
+    ``[d0_new, bound]`` returns the full walk's verdict, a rejection the
+    full walk's witness and iteration count, and an acceptance no more
+    iterations (the soundness invariant of the controller's exact
+    stage)."""
     outcomes = Counter()
-    for event in trace:
-        if event.kind != ARRIVE:
-            controller.remove(event.name, strict=False)
-            continue
-        if controller.approx_clean:
+    for config in CHURN.values():
+        config = dict(config)
+        trace = churn_trace(config.pop("events"), mixed_types=True, **config)
+        controller = AdmissionController()
+        for event in trace:
+            if event.kind != ARRIVE:
+                controller.remove(event.name, strict=False)
+                continue
             arrival = as_components([event.task])
             system = list(controller.snapshot()) + arrival
             ctx = AnalysisContext.of(system)
             if ctx.utilization <= 1:
-                bound = ctx.bound(BoundMethod.SUPERPOSITION)
+                bound = ctx.bound(BoundMethod.BEST)
                 floor = min(c.first_deadline for c in arrival)
                 kernel = DemandKernel(system)
-                for level in (1, controller.level):
-                    windowed = kernel.superpos_scan(level, floor, bound)
-                    full = kernel.superpos_scan(level, 0, bound)
-                    assert windowed[0] == full[0], (event.name, level)
-                    assert windowed[2] <= full[2]
-                    outcomes[full[0] is None] += 1
-        controller.admit(event.task, name=event.name)
-    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+                windowed = kernel.qpa(bound, floor=floor)
+                full = kernel.qpa(bound)
+                assert (windowed[0] == "infeasible") == (full[0] == "infeasible")
+                if full[0] == "infeasible":
+                    assert windowed == full, event.name
+                else:
+                    assert windowed[3] <= full[3]
+                outcomes[full[0]] += 1
+            controller.admit(event.task, name=event.name)
+    assert outcomes["feasible"] > 0 and outcomes["infeasible"] > 0, outcomes
 
 
 def test_admission_churn_leaves_numpy_unloaded():
     """A 200-task U=0.85 controller admitting and removing churn tasks
-    decides every arrival on the filter and never imports numpy."""
+    decides every arrival on the exact stage and never imports numpy,
+    although its QPA walks over 200 components clear the size rule that
+    sends a compiled kernel's walks to numpy."""
     script = textwrap.dedent(
         """
         import random
@@ -90,7 +92,6 @@ def test_admission_churn_leaves_numpy_unloaded():
             period_range=(1_000, 100_000), gap=(0.1, 0.4),
         )
         controller = AdmissionController(TaskSetGenerator(config, seed=2205).one())
-        assert controller.approx_clean
         rng = random.Random(97)
         for index in range(20):
             period = rng.randint(1_000, 100_000)
@@ -98,7 +99,7 @@ def test_admission_churn_leaves_numpy_unloaded():
             deadline = max(wcet, int(period * rng.uniform(0.7, 1.0)))
             task = SporadicTask(wcet=wcet, deadline=deadline, period=period)
             decision = controller.admit(task, name=f"churn{index}")
-            assert decision.admitted and decision.stage == Stage.FILTER, decision
+            assert decision.admitted and decision.stage == Stage.EXACT, decision
             controller.remove(f"churn{index}")
         print("numpy" in sys.modules)
         """

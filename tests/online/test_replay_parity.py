@@ -27,13 +27,9 @@ from repro.online import (
 )
 
 
-def _assert_full_parity(trace, epsilon="1/10", oracle_test="qpa"):
+def _assert_full_parity(trace, oracle_test="qpa"):
     """Manual replay asserting per-event verdict parity (both directions)."""
-    from fractions import Fraction
-
-    controller = AdmissionController(
-        epsilon=None if epsilon is None else Fraction(epsilon)
-    )
+    controller = AdmissionController()
     checked_rejections = 0
     for event in trace:
         if event.kind == ARRIVE:
@@ -83,7 +79,7 @@ class TestChurnParity:
         )
         _assert_full_parity(trace, oracle_test="processor-demand")
 
-    def test_parity_with_filter_disabled(self):
+    def test_every_arrival_past_the_gate_goes_exact(self):
         trace = churn_trace(
             120,
             seed=31,
@@ -92,9 +88,9 @@ class TestChurnParity:
             per_task_utilization=(0.05, 0.25),
             period_range=(5, 400),
         )
-        controller, _ = _assert_full_parity(trace, epsilon=None)
+        controller, _ = _assert_full_parity(trace)
         stats = controller.stats()
-        assert stats[Stage.FILTER] == 0  # every arrival went exact
+        assert stats[Stage.EXACT] == stats["arrivals"] - stats[Stage.GATE]
 
     def test_oracle_replay_mode_agrees(self):
         trace = generate_trace(
@@ -131,21 +127,48 @@ class TestChurnParity:
                 ArrivalEvent.arrive("b", task, time=1),
             ]
         )
-        # Lobotomize the filter and the exact walk on the controller's
-        # live kernel (the oracle's fresh DemandKernel stays honest):
-        # every arrival that passes the utilization gate is admitted,
-        # feasible or not.
-        monkeypatch.setattr(
-            IncrementalKernel,
-            "superpos_scan",
-            lambda kernel, level, lo, hi: (None, None, 0, 0),
-        )
+        # Lobotomize the exact walk on the controller's live kernel (the
+        # oracle's fresh DemandKernel stays honest): every arrival that
+        # passes the utilization gate is admitted, feasible or not.
         monkeypatch.setattr(
             IncrementalKernel,
             "qpa",
             lambda kernel, bound, floor=0: ("feasible", None, None, 0),
         )
         with pytest.raises(ParityError):
+            replay(trace, oracle=True)
+
+    def test_oracle_catches_a_wrong_witness(self, monkeypatch):
+        """Under the qpa oracle an exact-stage rejection must carry the
+        from-scratch walk's witness: shift the live walk's witness by one
+        grid step and watch the oracle fire, while the verdict stays
+        right (the processor-demand oracle checks verdicts only)."""
+        from repro.kernel import IncrementalKernel
+
+        from repro.model import SporadicTask
+        from repro.online import ArrivalEvent, Trace
+
+        task = SporadicTask(wcet=1, deadline=1, period=2)
+        trace = Trace(
+            [
+                ArrivalEvent.arrive("a", task, time=0),
+                ArrivalEvent.arrive("b", task, time=1),
+            ]
+        )
+        honest = replay(trace, oracle=True)
+        decision = honest.records[1].decision
+        assert decision.stage == Stage.EXACT and not decision.admitted
+        qpa = IncrementalKernel.qpa
+
+        def shifted(kernel, bound, floor=0):
+            status, interval, demand, iterations = qpa(kernel, bound, floor)
+            if status == "infeasible":
+                interval, demand = interval + 1, demand + 1
+            return status, interval, demand, iterations
+
+        monkeypatch.setattr(IncrementalKernel, "qpa", shifted)
+        replay(trace, oracle=True, oracle_test="processor-demand")
+        with pytest.raises(ParityError, match="witness"):
             replay(trace, oracle=True)
 
 

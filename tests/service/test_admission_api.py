@@ -1,7 +1,6 @@
 """Admission-session HTTP API: lifecycle, events, decision log, errors."""
 
 import json
-import urllib.error
 import urllib.request
 from fractions import Fraction
 
@@ -41,12 +40,12 @@ class TestSessionLifecycle:
         status, body = _post_raw(
             server,
             "/v1/admission",
-            {"taskset": taskset_to_dict(tasks), "name": "live", "epsilon": "1/8"},
+            {"taskset": taskset_to_dict(tasks), "name": "live"},
         )
         assert status == 201
         session_id = body["session"]
         assert body["tasks"] == 1  # the seeded system is one entry
-        assert body["epsilon"] == "1/8" and body["level"] == 8
+        assert body["name"] == "live"
 
         trace = generate_trace("churn", 20, seed=2)
         decisions = client.admission_events(session_id, list(trace))
@@ -99,14 +98,18 @@ class TestSessionLifecycle:
         assert decisions[2]["event"] == "depart" and decisions[2]["admitted"]
         client.close_admission_session(session_id)
 
-    def test_epsilon_none_disables_filter(self, client):
-        session_id = client.create_admission_session(epsilon=None)
+    def test_arrival_past_the_gate_is_decided_exactly(self, server, client):
+        """A create body that still carries ``epsilon`` is accepted and
+        the key ignored; the arrival is decided by the exact stage, with
+        its QPA bound on the kernel's integer grid."""
+        status, body = _post_raw(server, "/v1/admission", {"epsilon": "1/10"})
+        assert status == 201 and "epsilon" not in body
         task = SporadicTask(wcet=1, deadline=8, period=10)
         (decision,) = client.admission_events(
-            session_id, [ArrivalEvent.arrive("a", task)]
+            body["session"], [ArrivalEvent.arrive("a", task)]
         )
-        assert decision["stage"] == "exact"
-        client.close_admission_session(session_id)
+        assert decision["stage"] == "exact" and isinstance(decision["bound"], int)
+        client.close_admission_session(body["session"])
 
 
     def test_wide_exact_utilization_goes_on_the_wire(self, server, client):
@@ -147,11 +150,6 @@ class TestSessionErrors:
             client.create_admission_session(taskset=bad)
         assert err.value.status == 400
         assert "infeasible" in err.value.message
-
-    def test_bad_epsilon_is_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post_raw(server, "/v1/admission", {"epsilon": "three halves-ish"})
-        assert err.value.code == 400
 
     def test_malformed_events_are_400(self, client):
         session_id = client.create_admission_session()
