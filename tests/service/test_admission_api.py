@@ -1,6 +1,7 @@
 """Admission-session HTTP API: lifecycle, events, decision log, errors."""
 
 import json
+import urllib.error
 import urllib.request
 from fractions import Fraction
 
@@ -98,11 +99,17 @@ class TestSessionLifecycle:
         assert decisions[2]["event"] == "depart" and decisions[2]["admitted"]
         client.close_admission_session(session_id)
 
-    def test_arrival_past_the_gate_is_decided_exactly(self, server, client):
+    @pytest.mark.parametrize(
+        "epsilon", ["1/10", None, "three halves-ish"],
+        ids=["fraction", "null", "malformed"],
+    )
+    def test_arrival_past_the_gate_is_decided_exactly(self, server, client, epsilon):
         """A create body that still carries ``epsilon`` is accepted and
-        the key ignored; the arrival is decided by the exact stage, with
-        its QPA bound on the kernel's integer grid."""
-        status, body = _post_raw(server, "/v1/admission", {"epsilon": "1/10"})
+        the key ignored, whatever its value: a filter level, ``null`` (no
+        filter) and a malformed string (a 400) were each answered on
+        their own when the key was read.  The arrival is decided by the
+        exact stage, with its QPA bound on the kernel's integer grid."""
+        status, body = _post_raw(server, "/v1/admission", {"epsilon": epsilon})
         assert status == 201 and "epsilon" not in body
         task = SporadicTask(wcet=1, deadline=8, period=10)
         (decision,) = client.admission_events(
@@ -150,6 +157,20 @@ class TestSessionErrors:
             client.create_admission_session(taskset=bad)
         assert err.value.status == 400
         assert "infeasible" in err.value.message
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (["taskset"], "must be a JSON object"),
+            ({"name": 5}, "'name' must be a string"),
+        ],
+        ids=["not-an-object", "name-not-a-string"],
+    )
+    def test_bad_create_body_is_400(self, server, document, message):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post_raw(server, "/v1/admission", document)
+        assert err.value.code == 400
+        assert message in json.loads(err.value.read().decode("utf-8"))["error"]
 
     def test_malformed_events_are_400(self, client):
         session_id = client.create_admission_session()
