@@ -7,8 +7,9 @@ walks, with bit-exact verdict / witness / iteration parity.  The
 reference implementations come from ``tests/kernel/reference_walks.py``
 — the same frozen pre-kernel loops the randomized parity suite uses as
 its oracle (see that module's docstring for the one deliberate
-difference from the historical QPA code and why best-of-N rounds must
-not reuse the memoizing ``ctx.dbf``).
+difference from the historical QPA code: the references sum component
+``dbf`` directly, so best-of-N rounds cannot reuse an earlier round's
+evaluations).
 
 Timings measure the *per-test walk* on a warm
 :class:`~repro.engine.context.AnalysisContext` — preflight

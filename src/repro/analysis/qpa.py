@@ -16,12 +16,13 @@ Algorithm (for ``U <= 1``)::
 
 The loop runs entirely on the system's compiled
 :class:`~repro.kernel.DemandKernel`: ``dbf`` evaluations are flat-array
-integer sweeps, and the ``max{ d : d < t }`` steps go through a
-:class:`~repro.kernel.BackwardDeadlineWalker`, which caches one stride
-candidate per component between backward steps instead of rescanning all
-components per step — on the integerized fast path and on the exact
-fallback path alike.  The parity suite checks the walker against a
-component-based full rescan (``largest_deadline_below`` in
+integer sweeps, and each ``max{ d : d < t }`` step is one scan of the
+components whose first deadline lies below ``t``
+(:meth:`~repro.kernel.DemandKernel.prev_deadline`), on the integerized
+fast path and on the exact fallback path alike.  The walk takes that
+step only when ``dbf(t) = t`` (and once for its first ``t``), so it
+keeps no state between steps.  The parity suite checks the step against
+a component-based full rescan (``largest_deadline_below`` in
 ``tests/kernel/reference_walks.py``).
 
 Iterations count the ``dbf`` evaluations — the comparable unit of work to

@@ -140,7 +140,7 @@ def dynamic_test(
     if verdict is Verdict.INFEASIBLE:
         return FeasibilityResult(
             verdict=verdict,
-            witness=FailureWitness(interval=at, demand=ctx.dbf(at), exact=True),
+            witness=FailureWitness(interval=at, demand=kernel.dbf(at), exact=True),
             details={"utilization": u},
             **counts,
         )

@@ -4,9 +4,10 @@ Every feasibility test used to open with the same copy-pasted preamble —
 normalize the source via :func:`~repro.model.components.as_components`,
 sum the utilization, short-circuit on overload, resolve a feasibility
 bound.  :class:`AnalysisContext` performs that pipeline once and caches
-the expensive intermediates (feasibility bounds, busy period, exact
-``dbf`` evaluations, the compiled demand kernel) keyed on a
-canonical fingerprint of the task set, so that
+the expensive intermediates (feasibility bounds, busy period, the
+compiled demand kernel, whose :meth:`~repro.kernel.DemandKernel.dbf`
+evaluates the demand) keyed on a canonical fingerprint of the task set,
+so that
 
 * running several tests on the same system (the experiment batteries,
   ``analyze --all``) shares the normalization and bound work;
@@ -49,7 +50,7 @@ from ..model.components import (
     as_components,
     component_rows,
 )
-from ..model.numeric import ExactTime, Time, rate_sum, to_exact
+from ..model.numeric import ExactTime, rate_sum
 from ..model.task import SporadicTask
 from ..model.taskset import TaskSet
 from ..obs import counter as _obs_counter
@@ -109,7 +110,6 @@ class AnalysisContext:
         "_components",
         "_bounds",
         "_busy_period",
-        "_dbf_cache",
         "_kernel",
     )
 
@@ -121,7 +121,6 @@ class AnalysisContext:
         self._components: Optional[Tuple[DemandComponent, ...]] = None
         self._bounds: Dict["BoundMethod", Optional[ExactTime]] = {}
         self._busy_period: Optional[ExactTime] = None
-        self._dbf_cache: Dict[ExactTime, ExactTime] = {}
         self._kernel: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -261,26 +260,6 @@ class AnalysisContext:
             kernel = DemandKernel.from_rows(self.fingerprint)
             self._kernel = kernel
         return kernel
-
-    def dbf(self, interval: Time) -> ExactTime:
-        """Exact system demand at *interval*, memoized per interval.
-
-        The staircase evaluations dominate witness construction and the
-        revision loops; re-checks of the same interval (across tests, or
-        across probes landing on a previously evaluated point) are free.
-        Evaluation runs on the compiled kernel's flat arrays.
-        """
-        t = to_exact(interval)
-        cached = self._dbf_cache.get(t)
-        if cached is None:
-            cached = self.kernel().dbf(t)
-            self._dbf_cache[t] = cached
-        return cached
-
-    @property
-    def min_first_deadline(self) -> Optional[ExactTime]:
-        """Smallest first deadline, or ``None`` for an empty system."""
-        return min((d for _, d, _, _ in self.fingerprint), default=None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -17,7 +17,6 @@ walks ran and fell back.
 from .incremental import IncrementalKernel
 from .kernel import (
     SCALE_CAP,
-    BackwardDeadlineWalker,
     DemandKernel,
     EnvelopeWalk,
     backend_info,
@@ -28,7 +27,6 @@ __all__ = [
     "DemandKernel",
     "EnvelopeWalk",
     "IncrementalKernel",
-    "BackwardDeadlineWalker",
     "SCALE_CAP",
     "backend_info",
     "reset_walk_counters",

@@ -10,20 +10,19 @@ mutable:
 
 * :meth:`add` merges one component's scaled stride triple into the
   arrays.  When the component's denominators divide the current scale
-  this is an append plus three sorted-view insertions; when the LCM
-  grows, the existing integer arrays are multiplied by the growth
-  factor (pure ``int`` multiplications — no `Fraction` arithmetic on
-  the unchanged components).  When the LCM overflows
+  this is an append plus one insertion into the by-deadline rows; when
+  the LCM grows, the existing integer arrays are multiplied by the
+  growth factor (pure ``int`` multiplications — no `Fraction`
+  arithmetic on the unchanged components).  When the LCM overflows
   :data:`~repro.kernel.kernel.SCALE_CAP` the kernel degrades to the
   exact mixed ``int``/`Fraction` fallback path, exactly like a fresh
   compile would.
 * :meth:`remove_span` drops a contiguous run of components: each
-  leaves the three by-deadline sorted views at the slot a bisection on
-  ``(d0, index)`` finds, and the views' indices are renumbered (one
-  pass over ``_sorted_pairs``) only when components follow the span.
-  Removing the newest components — a departure right after its
-  arrival, a rejected candidate — costs ``O(log n)`` plus a memmove per
-  view.  The scale is *not* shrunk back: any
+  leaves the by-deadline rows at the slot a bisection on ``(d0,
+  index)`` finds, and the rows' indices are renumbered (one pass) only
+  when components follow the span.  Removing the newest components — a
+  departure right after its arrival, a rejected candidate — costs
+  ``O(log n)`` plus one memmove.  The scale is *not* shrunk back: any
   common multiple of the remaining denominators is a valid grid, and
   scaling by a positive constant preserves every comparison, tie and
   ratio the tests make (see :mod:`repro.kernel.kernel`), so verdicts,
@@ -51,7 +50,7 @@ they drop the lazily built ``rates``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import lcm
 from typing import Any, Callable, Sequence
@@ -83,9 +82,9 @@ class IncrementalKernel(DemandKernel):
     """A :class:`DemandKernel` supporting in-place component add/remove.
 
     The flat parallel arrays (``d0s`` / ``periods`` / ``wcets``) and the
-    by-deadline sorted views are plain lists kept consistent by the
-    mutators; component order is insertion order, so index ``i`` always
-    refers to the ``i``-th currently-present component.
+    by-deadline rows are plain lists kept consistent by the mutators;
+    component order is insertion order, so index ``i`` always refers to
+    the ``i``-th currently-present component.
     """
 
     __slots__ = ()
@@ -139,20 +138,14 @@ class IncrementalKernel(DemandKernel):
         self.wcets.append(wcet_s)
         self._rates = None
         self.n += 1
-        # One bisection finds the slot for all three parallel sorted
-        # views (the new index is the largest, so the (d0, index) order
-        # and the bare-d0 order agree on tie placement).
-        at = bisect_left(self._sorted_pairs, (d0_s, index))
-        self._sorted_pairs.insert(at, (d0_s, index))
-        self._sorted_keys.insert(at, d0_s)
-        self._sorted_triples.insert(at, (d0_s, period_s, wcet_s))
+        insort(self._by_deadline, (d0_s, index, period_s, wcet_s))
         return index
 
     def remove_span(self, start: int, count: int = 1) -> None:
         """Drop components ``start .. start+count-1`` (insertion order).
 
-        Each one leaves the by-deadline views at the slot a bisection on
-        ``(d0, index)`` finds; the views' indices are renumbered only
+        Each one leaves the by-deadline rows at the slot a bisection on
+        ``(d0, index)`` finds; the rows' indices are renumbered only
         when components follow the span.
         """
         end = start + count
@@ -161,15 +154,13 @@ class IncrementalKernel(DemandKernel):
                 f"invalid removal span [{start}, {end}) of a "
                 f"{self.n}-component kernel"
             )
-        pairs, keys, triples = (
-            self._sorted_pairs, self._sorted_keys, self._sorted_triples
-        )
+        rows = self._by_deadline
         for idx in range(start, end):
-            at = bisect_left(pairs, (self.d0s[idx], idx))
-            del pairs[at], keys[at], triples[at]
+            del rows[bisect_left(rows, (self.d0s[idx], idx))]
         if end < self.n:
-            self._sorted_pairs = [
-                (d0, idx - count) if idx >= end else (d0, idx) for d0, idx in pairs
+            self._by_deadline = [
+                (d0, idx - count, p, c) if idx >= end else (d0, idx, p, c)
+                for d0, idx, p, c in rows
             ]
         del self.d0s[start:end], self.periods[start:end], self.wcets[start:end]
         self._rates = None
@@ -188,10 +179,8 @@ class IncrementalKernel(DemandKernel):
         self.d0s = [v * factor for v in self.d0s]
         self.periods = [v * factor for v in self.periods]
         self.wcets = [v * factor for v in self.wcets]
-        self._sorted_keys = [k * factor for k in self._sorted_keys]
-        self._sorted_pairs = [(d * factor, i) for d, i in self._sorted_pairs]
-        self._sorted_triples = [
-            (d * factor, p * factor, c * factor) for d, p, c in self._sorted_triples
+        self._by_deadline = [
+            (d * factor, i, p * factor, c * factor) for d, i, p, c in self._by_deadline
         ]
 
     def _degrade_to_exact(self) -> None:
@@ -211,8 +200,6 @@ class IncrementalKernel(DemandKernel):
         self.d0s = [back(v) for v in self.d0s]
         self.periods = [back(v) for v in self.periods]
         self.wcets = [back(v) for v in self.wcets]
-        self._sorted_keys = [back(k) for k in self._sorted_keys]
-        self._sorted_pairs = [(back(d), i) for d, i in self._sorted_pairs]
-        self._sorted_triples = [
-            (back(d), back(p), back(c)) for d, p, c in self._sorted_triples
+        self._by_deadline = [
+            (back(d), i, back(p), back(c)) for d, i, p, c in self._by_deadline
         ]

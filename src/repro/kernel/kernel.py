@@ -27,13 +27,15 @@ factor without giving up exactness:
   1 and the columns of the rows are the arrays as they stand — no
   per-value ``lcm`` or rescaling; rational rows take the scaling above.
 * **Flat layout.**  Parameters live in parallel tuples ``(d0s, periods,
-  wcets)`` in source order, plus a by-first-deadline sorted view for
-  binary searches — no per-step attribute or method dispatch.
+  wcets)`` in source order, plus one by-first-deadline sorted list of
+  ``(d0, index, period, wcet)`` rows that every walk seeds from and
+  bisects with ``(bound, inf)`` probes — no per-step attribute or
+  method dispatch.
 * **Loop-free-of-lookup primitives.**  The hot operations are provided
   as tight loops over the flat arrays: :meth:`dbf`,
   :meth:`first_overflow` (the merged forward walk of the processor
-  demand test), :meth:`prev_deadline` plus the stateful
-  :class:`BackwardDeadlineWalker` (QPA's backward steps), and
+  demand test), :meth:`prev_deadline` (QPA's backward step: one scan of
+  the rows below the limit, one candidate each), and
   :meth:`demand_profile` / :meth:`best_ratio` (load and plotting scans).
 * **Two loops per walk, chosen by size.**  :meth:`first_overflow`,
   :meth:`qpa`, :meth:`best_ratio` and :meth:`count_steps` run numpy's
@@ -85,10 +87,10 @@ per task set per process.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from importlib.util import find_spec
 from math import inf, lcm
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -103,7 +105,6 @@ from ..obs import span as _obs_span
 __all__ = [
     "DemandKernel",
     "EnvelopeWalk",
-    "BackwardDeadlineWalker",
     "SCALE_CAP",
     "backend_info",
     "reset_walk_counters",
@@ -222,16 +223,6 @@ def reset_walk_counters() -> None:
     _FALLBACKS.reset()
 
 
-def _prev_candidate(d0: ExactTime, p: ExactTime, limit: ExactTime) -> ExactTime:
-    """Largest ``d0 + k*p < limit`` (``k >= 0``), given ``d0 < limit``.
-
-    ``k = ceil((limit - d0) / p) - 1``, written with floor division so it
-    is exact for ints and Fractions alike; one-shot components (``p`` is
-    the 0 sentinel) have only ``d0`` itself.
-    """
-    return d0 + (-((d0 - limit) // p) - 1) * p if p else d0
-
-
 class DemandKernel:
     """A per-system compiled view of the demand components.
 
@@ -248,6 +239,8 @@ class DemandKernel:
         rates: per-component utilization ``C/T`` as `Fraction` (``0``
             for one-shot components) — scale-invariant; the envelope
             weights on the exact grid.
+        _by_deadline: the ``(d0, index, period, wcet)`` rows sorted by
+            first deadline, then index — the one by-deadline view.
 
     All public methods accept and return values in *original* time
     units; the ``*_scaled`` variants expose the internal grid for the
@@ -261,9 +254,7 @@ class DemandKernel:
         "periods",
         "wcets",
         "_rates",
-        "_sorted_keys",
-        "_sorted_pairs",
-        "_sorted_triples",
+        "_by_deadline",
         "_job_rate",
         "_vec_cache",
     )
@@ -313,12 +304,9 @@ class DemandKernel:
         # loops: built lazily, once per kernel.
         self._job_rate = None
         self._vec_cache = None
-        pairs = sorted(zip(self.d0s, range(self.n)))
-        self._sorted_pairs: List[Tuple[ExactTime, int]] = pairs
-        self._sorted_keys: List[ExactTime] = [d for d, _ in pairs]
-        self._sorted_triples: List[Tuple[ExactTime, ExactTime, ExactTime]] = [
-            (d, self.periods[i], self.wcets[i]) for d, i in pairs
-        ]
+        self._by_deadline: List[Tuple[ExactTime, int, ExactTime, ExactTime]] = (
+            sorted(zip(d0s, range(self.n), periods, wcets))
+        )
 
     @property
     def rates(self) -> Tuple[Fraction, ...]:
@@ -361,7 +349,7 @@ class DemandKernel:
     @property
     def min_d0_scaled(self) -> Optional[ExactTime]:
         """Smallest first deadline on the internal grid (``None`` if empty)."""
-        return self._sorted_keys[0] if self.n else None
+        return self._by_deadline[0][0] if self.n else None
 
     def inclusive_scaled(self, value: Time) -> ExactTime:
         """Grid bound ``b`` with ``d_s <= b``  ⇔  ``d <= value``.
@@ -390,12 +378,6 @@ class DemandKernel:
         q = Fraction(value) / self.scale
         return q.numerator if q.denominator == 1 else q
 
-    @staticmethod
-    def ratio(demand: ExactTime, interval: ExactTime) -> Fraction:
-        """``demand / interval`` for a grid pair — the scale cancels,
-        so this is the exact unscaled staircase ratio."""
-        return Fraction(demand) / Fraction(interval)
-
     # ------------------------------------------------------------------
     # Point evaluation
     # ------------------------------------------------------------------
@@ -403,13 +385,13 @@ class DemandKernel:
     def dbf_scaled(self, t: ExactTime) -> ExactTime:
         """System demand at grid instant *t* (grid units).
 
-        Iterates the by-deadline-sorted triples and stops at the first
-        ``d0 > t`` — no per-call slice or bisect, and QPA's backward
-        walk probes ever-smaller instants, so the scanned prefix keeps
-        shrinking as the test converges.
+        Iterates the by-deadline rows and stops at the first ``d0 > t``
+        — no per-call slice or bisect, and QPA's backward walk probes
+        ever-smaller instants, so the scanned prefix keeps shrinking as
+        the test converges.
         """
         total = 0
-        for d0, p, c in self._sorted_triples:
+        for d0, _, p, c in self._by_deadline:
             if d0 > t:
                 break
             total += ((t - d0) // p + 1) * c if p else c
@@ -464,21 +446,18 @@ class DemandKernel:
         """Yield ``(interval, demand)`` at every staircase jump up to the
         grid bound, coincident deadlines folded into one point.
 
-        The merge heap holds bare ``(deadline, index)`` pairs; the
-        by-deadline sorted prefix is already a valid min-heap, so setup
-        is a bisect plus one slice copy.
+        The merge heap holds ``(deadline, index, period, wcet)`` rows;
+        the by-deadline rows up to the bound are already a valid
+        min-heap, so setup is a bisect plus one slice copy.
         """
-        cut = bisect_right(self._sorted_keys, bound_scaled)
-        heap = self._sorted_pairs[:cut]
-        periods = self.periods
-        wcets = self.wcets
+        cut = bisect_right(self._by_deadline, (bound_scaled, inf))
+        heap = self._by_deadline[:cut]
         demand: ExactTime = 0
         while heap:
-            d, idx = heap[0]
-            demand += wcets[idx]
-            p = periods[idx]
+            d, idx, p, c = heap[0]
+            demand += c
             if p and d + p <= bound_scaled:
-                heapreplace(heap, (d + p, idx))
+                heapreplace(heap, (d + p, idx, p, c))
             else:
                 heappop(heap)
             if heap and heap[0][0] == d:
@@ -518,9 +497,10 @@ class DemandKernel:
         plain ints instead of tuples, the per-component stride becomes
         one addition (``period * K`` preserves the index), and the
         coincident-deadline fold is a subtraction-free range check.  The
-        exact fallback path keeps ``(deadline, index)`` tuples.
+        exact fallback path merges the by-deadline rows themselves
+        (:meth:`points_scaled`).
         """
-        cut = bisect_right(self._sorted_keys, bound_scaled)
+        cut = bisect_right(self._by_deadline, (bound_scaled, inf))
         periods = self.periods
         wcets = self.wcets
         demand: ExactTime = 0
@@ -528,9 +508,9 @@ class DemandKernel:
         if self.scale is not None:
             k = self.n
             strides = [p * k for p in periods]
-            # The by-deadline sorted prefix maps to a sorted (hence
+            # The by-deadline rows up to the bound map to a sorted (hence
             # heap-ordered) list of encoded entries.
-            heap = [d * k + i for d, i in self._sorted_pairs[:cut]]
+            heap = [d * k + i for d, i, _, _ in self._by_deadline[:cut]]
             limit = (bound_scaled + 1) * k  # e + stride < limit ⟺ d + p <= bound
             while heap:
                 entry = heap[0]
@@ -621,25 +601,28 @@ class DemandKernel:
     # ------------------------------------------------------------------
 
     def prev_deadline(self, limit: Time) -> Optional[ExactTime]:
-        """Largest deadline strictly below *limit* (one-shot query).
+        """Largest deadline strictly below *limit*, in original units."""
+        found = self._prev_scaled(self.exclusive_scaled(limit))
+        return None if found is None else self.unscale(found)
 
-        For a descending *sequence* of limits — QPA's backward steps —
-        use :meth:`backward_walker`, which caches per-component stride
-        state instead of rescanning every component per step.
+    def _prev_scaled(self, limit: ExactTime) -> Optional[ExactTime]:
+        """Largest grid deadline strictly below the grid *limit*.
+
+        One scan of the rows whose first deadline lies below the limit:
+        each component's last deadline below it is ``d0 + k·p`` with
+        ``k = ceil((limit − d0) / p) − 1``, written with floor division
+        so it is exact on the integer and the `Fraction` grid alike
+        (``d0`` itself for a one-shot).  QPA takes this step only when
+        ``dbf(t) = t``; every other step jumps to ``dbf(t)``.
         """
-        l = self.exclusive_scaled(limit)
-        cut = bisect_left(self._sorted_keys, l)
-        periods = self.periods
         best: Optional[ExactTime] = None
-        for d0, idx in self._sorted_pairs[:cut]:
-            cand = _prev_candidate(d0, periods[idx], l)
-            if best is None or cand > best:
-                best = cand
-        return None if best is None else self.unscale(best)
-
-    def backward_walker(self) -> "BackwardDeadlineWalker":
-        """Fresh stateful walker for monotone descending limits."""
-        return BackwardDeadlineWalker(self)
+        for d0, _, p, _ in self._by_deadline:
+            if d0 >= limit:
+                break
+            last = d0 + (-((d0 - limit) // p) - 1) * p if p else d0
+            if best is None or last > best:
+                best = last
+        return best
 
     def qpa(
         self, bound: Time, floor: Time = 0
@@ -678,9 +661,8 @@ class DemandKernel:
     def _qpa_scaled_py(
         self, limit_scaled: ExactTime, floor_scaled: ExactTime
     ) -> Tuple[str, Optional[ExactTime], Optional[ExactTime], int]:
-        """Reference backward walk on the grid (stride-caching walker)."""
-        walker = self.backward_walker()
-        t = walker.prev_scaled(limit_scaled)
+        """Reference backward walk on the grid."""
+        t = self._prev_scaled(limit_scaled)
         if t is None:
             return ("empty", None, None, 0)
         min_deadline = self.min_d0_scaled
@@ -695,7 +677,7 @@ class DemandKernel:
             if demand < t:
                 t = demand
             else:
-                previous = walker.prev_scaled(t)
+                previous = self._prev_scaled(t)
                 if previous is None:
                     return ("feasible", None, None, iterations)
                 t = previous
@@ -790,9 +772,9 @@ class EnvelopeWalk:
         self.kernel = kernel
         self.level = level
         self.hi = hi
-        # The by-deadline view up to hi is sorted, hence a valid heap.
-        cut = bisect_right(kernel._sorted_keys, hi)
-        self.heap = [(d0, idx, idx) for d0, idx in kernel._sorted_pairs[:cut]]
+        # The by-deadline rows up to hi are sorted, hence a valid heap.
+        cut = bisect_right(kernel._by_deadline, (hi, inf))
+        self.heap = [(d0, idx, idx) for d0, idx, _, _ in kernel._by_deadline[:cut]]
         self.counted = [0] * kernel.n
         self.exact: ExactTime = 0
         self.hyper, self.weights = kernel.envelope_weights()
@@ -935,66 +917,3 @@ class EnvelopeWalk:
         self.revisions, self._seq = revisions, seq
         return None
 
-
-class BackwardDeadlineWalker:
-    """Largest-deadline-below queries with cached per-component strides.
-
-    QPA steps backwards through a *non-increasing* sequence of instants.
-    A naive implementation rescans all ``n`` components per step; this
-    walker keeps, in a max-heap, each component's largest deadline below
-    the most recent limit, and on a new (smaller) limit recomputes —
-    one modular step each — only the candidates the limit invalidated.
-    The heap top then answers in ``O(log n)``; components whose cached
-    candidate is still valid are never touched.
-
-    Limits must be non-increasing across calls (each limit at most the
-    previous one) — components retired at a smaller limit are gone, so
-    an increasing query has no correct answer; it raises ``ValueError``
-    rather than returning a stale deadline.  The sequence QPA produces
-    is decreasing by construction.  Works identically on the integer
-    grid and on the exact fallback path.
-    """
-
-    __slots__ = ("_kernel", "_heap", "_limit")
-
-    def __init__(self, kernel: DemandKernel) -> None:
-        self._kernel = kernel
-        self._heap: Optional[List[Tuple[ExactTime, int]]] = None
-        self._limit: Optional[ExactTime] = None
-
-    def prev_scaled(self, limit: ExactTime) -> Optional[ExactTime]:
-        """Largest grid deadline strictly below the grid *limit*."""
-        kernel = self._kernel
-        periods = kernel.periods
-        heap = self._heap
-        if self._limit is not None and limit > self._limit:
-            raise ValueError(
-                f"backward walker limits must be non-increasing; got {limit!r} "
-                f"after {self._limit!r} (use DemandKernel.prev_deadline for "
-                "one-shot queries)"
-            )
-        self._limit = limit
-        if heap is None:
-            # First query: one candidate per component below the limit.
-            # (Entries are negated: heapq is a min-heap.)
-            cut = bisect_left(kernel._sorted_keys, limit)
-            heap = []
-            for d0, idx in kernel._sorted_pairs[:cut]:
-                heap.append((-_prev_candidate(d0, periods[idx], limit), idx))
-            heapify(heap)
-            self._heap = heap
-        else:
-            d0s = kernel.d0s
-            while heap and -heap[0][0] >= limit:
-                _, idx = heappop(heap)
-                d0 = d0s[idx]
-                if d0 >= limit:
-                    continue  # no deadline left below the limit: retire
-                heappush(heap, (-_prev_candidate(d0, periods[idx], limit), idx))
-        return -heap[0][0] if heap else None
-
-    def prev(self, limit: Time) -> Optional[ExactTime]:
-        """:meth:`prev_scaled` in original units."""
-        kernel = self._kernel
-        found = self.prev_scaled(kernel.exclusive_scaled(limit))
-        return None if found is None else kernel.unscale(found)

@@ -22,6 +22,10 @@ Four pieces, one import::
 
     print(obs.registry().exposition())     # Prometheus text format 0.0.4
 
+Spans and events are separate channels: a finished span goes to the
+span log (``/v1/traces``, ``--span-journal``, ``repro obs trace``) with
+its name, parent, duration and attributes, and never to the event log.
+
 Set ``REPRO_OBS=off`` in the environment to turn every mutation into a
 no-op (reads then report zeros); :func:`set_enabled` flips the same
 switch at runtime for overhead A/B tests.
@@ -64,7 +68,6 @@ from .trace import (
     remote_parent,
     render_profile,
     render_trace_tree,
-    set_span_events,
     set_span_export,
     span,
     span_log,
@@ -94,7 +97,6 @@ __all__ = [
     "current_span",
     "current_traceparent",
     "SpanHandle",
-    "set_span_events",
     "SpanLog",
     "span_log",
     "set_span_export",

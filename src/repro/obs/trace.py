@@ -6,13 +6,9 @@
   tracked through a :mod:`contextvars` variable, so a span opened inside
   a worker thread or an asyncio task sees the right parent: the
   canonical chain here is ``engine.batch`` → ``engine.analyze`` →
-  ``kernel.qpa``/``kernel.pda``.  Span *events* (category ``trace``) carry
-  the full structure — name, parent, depth, duration, attributes — but
-  are **off by default**: the histogram costs two ``perf_counter`` reads
-  and one observe, which the hot paths tolerate, while a per-span event
-  emission would not.  Flip :func:`set_span_events` (or pass
-  ``emit_event=True`` per span) when the narrative matters more than
-  the nanoseconds.
+  ``kernel.qpa``/``kernel.pda``.  A span emits no event: its full
+  structure — name, parent, duration, attributes — goes to the span log
+  (see *Export* below), the one channel for finished spans.
 
 The rest of the module makes those spans *mean* something outside the
 process that opened them:
@@ -66,7 +62,7 @@ from typing import (
     Tuple,
 )
 
-from .events import RotatingJournal, emit, event_log
+from .events import RotatingJournal, event_log
 from .metrics import DEFAULT_BUCKETS, histogram, is_enabled, registry, state_delta
 
 __all__ = [
@@ -74,7 +70,6 @@ __all__ = [
     "current_span",
     "current_traceparent",
     "SpanHandle",
-    "set_span_events",
     "new_trace_id",
     "new_span_id",
     "format_traceparent",
@@ -403,17 +398,6 @@ _CURRENT: contextvars.ContextVar[Optional["SpanHandle"]] = contextvars.ContextVa
     "repro_obs_span", default=None
 )
 
-_EMIT_EVENTS = False
-
-
-def set_span_events(flag: bool) -> bool:
-    """Globally toggle per-span trace events; returns the prior state."""
-    global _EMIT_EVENTS
-    previous = _EMIT_EVENTS
-    _EMIT_EVENTS = bool(flag)
-    return previous
-
-
 class SpanHandle:
     """The live scope a ``with span(...)`` block exposes.
 
@@ -500,9 +484,7 @@ def _child(name: str):
 
 
 @contextmanager
-def span(
-    name: str, emit_event: Optional[bool] = None, **attrs: Any
-) -> Iterator[Optional[SpanHandle]]:
+def span(name: str, **attrs: Any) -> Iterator[Optional[SpanHandle]]:
     """Time a scope into ``repro_span_seconds`` and propagate nesting.
 
     Yields the open :class:`SpanHandle` (or ``None`` when observability
@@ -534,15 +516,6 @@ def span(
                     "duration": duration,
                     "attrs": attrs,
                 }
-            )
-        if _EMIT_EVENTS if emit_event is None else emit_event:
-            emit(
-                "trace",
-                name,
-                duration_seconds=duration,
-                parent=handle.parent.name if handle.parent else None,
-                depth=handle.depth,
-                **attrs,
             )
 
 

@@ -334,7 +334,7 @@ class AdmissionController:
             kernel.add(component)
         self._accrete(components)
         window_floor = min(c.first_deadline for c in components)
-        bound = self._best_bound()
+        bound = self._best_bound(components)
         status, interval, demand, iterations = kernel.qpa(bound, floor=window_floor)
         self._count(Stage.EXACT)
         if status == "infeasible":
@@ -430,7 +430,7 @@ class AdmissionController:
         for component in components:
             self._kernel.add(component)
         self._accrete(components)
-        status, interval, demand, _ = self._kernel.qpa(self._best_bound())
+        status, interval, demand, _ = self._kernel.qpa(self._best_bound(components))
         if status == "infeasible":
             raise ModelError(
                 "initial system is infeasible "
@@ -515,9 +515,11 @@ class AdmissionController:
 
     # -- bounds (mirror repro.analysis.bounds on the aggregates) -------
 
-    def _best_bound(self) -> ExactTime:
+    def _best_bound(self, pending: Sequence[DemandComponent] = ()) -> ExactTime:
         """The least of the Baruah, George and superposition bounds,
-        rounded up to the kernel's grid.
+        rounded up to the kernel's grid, for the admitted system plus the
+        *pending* components under decision (already merged into the
+        kernel and the aggregates).
 
         All three are quotients by the same ``h = 1 − U > 0``:
         ``min(a/h, b/h, max(dmax, lin/h)) = min(a, b, max(dmax·h, lin)) / h``.
@@ -531,7 +533,8 @@ class AdmissionController:
         of whole jobs and hence on the grid already.
         """
         if self._u >= 1:
-            return self._busy_period()
+            # Only reachable at U == 1 exactly (U > 1 never passes the gate).
+            return busy_period_of_components([*self._components, *pending])
         if not self._kernel.n:
             return 0
         headroom = 1 - self._u
@@ -553,25 +556,3 @@ class AdmissionController:
             // (least.denominator * headroom.numerator)
         )
         return grid if scale == 1 else _exact(Fraction(grid, scale))
-
-    def _busy_period(self) -> ExactTime:
-        # Only reachable at U == 1 exactly (U > 1 never passes the gate).
-        return busy_period_of_components(self._kernel_components())
-
-    def _kernel_components(self) -> List[DemandComponent]:
-        """Components currently merged into the kernel — the admitted
-        system plus any tentative candidate under decision."""
-        if self._kernel.n == len(self._components):
-            return list(self._components)
-        # A candidate is tentatively merged: rebuild from kernel arrays.
-        kernel = self._kernel
-        out: List[DemandComponent] = []
-        for d0, p, c in zip(kernel.d0s, kernel.periods, kernel.wcets):
-            out.append(
-                DemandComponent(
-                    wcet=kernel.unscale(c),
-                    first_deadline=kernel.unscale(d0),
-                    period=kernel.unscale(p) if p else None,
-                )
-            )
-        return out

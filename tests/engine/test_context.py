@@ -256,7 +256,7 @@ def _reference_compile(components):
 
 
 _KERNEL_VIEWS = ("n", "scale", "d0s", "periods", "wcets")
-_SORTED_VIEWS = ("_sorted_keys", "_sorted_pairs", "_sorted_triples")
+_SORTED_VIEWS = ("_by_deadline",)
 
 
 class TestNormalForm:
@@ -313,10 +313,10 @@ class TestMemoizedQuantities:
         assert ctx.bound() == ctx.bound(BoundMethod.BEST)
 
     def test_dbf_matches_exact(self, simple_taskset):
-        ctx = AnalysisContext.of(simple_taskset)
+        kernel = AnalysisContext.of(simple_taskset).kernel()
         components = as_components(simple_taskset)
         for interval in (1, 6, 10, 11, 16, 25, 100, 1000):
-            assert ctx.dbf(interval) == dbf(components, interval)
+            assert kernel.dbf(interval) == dbf(components, interval)
 
     def test_busy_period_matches(self, simple_taskset):
         ctx = AnalysisContext.of(simple_taskset)

@@ -10,14 +10,14 @@ per-bound ``Fraction`` loops of the closed-form feasibility bounds.  The randomi
 (``benchmarks/test_kernel_micro.py``) consume this module, so the
 parity oracle and the benchmark baseline can never drift apart.
 
-One deliberate difference from the historical code: the QPA reference
-sums component ``dbf`` directly instead of calling the memoizing
-``ctx.dbf``.  Within one backward walk the probed instants strictly
-decrease, so the memo never hits on a first analysis — this is what a
-pre-kernel first run of a distinct set paid, minus the memo-insertion
-overhead (which flatters the reference).  The Dynamic reference reads
-``Im`` through :func:`repro.core.max_test_interval` instead of the
-context memo it once had.
+One deliberate difference from the historical code: the references
+sum component ``dbf`` directly (:func:`component_dbf`) where they once
+called a per-context ``dbf`` memo.  Within one backward walk the probed
+instants strictly decrease, so the memo never hit on a first analysis —
+this is what a pre-kernel first run of a distinct set paid, minus the
+memo-insertion overhead (which flattered the reference).  The Dynamic
+reference reads ``Im`` through :func:`repro.core.max_test_interval`
+instead of the context memo it once had.
 """
 
 import heapq
@@ -33,6 +33,7 @@ from repro.result import FailureWitness, FeasibilityResult, Verdict
 
 __all__ = [
     "IntervalQueue",
+    "component_dbf",
     "largest_deadline_below",
     "reference_processor_demand",
     "reference_qpa",
@@ -84,11 +85,21 @@ class IntervalQueue(Generic[T]):
         return bool(self._heap)
 
 
+def component_dbf(components, interval: ExactTime) -> ExactTime:
+    """System demand at *interval*, summed over the components' ``dbf``;
+    an integral value is an ``int``, as the kernel reports it, so the
+    witness types of the references match the tests'."""
+    demand = sum((c.dbf(interval) for c in components), 0)
+    if isinstance(demand, Fraction) and demand.denominator == 1:
+        return demand.numerator
+    return demand
+
+
 def largest_deadline_below(components, limit: ExactTime) -> Optional[ExactTime]:
     """Largest synchronous absolute deadline strictly below *limit*.
 
     Component-based reference (one full scan per call): the oracle the
-    kernel's backward walker is checked against, and the step of the
+    kernel's backward step is checked against, and the step of the
     QPA reference below.
     """
     best: Optional[ExactTime] = None
@@ -137,7 +148,7 @@ def reference_processor_demand(ctx, bound):
 def reference_qpa(ctx, bound):
     """(verdict, witness interval, witness demand, iterations)."""
     components = ctx.components
-    min_deadline = ctx.min_first_deadline
+    min_deadline = min((c.first_deadline for c in components), default=None)
     t = largest_deadline_below(components, bound + 1)
     if t is None:
         return ("feasible", None, None, 0)
@@ -216,7 +227,7 @@ def reference_dynamic(
         while value > interval:
             revivable = [j for j in range(n) if approximated[j]]
             if not revivable:
-                true_demand = ctx.dbf(interval)
+                true_demand = component_dbf(components, interval)
                 return FeasibilityResult(
                     verdict=Verdict.INFEASIBLE,
                     test_name=name,

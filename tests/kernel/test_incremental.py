@@ -49,13 +49,9 @@ def _coincident_components(d0: int = 6):
 
 
 def _views(kernel: DemandKernel):
-    """The by-deadline views in original units."""
+    """The by-deadline rows in original units."""
     u = kernel.unscale
-    return (
-        [(u(d), i) for d, i in kernel._sorted_pairs],
-        [u(d) for d in kernel._sorted_keys],
-        [tuple(map(u, triple)) for triple in kernel._sorted_triples],
-    )
+    return [(u(d), i, u(p), u(c)) for d, i, p, c in kernel._by_deadline]
 
 
 def _assert_equivalent(incremental: IncrementalKernel, components) -> None:

@@ -105,15 +105,13 @@ class TestPrimitivesMatchReference:
             else:
                 assert (interval, demand) == reference
 
-    def test_prev_deadline_and_walker(self, factory):
+    def test_prev_deadline(self, factory):
         comps = factory()
         kernel = DemandKernel(comps)
-        walker = kernel.backward_walker()
         limit = to_exact(120)
         while True:
             expected = _brute_prev(comps, limit)
             assert kernel.prev_deadline(limit) == expected
-            assert walker.prev(limit) == expected
             if expected is None:
                 break
             limit = expected
@@ -154,32 +152,32 @@ def _brute_prev(comps, limit):
     return best
 
 
-class TestWalkerStrideCache:
+class TestBackwardStep:
     def test_descending_limits_including_off_grid(self):
         comps = _mixed_components()
         kernel = DemandKernel(comps)
-        walker = kernel.backward_walker()
         # A QPA-like descent: deadline hops interleaved with off-grid
         # jumps (what `t = dbf(t)` produces).
         limits = [Fraction(199, 2), 80, Fraction(201, 4), 33, 32.75, 7, Fraction(5, 2)]
         for limit in limits:
-            assert walker.prev(limit) == _brute_prev(comps, to_exact(limit))
+            assert kernel.prev_deadline(limit) == _brute_prev(comps, to_exact(limit))
 
-    def test_increasing_limit_rejected(self):
-        kernel = DemandKernel(_mixed_components())
-        walker = kernel.backward_walker()
-        walker.prev(10)
-        with pytest.raises(ValueError, match="non-increasing"):
-            walker.prev(50)
+    def test_any_limit_order_and_limits_on_deadlines(self):
+        # No state is kept between queries, so a limit may rise again;
+        # a limit on a deadline (the one-shot's 3, the coincident 4)
+        # gives the deadline below it.
+        comps = _mixed_components()
+        kernel = DemandKernel(comps)
+        for limit in [4, 3, 50, Fraction(5, 2), 120, 4]:
+            assert kernel.prev_deadline(limit) == _brute_prev(comps, to_exact(limit))
 
     def test_exhausts_to_none(self):
         comps = as_components([DemandComponent(1, 2, 5), DemandComponent(1, 3)])
         kernel = DemandKernel(comps)
-        walker = kernel.backward_walker()
         seen = []
         limit = to_exact(20)
         while True:
-            limit = walker.prev(limit)
+            limit = kernel.prev_deadline(limit)
             if limit is None:
                 break
             seen.append(limit)
@@ -232,5 +230,6 @@ class TestContextIntegration:
         comps = _mixed_components()
         ctx = AnalysisContext.of(comps)
         probes = [1, 3, Fraction(10, 3), 50]
-        assert [ctx.kernel().dbf(t) for t in probes] == [ctx.dbf(t) for t in probes]
-        assert ctx.dbf(50) == reference_dbf(comps, 50)
+        assert [ctx.kernel().dbf(t) for t in probes] == [
+            reference_dbf(comps, t) for t in probes
+        ]

@@ -54,6 +54,7 @@ from repro.model.components import DemandComponent, as_components
 
 from .reference_walks import (
     IntervalQueue,
+    component_dbf,
     largest_deadline_below,
     reference_baruah_bound,
     reference_devi,
@@ -210,7 +211,7 @@ def reference_all_approx(ctx, policy):
                 return (
                     "infeasible",
                     interval,
-                    ctx.dbf(interval),
+                    component_dbf(components, interval),
                     iterations,
                     intervals,
                     revisions,
@@ -290,12 +291,10 @@ def test_primitives_and_registry_parity(index):
     else:
         assert (interval, demand) == expected_overflow
 
-    # Backward walk: the stride-caching walker against the full rescan.
-    walker = kernel.backward_walker()
+    # Backward walk: QPA's backward step against the full rescan.
     limit = bound + 1
     for _ in range(30):
         expected = largest_deadline_below(comps, limit)
-        assert walker.prev(limit) == expected
         assert kernel.prev_deadline(limit) == expected
         if expected is None:
             break

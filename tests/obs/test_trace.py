@@ -139,6 +139,21 @@ class TestSpanExport:
         assert record["attrs"] == {"k": 3}
         assert record["duration"] >= 0
 
+    def test_nested_span_record_names_its_parent(self):
+        # The span log is the one channel for a finished span: a nested
+        # record carries its parent, duration and attributes.
+        cursor = span_log().last_seq
+        with span("test.outer") as outer:
+            with span("test.inner", tag=7) as inner:
+                pass
+        records, _ = span_log().since(cursor)
+        record = [r for r in records if r["name"] == "test.inner"][-1]
+        assert record["span_id"] == inner.span_id
+        assert record["parent_id"] == outer.span_id
+        assert record["trace_id"] == outer.trace_id
+        assert record["attrs"] == {"tag": 7}
+        assert record["duration"] >= 0
+
     def test_export_toggle(self):
         previous = set_span_export(False)
         try:

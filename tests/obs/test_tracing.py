@@ -5,7 +5,6 @@ from repro.obs import (
     event_log,
     registry,
     set_enabled,
-    set_span_events,
     span,
 )
 
@@ -62,25 +61,3 @@ class TestSpanEvents:
         with span("test.quiet"):
             pass
         assert event_log().last_seq == before
-
-    def test_emit_event_opt_in_per_span(self):
-        with span("test.outer"):
-            with span("test.loud", emit_event=True, tag=7):
-                pass
-        events, _ = event_log().since(0)
-        last = [e for e in events if e.name == "test.loud"][-1]
-        assert last.category == "trace"
-        assert last.payload["parent"] == "test.outer"
-        assert last.payload["depth"] == 1
-        assert last.payload["tag"] == 7
-        assert last.payload["duration_seconds"] >= 0
-
-    def test_global_toggle(self):
-        previous = set_span_events(True)
-        try:
-            before = event_log().last_seq
-            with span("test.toggled"):
-                pass
-            assert event_log().last_seq == before + 1
-        finally:
-            set_span_events(previous)

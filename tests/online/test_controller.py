@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.analysis.bounds import BoundMethod
+from repro.analysis.busy_period import busy_period_of_components
 from repro.engine import analyze
 from repro.engine.context import AnalysisContext
 from repro.generation import generate_taskset
@@ -68,7 +69,7 @@ def _three_quotient_bound(controller):
         if b is not None
     ]
     if not candidates:
-        return controller._busy_period()
+        return busy_period_of_components(controller.snapshot())
     return _on_grid(controller, min(candidates))
 
 
@@ -322,6 +323,24 @@ class TestExactnessAtBoundaries:
         assert decision.admitted
         assert controller.utilization == 1
         assert analyze(list(controller.snapshot()), test="qpa").is_feasible
+
+    def test_exact_stage_rejection_at_full_utilization(self):
+        # (1,1,2) + (1,1,2): U == 1, so the bound is the busy period of
+        # the would-be system (2), not of the resident set alone (1).
+        controller = AdmissionController(TaskSet.of((1, 1, 2)))
+        would_be = list(controller.snapshot()) + list(
+            as_components([_task(1, 1, 2)])
+        )
+        decision = controller.admit(_task(1, 1, 2), name="x")
+        assert not decision.admitted and decision.stage == Stage.EXACT
+        assert decision.bound == 2
+        assert decision.bound == AnalysisContext.of(would_be).bound(
+            BoundMethod.BEST
+        )
+        assert busy_period_of_components(controller.snapshot()) == 1
+        fresh = analyze(would_be, test="qpa")
+        assert decision.witness == fresh.witness
+        assert (decision.witness.interval, decision.witness.demand) == (1, 2)
 
     def test_one_shot_components_in_bounds(self):
         controller = AdmissionController()
