@@ -32,92 +32,122 @@ Quickstart::
 
 See ``examples/`` for richer scenarios, ``README.md`` for the engine
 API, and ``EXPERIMENTS.md`` for the paper-versus-measured record.
+
+Lazy exports: ``import repro`` loads no analysis layer.  The package
+maps each exported name to the submodule defining it, and a
+module-level ``__getattr__`` (PEP 562) imports that submodule when the
+name is first read and binds the name, so a process loads only the
+layers it uses (``TESTS`` too is built on first access).
+:mod:`repro.partition`, :mod:`repro.generation`, :mod:`repro.online`
+and :mod:`repro.sim` export their names the same way, through
+:func:`repro._lazy.lazy_exports`.  Where an exported name equals its
+own submodule's name (``repro.generation.uunifast``,
+``repro.online.replay``), the name stays the function after that
+submodule is imported: the import system binds each submodule it loads
+on its package, and such a package keeps the function instead.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .analysis import (
-    BoundMethod,
-    baruah_bound,
-    busy_period_of_components,
-    critical_scaling_factor,
-    dbf,
-    devi_test,
-    feasibility_bound,
-    first_overflow,
-    george_bound,
-    liu_layland_test,
-    minimum_feasible_deadline,
-    minimum_processor_speed,
-    processor_demand_test,
-    qpa_test,
-    synchronous_busy_period,
-    system_load,
-    utilization_of,
-    wcet_slack,
-)
-from .core import (
-    LevelSchedule,
-    RevisionPolicy,
-    all_approx_test,
-    approx_test_with_error,
-    approximated_dbf,
-    compare_bounds,
-    dynamic_test,
-    max_test_interval,
-    superposition_bound,
-    superposition_test,
-)
-from .model import (
-    DemandComponent,
-    EventStream,
-    EventStreamElement,
-    EventStreamTask,
-    SporadicTask,
-    TaskSet,
-    as_components,
-    dump_taskset,
-    load_taskset,
-    task,
-)
-from .engine import (
-    AnalysisContext,
-    AnalysisRequest,
-    BatchRunner,
-    TestDefinition,
-    TestKind,
-    TestRegistry,
-    default_registry,
-)
-from .engine import analyze as _engine_analyze
-from .model import dump_system, load_any, load_system
-from .model.components import DemandSource
-from .partition import (
-    PartitionedSystem,
-    Platform,
-    minimum_cores,
-    pack,
-    partitioned_edf_test,
-    verify_partition,
-)
-from .result import FailureWitness, FeasibilityResult, Verdict
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .model.components import DemandSource
+    from .result import FeasibilityResult
 
 __version__ = "1.2.0"
 
-#: Legacy mapping of test names to their direct entry points.  New code
-#: should go through :func:`analyze` / :func:`repro.engine.analyze`,
-#: which resolve the same tests (plus ``superpos`` and ``rtc``) from the
-#: engine registry with option validation.
-TESTS = {
-    "all-approx": all_approx_test,
-    "dynamic": dynamic_test,
-    "processor-demand": processor_demand_test,
-    "qpa": qpa_test,
-    "devi": devi_test,
-    "liu-layland": liu_layland_test,
+#: Exported name -> the submodule defining it, imported on first access.
+_EXPORTS = {
+    # engine
+    "AnalysisContext": "engine",
+    "AnalysisRequest": "engine",
+    "BatchRunner": "engine",
+    "TestDefinition": "engine",
+    "TestKind": "engine",
+    "TestRegistry": "engine",
+    "default_registry": "engine",
+    # models
+    "SporadicTask": "model",
+    "task": "model",
+    "TaskSet": "model",
+    "EventStream": "model",
+    "EventStreamElement": "model",
+    "EventStreamTask": "model",
+    "DemandComponent": "model",
+    "as_components": "model",
+    "dump_taskset": "model",
+    "load_taskset": "model",
+    "dump_system": "model",
+    "load_system": "model",
+    "load_any": "model",
+    # partitioned multiprocessor
+    "Platform": "partition",
+    "PartitionedSystem": "partition",
+    "pack": "partition",
+    "minimum_cores": "partition",
+    "verify_partition": "partition",
+    "partitioned_edf_test": "partition",
+    # results
+    "FeasibilityResult": "result",
+    "FailureWitness": "result",
+    "Verdict": "result",
+    # paper contribution
+    "all_approx_test": "core",
+    "dynamic_test": "core",
+    "superposition_test": "core",
+    "approximated_dbf": "core",
+    "max_test_interval": "core",
+    "superposition_bound": "core",
+    "compare_bounds": "core",
+    "LevelSchedule": "core",
+    "RevisionPolicy": "core",
+    # baselines and substrate
+    "processor_demand_test": "analysis",
+    "qpa_test": "analysis",
+    "devi_test": "analysis",
+    "liu_layland_test": "analysis",
+    "utilization_of": "analysis",
+    "dbf": "analysis",
+    "first_overflow": "analysis",
+    "feasibility_bound": "analysis",
+    "BoundMethod": "analysis",
+    "baruah_bound": "analysis",
+    "george_bound": "analysis",
+    "synchronous_busy_period": "analysis",
+    "busy_period_of_components": "analysis",
+    # sensitivity and load
+    "system_load": "analysis",
+    "minimum_processor_speed": "analysis",
+    "critical_scaling_factor": "analysis",
+    "wcet_slack": "analysis",
+    "minimum_feasible_deadline": "analysis",
+    "approx_test_with_error": "core",
 }
+
+__all__ = ["analyze", "TESTS", "__version__", *_EXPORTS]
+_export, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name != "TESTS":
+        return _export(name)
+    global TESTS
+    # Legacy mapping of test names to their direct entry points.  New
+    # code should go through :func:`analyze` / :func:`repro.engine.analyze`,
+    # which resolve the same tests (plus ``superpos`` and ``rtc``) from
+    # the engine registry with option validation.
+    TESTS = {
+        "all-approx": _export("all_approx_test"),
+        "dynamic": _export("dynamic_test"),
+        "processor-demand": _export("processor_demand_test"),
+        "qpa": _export("qpa_test"),
+        "devi": _export("devi_test"),
+        "liu-layland": _export("liu_layland_test"),
+    }
+    return TESTS
 
 
 def analyze(
@@ -151,83 +181,14 @@ def analyze(
         ValueError: for an unknown method name, an unknown or invalid
             option, or a missing/extra ``level`` argument.
     """
+    from .engine import analyze as run
+
     if method == "superpos":
         if level is None:
             raise ValueError('method "superpos" requires a level')
-        return _engine_analyze(source, method, level=level, **options)
+        return run(source, method, level=level, **options)
     if level is not None:
         raise ValueError(
             f'level is only meaningful for method "superpos", not {method!r}'
         )
-    return _engine_analyze(source, method, **options)
-
-
-__all__ = [
-    "analyze",
-    "TESTS",
-    "__version__",
-    # engine
-    "AnalysisContext",
-    "AnalysisRequest",
-    "BatchRunner",
-    "TestDefinition",
-    "TestKind",
-    "TestRegistry",
-    "default_registry",
-    # models
-    "SporadicTask",
-    "task",
-    "TaskSet",
-    "EventStream",
-    "EventStreamElement",
-    "EventStreamTask",
-    "DemandComponent",
-    "as_components",
-    "dump_taskset",
-    "load_taskset",
-    "dump_system",
-    "load_system",
-    "load_any",
-    # partitioned multiprocessor
-    "Platform",
-    "PartitionedSystem",
-    "pack",
-    "minimum_cores",
-    "verify_partition",
-    "partitioned_edf_test",
-    # results
-    "FeasibilityResult",
-    "FailureWitness",
-    "Verdict",
-    # paper contribution
-    "all_approx_test",
-    "dynamic_test",
-    "superposition_test",
-    "approximated_dbf",
-    "max_test_interval",
-    "superposition_bound",
-    "compare_bounds",
-    "LevelSchedule",
-    "RevisionPolicy",
-    # baselines and substrate
-    "processor_demand_test",
-    "qpa_test",
-    "devi_test",
-    "liu_layland_test",
-    "utilization_of",
-    "dbf",
-    "first_overflow",
-    "feasibility_bound",
-    "BoundMethod",
-    "baruah_bound",
-    "george_bound",
-    "synchronous_busy_period",
-    "busy_period_of_components",
-    # sensitivity and load
-    "system_load",
-    "minimum_processor_speed",
-    "critical_scaling_factor",
-    "wcet_slack",
-    "minimum_feasible_deadline",
-    "approx_test_with_error",
-]
+    return run(source, method, **options)

@@ -58,7 +58,7 @@ from .engine import (
     default_jobs,
     default_registry,
 )
-from .generation import TRACE_SCENARIOS
+from .engine.registry import HEURISTICS
 from .kernel import backend_info
 from .model import (
     SporadicTask,
@@ -73,24 +73,21 @@ from .model import (
     load_trace,
     taskset_to_dict,
 )
-from .partition import (
-    HEURISTICS,
-    PartitionedSystem,
-    minimum_cores,
-    pack,
-    verify_partition,
-)
 
 # The layers of one subcommand (the HTTP service, the experiments,
-# online admission, the simulator) are imported when a subcommand that
-# uses them runs, so ``analyze`` does not pay for ``serve``.
+# partitioning, online admission, generation, the simulator) are
+# imported when a subcommand that uses them runs, and ``main`` builds
+# only that subcommand's parser, so ``analyze`` does not pay for
+# ``serve``.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service import ServiceClient
 
 __all__ = ["main", "build_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser: the full one, or with *command* (a subcommand
+    name) one that builds only that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="repro-edf",
         description=(
@@ -99,15 +96,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A one-command parser's usage line still names every command.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        add, _ = _COMMANDS[name]
+        add(sub)
+    return parser
 
-    registry = default_registry()
+
+def _add_analyze(sub: argparse._SubParsersAction) -> None:
     p_analyze = sub.add_parser("analyze", help="run a feasibility test on a task set")
     p_analyze.add_argument("file", help="task set JSON (see 'generate')")
     p_analyze.add_argument(
         "--test",
         default="all-approx",
-        choices=registry.names(),
+        choices=default_registry().names(),
         help="feasibility test to run (default: all-approx)",
     )
     p_analyze.add_argument(
@@ -154,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_out_option(p_analyze)
 
+
+def _add_generate(sub: argparse._SubParsersAction) -> None:
     p_generate = sub.add_parser("generate", help="generate a random task set")
     p_generate.add_argument("--tasks", type=int, required=True)
     p_generate.add_argument("--utilization", type=float, required=True)
@@ -166,21 +172,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--seed", type=int, default=None)
     p_generate.add_argument("-o", "--output", default=None, help="write JSON here")
 
+
+def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p_sim = sub.add_parser("simulate", help="EDF-simulate a task set")
     p_sim.add_argument("file")
     p_sim.add_argument(
         "--horizon", type=int, default=None, help="override the busy-period window"
     )
 
+
+def _add_bounds(sub: argparse._SubParsersAction) -> None:
     p_bounds = sub.add_parser("bounds", help="compare feasibility bounds")
     p_bounds.add_argument("file")
 
+
+def _add_example(sub: argparse._SubParsersAction) -> None:
     p_example = sub.add_parser("example", help="show a literature example system")
     p_example.add_argument(
         "name", nargs="?", default=None, help="omit to list available examples"
     )
     p_example.add_argument("-o", "--output", default=None, help="export as JSON")
 
+
+def _add_experiment(sub: argparse._SubParsersAction) -> None:
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
     p_exp.add_argument("which", choices=["fig1", "fig8", "fig9", "figm", "table1"])
     p_exp.add_argument(
@@ -202,11 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_out_option(p_exp)
 
+
+def _add_load(sub: argparse._SubParsersAction) -> None:
     p_load = sub.add_parser(
         "load", help="exact system load and sensitivity of a task set"
     )
     p_load.add_argument("file")
 
+
+def _add_partition(sub: argparse._SubParsersAction) -> None:
     p_part = sub.add_parser(
         "partition",
         help="pack a task set onto m identical cores (partitioned EDF)",
@@ -271,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the engine's context-cache counters after the run",
     )
 
+
+def _add_serve(sub: argparse._SubParsersAction) -> None:
     p_serve = sub.add_parser(
         "serve",
         help="run the analysis service (persistent store + job queue + HTTP)",
@@ -330,16 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log every HTTP request"
     )
 
-    url_help = "service base URL (default: http://127.0.0.1:8787)"
+
+def _add_submit(sub: argparse._SubParsersAction) -> None:
     p_submit = sub.add_parser(
         "submit", help="submit task-set file(s) to a running service"
     )
     p_submit.add_argument("files", nargs="+", help="task-set/system JSON file(s)")
-    p_submit.add_argument("--url", default="http://127.0.0.1:8787", help=url_help)
+    _add_url_option(p_submit)
     p_submit.add_argument(
         "--test",
         default="all-approx",
-        choices=registry.names(),
+        choices=default_registry().names(),
         help="feasibility test to run (default: all-approx)",
     )
     p_submit.add_argument(
@@ -375,6 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to wait for completion (with the default waiting mode)",
     )
 
+
+def _add_trace(sub: argparse._SubParsersAction) -> None:
+    from .generation import TRACE_SCENARIOS
+
     p_trace = sub.add_parser(
         "trace", help="generate an arrival trace for the online admission layer"
     )
@@ -401,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--seed", type=int, default=None)
     p_trace.add_argument("-o", "--output", default=None, help="write JSON here")
 
+
+def _add_replay(sub: argparse._SubParsersAction) -> None:
     p_replay = sub.add_parser(
         "replay", help="replay an arrival trace through an admission controller"
     )
@@ -437,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_out_option(p_replay)
 
+
+def _add_admit(sub: argparse._SubParsersAction) -> None:
     p_admit = sub.add_parser(
         "admit", help="admission-check candidate task(s) against a base system"
     )
@@ -455,20 +484,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="task-set JSON whose tasks are admitted in order",
     )
 
+
+def _add_status(sub: argparse._SubParsersAction) -> None:
     p_status = sub.add_parser("status", help="show a submitted job's status")
     p_status.add_argument("job", nargs="?", default=None,
                           help="job id (omit to list all jobs)")
-    p_status.add_argument("--url", default="http://127.0.0.1:8787", help=url_help)
+    _add_url_option(p_status)
 
+
+def _add_fetch(sub: argparse._SubParsersAction) -> None:
     p_fetch = sub.add_parser("fetch", help="fetch a finished job's results")
     p_fetch.add_argument("job", help="job id")
-    p_fetch.add_argument("--url", default="http://127.0.0.1:8787", help=url_help)
+    _add_url_option(p_fetch)
     p_fetch.add_argument(
         "--json",
         action="store_true",
         help="print raw repro/result-v1 documents instead of a table",
     )
 
+
+def _add_fleet(sub: argparse._SubParsersAction) -> None:
     p_fleet = sub.add_parser(
         "fleet",
         help="fault-tolerant analysis fleet (coordinator + workers)",
@@ -616,16 +651,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet_workers = fleet_sub.add_parser(
         "workers", help="show a coordinator's fleet membership"
     )
-    p_fleet_workers.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
+    _add_url_option(p_fleet_workers)
     p_fleet_status = fleet_sub.add_parser(
         "status",
         help="live fleet health: heartbeats, scrape ages, shards, RSS",
     )
-    p_fleet_status.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
+    _add_url_option(p_fleet_status)
     p_fleet_status.add_argument(
         "--watch",
         action="store_true",
@@ -638,6 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="--watch refresh interval in seconds (default: 2)",
     )
 
+
+def _add_obs(sub: argparse._SubParsersAction) -> None:
     p_obs = sub.add_parser(
         "obs", help="observability of a running service (metrics, events)"
     )
@@ -645,9 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_metrics = obs_sub.add_parser(
         "metrics", help="scrape /v1/metrics from a running service"
     )
-    p_obs_metrics.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
+    _add_url_option(p_obs_metrics)
     p_obs_metrics.add_argument(
         "--json",
         action="store_true",
@@ -656,9 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_events = obs_sub.add_parser(
         "events", help="read the structured event stream (one JSON per line)"
     )
-    p_obs_events.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
+    _add_url_option(p_obs_events)
     p_obs_events.add_argument(
         "--since", type=int, default=0, help="start cursor (default: 0)"
     )
@@ -681,9 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scrape the fleet-aggregated /v1/fleet/metrics view "
         "(per-worker labeled series + scrape rollups)",
     )
-    p_obs_fleet_metrics.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
+    _add_url_option(p_obs_fleet_metrics)
     p_obs_fleet_metrics.add_argument(
         "--json",
         action="store_true",
@@ -693,9 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet-events",
         help="read the merged worker event stream (worker= provenance)",
     )
-    p_obs_fleet_events.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
+    _add_url_option(p_obs_fleet_events)
     p_obs_fleet_events.add_argument(
         "--since", type=int, default=0, help="start cursor (default: 0)"
     )
@@ -725,9 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace id (32 hex chars, printed by 'submit' and in job "
         "documents); omit to list recent traces",
     )
-    p_obs_trace.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
+    _add_url_option(p_obs_trace)
     p_obs_trace.add_argument(
         "--limit",
         type=int,
@@ -744,7 +767,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the aggregated per-stage profile instead of the tree",
     )
-    return parser
+
+
+def _add_url_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--url",
+        default="http://127.0.0.1:8787",
+        help="service base URL (default: http://127.0.0.1:8787)",
+    )
 
 
 def _add_metrics_out_option(parser: argparse.ArgumentParser) -> None:
@@ -757,7 +787,11 @@ def _add_metrics_out_option(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A known command needs only its own parser; --help, --version, no
+    # command or an unknown one take the full parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, OSError, TimeoutError) + _service_error() as err:
@@ -782,47 +816,12 @@ def _service_error() -> tuple:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command in ("analyze", "experiment", "partition"):
-        command = {
-            "analyze": _cmd_analyze,
-            "experiment": _cmd_experiment,
-            "partition": _cmd_partition,
-        }[args.command]
-        code = command(args)
-        _print_cache_stats(args)
-        _dump_metrics(args)
-        return code
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "example":
-        return _cmd_example(args)
-    if args.command == "load":
-        return _cmd_load(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "replay":
-        code = _cmd_replay(args)
-        _dump_metrics(args)
-        return code
-    if args.command == "admit":
-        return _cmd_admit(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "fetch":
-        return _cmd_fetch(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    _, run = _COMMANDS[args.command]
+    code = run(args)
+    # Both honour their flag only where the command has it.
+    _print_cache_stats(args)
+    _dump_metrics(args)
+    return code
 
 
 def _dump_metrics(args: argparse.Namespace) -> None:
@@ -1109,6 +1108,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from .partition import PartitionedSystem, minimum_cores, pack, verify_partition
+
     source = load_any(args.file)
     if isinstance(source, PartitionedSystem):
         tasks, default_cores = source.tasks, source.cores
@@ -1818,6 +1819,29 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         print(json.dumps(raw, indent=2))
         return 0
     return _print_job_results(raw)
+
+
+#: Subcommand -> (the function adding its parser, the function running
+#: it), in ``--help`` order.
+_COMMANDS = {
+    "analyze": (_add_analyze, _cmd_analyze),
+    "generate": (_add_generate, _cmd_generate),
+    "simulate": (_add_simulate, _cmd_simulate),
+    "bounds": (_add_bounds, _cmd_bounds),
+    "example": (_add_example, _cmd_example),
+    "experiment": (_add_experiment, _cmd_experiment),
+    "load": (_add_load, _cmd_load),
+    "partition": (_add_partition, _cmd_partition),
+    "serve": (_add_serve, _cmd_serve),
+    "submit": (_add_submit, _cmd_submit),
+    "trace": (_add_trace, _cmd_trace),
+    "replay": (_add_replay, _cmd_replay),
+    "admit": (_add_admit, _cmd_admit),
+    "status": (_add_status, _cmd_status),
+    "fetch": (_add_fetch, _cmd_fetch),
+    "fleet": (_add_fleet, _cmd_fleet),
+    "obs": (_add_obs, _cmd_obs),
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

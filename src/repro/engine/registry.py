@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from ..model.components import DemandSource
@@ -39,7 +40,13 @@ __all__ = [
     "TestRegistry",
     "default_registry",
     "analyze",
+    "HEURISTICS",
 ]
+
+#: The bin-packing heuristics of the ``partitioned-edf`` test (see
+#: :mod:`repro.partition.packing`); the ``*d`` variants sort by
+#: decreasing utilization first.
+HEURISTICS: Tuple[str, ...] = ("ff", "bf", "wf", "nf", "ffd", "bfd", "wfd", "nfd")
 
 
 # Every analysis — CLI, batch runner, service jobs, experiment
@@ -245,6 +252,21 @@ def _coerce_bound_method(value: Any) -> Any:
     return value
 
 
+def _on_first_run(module: str, name: str) -> Callable[..., FeasibilityResult]:
+    """A runner that imports *name* from *module* (relative to this
+    package) when it first runs, so building the registry loads no
+    layer of a test the process never runs."""
+    runner: Optional[Callable[..., FeasibilityResult]] = None
+
+    def run(source: DemandSource, **options: Any) -> FeasibilityResult:
+        nonlocal runner
+        if runner is None:
+            runner = getattr(import_module(module, __package__), name)
+        return runner(source, **options)
+
+    return run
+
+
 def _build_default_registry() -> TestRegistry:
     # Imports are local: the analysis/core test modules themselves import
     # the engine preflight, so the registry must not be a module-level
@@ -259,13 +281,6 @@ def _build_default_registry() -> TestRegistry:
     from ..core.all_approx import RevisionPolicy, all_approx_test
     from ..core.dynamic import LevelSchedule, dynamic_test
     from ..core.superposition import superposition_test
-    from ..partition.feasibility import (
-        global_density_test,
-        global_gfb_test,
-        partitioned_edf_test,
-    )
-    from ..partition.packing import HEURISTICS
-    from ..rtc.analysis import rtc_feasibility_test
 
     bound_option = lambda default, help_text: OptionSpec(  # noqa: E731
         name="bound_method",
@@ -388,7 +403,7 @@ def _build_default_registry() -> TestRegistry:
         TestDefinition(
             name="rtc",
             kind=TestKind.SUFFICIENT,
-            runner=rtc_feasibility_test,
+            runner=_on_first_run("..rtc.analysis", "rtc_feasibility_test"),
             options=(
                 OptionSpec(
                     name="segments",
@@ -409,7 +424,7 @@ def _build_default_registry() -> TestRegistry:
         TestDefinition(
             name="partitioned-edf",
             kind=TestKind.SUFFICIENT,
-            runner=partitioned_edf_test,
+            runner=_on_first_run("..partition.feasibility", "partitioned_edf_test"),
             options=(
                 cores_option,
                 OptionSpec(
@@ -439,7 +454,7 @@ def _build_default_registry() -> TestRegistry:
         TestDefinition(
             name="global-edf-density",
             kind=TestKind.SUFFICIENT,
-            runner=global_density_test,
+            runner=_on_first_run("..partition.feasibility", "global_density_test"),
             options=(cores_option,),
             summary="Global EDF density bound (Bertogna et al. 2005)",
         )
@@ -448,7 +463,7 @@ def _build_default_registry() -> TestRegistry:
         TestDefinition(
             name="global-edf-gfb",
             kind=TestKind.SUFFICIENT,
-            runner=global_gfb_test,
+            runner=_on_first_run("..partition.feasibility", "global_gfb_test"),
             options=(cores_option,),
             summary="Goossens-Funk-Baruah global EDF bound (implicit deadlines)",
         )

@@ -1,46 +1,31 @@
 """Workload generation: random task sets (Bini-style) and literature examples."""
 
-from .examples import (
-    ExampleSystem,
-    burns_taskset,
-    example_systems,
-    gap_taskset,
-    gresser1_system,
-    gresser2_system,
-    ma_shin_taskset,
-)
-from .periods import loguniform_periods, ratio_constrained_periods, uniform_periods
-from .taskset_gen import GeneratorConfig, TaskSetGenerator, generate_taskset
-from .traces import (
-    TRACE_SCENARIOS,
-    bursty_trace,
-    churn_trace,
-    generate_trace,
-    poisson_trace,
-    ramp_trace,
-)
-from .uunifast import uunifast, uunifast_discard
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TRACE_SCENARIOS",
-    "generate_trace",
-    "poisson_trace",
-    "bursty_trace",
-    "ramp_trace",
-    "churn_trace",
-    "uunifast",
-    "uunifast_discard",
-    "uniform_periods",
-    "loguniform_periods",
-    "ratio_constrained_periods",
-    "GeneratorConfig",
-    "TaskSetGenerator",
-    "generate_taskset",
-    "burns_taskset",
-    "gap_taskset",
-    "ma_shin_taskset",
-    "gresser1_system",
-    "gresser2_system",
-    "example_systems",
-    "ExampleSystem",
-]
+#: Exported name -> the submodule defining it, imported on first access.
+_EXPORTS = {
+    "TRACE_SCENARIOS": "traces",
+    "generate_trace": "traces",
+    "poisson_trace": "traces",
+    "bursty_trace": "traces",
+    "ramp_trace": "traces",
+    "churn_trace": "traces",
+    "uunifast": "uunifast",
+    "uunifast_discard": "uunifast",
+    "uniform_periods": "periods",
+    "loguniform_periods": "periods",
+    "ratio_constrained_periods": "periods",
+    "GeneratorConfig": "taskset_gen",
+    "TaskSetGenerator": "taskset_gen",
+    "generate_taskset": "taskset_gen",
+    "burns_taskset": "examples",
+    "gap_taskset": "examples",
+    "ma_shin_taskset": "examples",
+    "gresser1_system": "examples",
+    "gresser2_system": "examples",
+    "example_systems": "examples",
+    "ExampleSystem": "examples",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

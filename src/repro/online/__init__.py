@@ -24,24 +24,25 @@ world:
   the packing heuristics' probe orders, one controller per core.
 """
 
-from .controller import AdmissionController, AdmissionDecision, Stage
-from .placement import PLACEMENT_HEURISTICS, OnlinePlacer, PlacementDecision
-from .replay import ParityError, ReplayRecord, ReplayReport, replay
-from .trace import ARRIVE, DEPART, ArrivalEvent, Trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "Stage",
-    "OnlinePlacer",
-    "PlacementDecision",
-    "PLACEMENT_HEURISTICS",
-    "ParityError",
-    "ReplayRecord",
-    "ReplayReport",
-    "replay",
-    "ArrivalEvent",
-    "Trace",
-    "ARRIVE",
-    "DEPART",
-]
+#: Exported name -> the submodule defining it, imported on first access.
+_EXPORTS = {
+    "AdmissionController": "controller",
+    "AdmissionDecision": "controller",
+    "Stage": "controller",
+    "OnlinePlacer": "placement",
+    "PlacementDecision": "placement",
+    "PLACEMENT_HEURISTICS": "placement",
+    "ParityError": "replay",
+    "ReplayRecord": "replay",
+    "ReplayReport": "replay",
+    "replay": "replay",
+    "ArrivalEvent": "trace",
+    "Trace": "trace",
+    "ARRIVE": "trace",
+    "DEPART": "trace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

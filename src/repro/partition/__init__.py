@@ -23,48 +23,32 @@ pickle and parallelise like every uniprocessor test::
     verify_partition(found.packing.system).ok
 """
 
-from .admission import (
-    BUILTIN_ADMISSIONS,
-    AdmissionPredicate,
-    admission_names,
-    admission_predicate,
-)
-from .feasibility import global_density_test, global_gfb_test, partitioned_edf_test
-from .packing import HEURISTICS, PackingResult, pack, packing_order
-from .platform import PartitionedSystem, Platform
-from .search import (
-    MinCoresResult,
-    min_cores_global_density,
-    minimum_cores,
-    partitioned_lower_bound,
-)
-from .verify import (
-    CoreVerdict,
-    PartitionVerification,
-    agreement,
-    verify_partition,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Platform",
-    "PartitionedSystem",
-    "AdmissionPredicate",
-    "admission_predicate",
-    "admission_names",
-    "BUILTIN_ADMISSIONS",
-    "pack",
-    "packing_order",
-    "PackingResult",
-    "HEURISTICS",
-    "minimum_cores",
-    "MinCoresResult",
-    "partitioned_lower_bound",
-    "min_cores_global_density",
-    "partitioned_edf_test",
-    "global_density_test",
-    "global_gfb_test",
-    "verify_partition",
-    "PartitionVerification",
-    "CoreVerdict",
-    "agreement",
-]
+#: Exported name -> the submodule defining it, imported on first access.
+_EXPORTS = {
+    "Platform": "platform",
+    "PartitionedSystem": "platform",
+    "AdmissionPredicate": "admission",
+    "admission_predicate": "admission",
+    "admission_names": "admission",
+    "BUILTIN_ADMISSIONS": "admission",
+    "pack": "packing",
+    "packing_order": "packing",
+    "PackingResult": "packing",
+    "HEURISTICS": "packing",
+    "minimum_cores": "search",
+    "MinCoresResult": "search",
+    "partitioned_lower_bound": "search",
+    "min_cores_global_density": "search",
+    "partitioned_edf_test": "feasibility",
+    "global_density_test": "feasibility",
+    "global_gfb_test": "feasibility",
+    "verify_partition": "verify",
+    "PartitionVerification": "verify",
+    "CoreVerdict": "verify",
+    "agreement": "verify",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, List, Optional, Tuple, Union
 
-from ..engine.registry import TestRegistry
+from ..engine.registry import HEURISTICS, TestRegistry
 from ..model.numeric import Time
 from ..model.task import SporadicTask
 from ..model.taskset import TaskSet
@@ -31,10 +31,6 @@ from .admission import AdmissionPredicate, admission_predicate
 from .platform import PartitionedSystem, Platform, _as_taskset
 
 __all__ = ["HEURISTICS", "PackingResult", "pack", "packing_order"]
-
-#: All supported heuristic names; the ``*d`` variants sort by
-#: decreasing utilization first.
-HEURISTICS: Tuple[str, ...] = ("ff", "bf", "wf", "nf", "ffd", "bfd", "wfd", "nfd")
 
 
 @dataclass(frozen=True)

@@ -8,24 +8,23 @@ optimality plus the synchronous worst case), which the integration tests
 exploit.
 """
 
-from .edf import EdfScheduler, simulate_edf
-from .engine import ReleasePlan, releases_for_system, releases_for_taskset
-from .fixed_priority import deadline_monotonic_priorities, simulate_fixed_priority
-from .gantt import render_gantt
-from .oracle import simulate_feasibility
-from .trace import DeadlineMiss, ExecutionSegment, SimulationTrace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "simulate_edf",
-    "EdfScheduler",
-    "simulate_feasibility",
-    "simulate_fixed_priority",
-    "deadline_monotonic_priorities",
-    "render_gantt",
-    "ReleasePlan",
-    "releases_for_taskset",
-    "releases_for_system",
-    "SimulationTrace",
-    "ExecutionSegment",
-    "DeadlineMiss",
-]
+#: Exported name -> the submodule defining it, imported on first access.
+_EXPORTS = {
+    "simulate_edf": "edf",
+    "EdfScheduler": "edf",
+    "simulate_feasibility": "oracle",
+    "simulate_fixed_priority": "fixed_priority",
+    "deadline_monotonic_priorities": "fixed_priority",
+    "render_gantt": "gantt",
+    "ReleasePlan": "engine",
+    "releases_for_taskset": "engine",
+    "releases_for_system": "engine",
+    "SimulationTrace": "trace",
+    "ExecutionSegment": "trace",
+    "DeadlineMiss": "trace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

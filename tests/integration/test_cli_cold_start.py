@@ -1,9 +1,11 @@
 """What a CLI process loads, and when numpy loads.
 
 ``repro.cli`` imports a subcommand's layers (the HTTP service, the
-experiments, online admission, the simulator) only when that subcommand
-runs, and numpy loads only when a kernel walk long enough for numpy's
-loops builds its int64 arrays.  The paper's own tests never run such a
+experiments, partitioning, online admission, generation, the simulator,
+real-time calculus) only when that subcommand runs, the engine registry
+imports the runners of the multiprocessor and ``rtc`` tests only when
+they run, and numpy loads only when a kernel walk long enough for
+numpy's loops builds its int64 arrays.  The paper's own tests never run such a
 walk, and a short ``qpa`` walk stays on the python loop, so ``analyze
 --test dynamic`` or ``--test qpa`` on a small set runs without numpy or
 the service stack in the process.  Import state is per process, so
@@ -36,6 +38,11 @@ SUBCOMMAND_LAYERS = (
     "repro.experiments",
     "repro.fleet",
     "http.server",
+    "repro.partition",
+    "repro.sim",
+    "repro.online",
+    "repro.generation",
+    "repro.rtc",
 )
 
 #: ``repro generate --tasks 30 --utilization 0.95 --seed 3``: its
@@ -115,6 +122,51 @@ def test_analyze_devi_compiles_a_kernel_without_numpy(tmp_path):
     assert completed.stdout.startswith("devi: unknown iterations=25")
     assert "calls=0 fallbacks=0" in completed.stdout
     assert loaded == set()
+
+
+def test_default_registry_loads_no_multiprocessor_or_rtc_layer():
+    completed = _run(
+        [],
+        textwrap.dedent(
+            """
+            import sys
+
+            from repro.engine import default_registry
+
+            registry = default_registry()
+            assert "partitioned-edf" in registry and "rtc" in registry
+            print(*sorted(
+                name for name in ("repro.partition", "repro.rtc")
+                if name in sys.modules
+            ))
+            """
+        ),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "args, expected, layer",
+    [
+        (["--test", "rtc"], "rtc(3): feasible iterations=4\n", "repro.rtc"),
+        (
+            ["--test", "partitioned-edf", "--cores", "2"],
+            "partitioned-edf: feasible iterations=14\n",
+            "repro.partition",
+        ),
+    ],
+    ids=["rtc", "partitioned-edf"],
+)
+def test_a_deferred_runner_loads_its_layer_when_it_runs(
+    tmp_path, args, expected, layer
+):
+    path = tmp_path / "burns.json"
+    dump_taskset(example_systems()["burns"], path)
+    completed, loaded = _main_in_fresh_process(["analyze", str(path), *args])
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.replace(f"loaded: {layer}\n", "") == expected
+    assert loaded == {layer}
 
 
 def test_service_error_maps_to_exit_2_without_a_traceback():
