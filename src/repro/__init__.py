@@ -37,7 +37,9 @@ Lazy exports: ``import repro`` loads no analysis layer.  The package
 maps each exported name to the submodule defining it, and a
 module-level ``__getattr__`` (PEP 562) imports that submodule when the
 name is first read and binds the name, so a process loads only the
-layers it uses (``TESTS`` too is built on first access).
+layers it uses (``TESTS`` too is built on first access).  A submodule
+read as an attribute (``repro.engine``, ``repro.partition.packing``)
+is imported the same way, so it resolves without its own import.
 :mod:`repro.partition`, :mod:`repro.generation`, :mod:`repro.online`
 and :mod:`repro.sim` export their names the same way, through
 :func:`repro._lazy.lazy_exports`.  Where an exported name equals its

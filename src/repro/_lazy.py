@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from importlib import import_module
+from importlib.util import find_spec
 from types import ModuleType
 from typing import Any, Callable, List, Mapping, Tuple
 
@@ -37,21 +38,24 @@ def lazy_exports(
 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
     """The ``__getattr__`` and ``__dir__`` of *package*, which exports
     each name of *exports* from the submodule (relative to *package*)
-    it maps to, importing that submodule on the name's first access."""
+    it maps to, importing that submodule on the name's first access.
+    Any other name that is a submodule of *package* is imported and
+    returned."""
     module = sys.modules[package]
     if any(name == submodule for name, submodule in exports.items()):
         module.__class__ = _ShadowingPackage
 
     def __getattr__(name: str) -> Any:
-        try:
-            submodule = exports[name]
-        except KeyError:
-            raise AttributeError(
-                f"module {package!r} has no attribute {name!r}"
-            ) from None
-        value = getattr(import_module(f"{package}.{submodule}"), name)
-        setattr(module, name, value)
-        return value
+        submodule = exports.get(name)
+        if submodule is not None:
+            value = getattr(import_module(f"{package}.{submodule}"), name)
+            setattr(module, name, value)
+            return value
+        # A submodule not imported yet resolves too, so that
+        # ``import repro; repro.engine.analyze(...)`` still works.
+        if not name.startswith("__") and find_spec(f"{package}.{name}"):
+            return import_module(f"{package}.{name}")
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
 
     def __dir__() -> List[str]:
         return sorted({*vars(module), *module.__all__})

@@ -256,13 +256,9 @@ def _on_first_run(module: str, name: str) -> Callable[..., FeasibilityResult]:
     """A runner that imports *name* from *module* (relative to this
     package) when it first runs, so building the registry loads no
     layer of a test the process never runs."""
-    runner: Optional[Callable[..., FeasibilityResult]] = None
 
     def run(source: DemandSource, **options: Any) -> FeasibilityResult:
-        nonlocal runner
-        if runner is None:
-            runner = getattr(import_module(module, __package__), name)
-        return runner(source, **options)
+        return getattr(import_module(module, __package__), name)(source, **options)
 
     return run
 

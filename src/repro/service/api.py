@@ -68,9 +68,7 @@ Analyses run on the job queue's workers, never on the request thread.
 A POST queues its job, then waits on it for at most ``_SUBMIT_WAIT``
 (0.1 s) and answers ``202 Accepted`` with the job's snapshot: ``done``
 with results ready at ``/result`` if the job finished by then, else
-``queued`` or ``running``, and the client polls.  A job that, counted
-with the others queued or running, finds every worker taken is answered
-``queued`` at once, without the wait.
+``queued`` or ``running``, and the client polls.
 
 Transport: the analysis server and fleet workers share one HTTP server
 class (``_HTTPServer``), a thread per connection with HTTP/1.1
@@ -696,10 +694,7 @@ class AnalysisServer:
                 )
             except ValueError as err:
                 raise ApiError(400, str(err)) from None
-            # A job queued behind a busy worker cannot finish within
-            # the wait: it is answered at once.
-            wait = 0 if self.queue.saturated() else _SUBMIT_WAIT
-            handler._send_json(202, self.queue.wait(job_id, wait))
+            handler._send_json(202, self.queue.wait(job_id, _SUBMIT_WAIT))
             return True
         if path == "/v1/jobs" and method == "GET":
             handler._send_json(200, {"jobs": self.queue.list_jobs()})

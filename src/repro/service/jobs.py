@@ -243,8 +243,6 @@ class JobQueue:
             queue.PriorityQueue()
         )
         self._sequence = 0
-        #: Jobs queued or running, counted under the lock.
-        self._unfinished = 0
         self._closed = False
         self._workers = [
             threading.Thread(
@@ -320,7 +318,6 @@ class JobQueue:
             self._jobs[job.id] = job
             self._order.append(job.id)
             self._sequence += 1
-            self._unfinished += 1
             entry = (-float(priority), self._sequence, job.id)
         self._queue.put(entry)
         _JOB_TRANSITIONS.labels(JobState.QUEUED).inc()
@@ -385,12 +382,6 @@ class JobQueue:
         job.completion.wait(timeout)
         return self.status(job_id)
 
-    def saturated(self) -> bool:
-        """``True`` when more jobs are queued or running than there are
-        workers, so the newest queued job waits for a busy worker."""
-        with self._lock:
-            return self._unfinished > len(self._workers)
-
     def stats(self) -> Dict[str, Any]:
         """Aggregate queue counters for the cache-stats endpoint."""
         with self._lock:
@@ -432,7 +423,6 @@ class JobQueue:
             was_running = job.state == JobState.RUNNING
             was_queued = job.state == JobState.QUEUED
             job.state = state
-            self._unfinished -= 1
             if error is not None:
                 job.error = error
             job.finished_at = time.time()

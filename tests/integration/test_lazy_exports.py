@@ -119,6 +119,23 @@ def test_top_level_names_outside_the_table():
     )
 
 
+def test_a_submodule_resolves_as_an_attribute():
+    """The packages once imported their submodules eagerly, so code may
+    reach one through its package without importing it."""
+    _run(
+        """
+        import repro
+
+        burns = repro.TaskSet.of((2, 6, 10), (3, 11, 16), (5, 25, 25))
+        assert repro.engine.analyze(burns, "dynamic") == repro.analyze(burns, "dynamic")
+        assert repro.partition.packing.HEURISTICS == repro.partition.HEURISTICS
+        assert repro.partition.pack is repro.partition.packing.pack
+        assert repro.generation.traces.TRACE_SCENARIOS
+        assert repro.result.Verdict is repro.Verdict
+        """
+    )
+
+
 def test_unknown_name_is_an_attribute_error():
     _run(
         """

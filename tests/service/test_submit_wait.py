@@ -4,8 +4,7 @@ The POST queues the job as before, then waits on the job's completion
 for at most ``_SUBMIT_WAIT`` seconds: a job done by then is answered
 ``done`` (results ready, no status poll needed), a longer one is
 answered ``queued`` or ``running`` and runs on the queue's worker as
-before.  A job queued behind busy workers is answered ``queued`` at
-once.  Every client here is closed (``with ServiceClient(...)``), so
+before.  Every client here is closed (``with ServiceClient(...)``), so
 the file runs clean under ``python -X dev -W error::ResourceWarning``.
 """
 
@@ -230,21 +229,18 @@ class TestJobsPastTheWait:
                 try:
                     first, _ = _timed_post(client, _document(simple_taskset))
                     assert first["state"] == "running"
-                    # Queued behind the busy worker: answered at once.
                     low, seconds = _timed_post(client, _document(simple_taskset))
                     assert low["state"] == "queued"
-                    assert seconds < api._SUBMIT_WAIT / 2
-                    high, seconds = _timed_post(
+                    assert api._SUBMIT_WAIT <= seconds < api._SUBMIT_WAIT + SLACK
+                    high, _ = _timed_post(
                         client, _document(simple_taskset, priority=5)
                     )
                     assert high["state"] == "queued"
-                    assert seconds < api._SUBMIT_WAIT / 2
                 finally:
                     runner.gate.set()
                 done = [
                     client.wait(s["job"], timeout=30) for s in (first, low, high)
                 ]
-                assert not server.queue.saturated()
         assert [s["state"] for s in done] == ["done"] * 3
         first, low, high = done
         assert first["finished_at"] <= high["started_at"] < low["started_at"]
