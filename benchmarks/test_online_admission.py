@@ -15,6 +15,13 @@ U ≈ 0.85 resident system: every arrival passes the utilization gate
 and is decided by the windowed exact QPA walk, and per-event verdicts
 are spot-checked against fresh engine analysis.
 
+Each size repeats its churn and its from-scratch analyses often enough
+(``PASSES``, in ``ROUNDS`` interleaved rounds) that every gated
+``*_seconds`` row — a total — takes about 0.2 s or more, well above
+``bench_diff.py``'s 0.05 s noise floor.  Next to each total the record
+carries its operation count and the per-operation time the speedups
+use: the mean per event and the best single from-scratch run.
+
 Results land in ``BENCH_online.json``; the committed copy is the
 baseline ``bench_diff.py`` gates against.
 """
@@ -29,9 +36,13 @@ from repro.generation import GeneratorConfig, TaskSetGenerator
 from repro.model.task import SporadicTask
 from repro.online import AdmissionController
 
-SIZES = (100, 500, 1000)
 EVENTS = 30
-SCRATCH_ROUNDS = 3
+#: Interleaved rounds of churn passes and from-scratch runs, so host
+#: contention in any one phase reaches both sides of the speedups.
+ROUNDS = 3
+#: Per size and round: passes over the churn's events, and from-scratch
+#: runs of each exact test.
+PASSES = {100: (15, 180), 500: (10, 24), 1000: (7, 9)}
 BASE_UTILIZATION = 0.85
 
 
@@ -78,7 +89,7 @@ def test_online_event_speedup(benchmark, bench_record):
     rows = []
 
     def run_all():
-        for size in SIZES:
+        for size, (passes, runs) in PASSES.items():
             controller = AdmissionController(_base_taskset(size))
             churn = _churn_events(EVENTS, seed=97 + size)
             # Warm-up: the first arrival touches every code path once.
@@ -88,30 +99,42 @@ def test_online_event_speedup(benchmark, bench_record):
             # event meets and the one analysed from scratch.
             snapshot = list(controller.snapshot())
             total = 0.0
-            pda_seconds = qpa_seconds = float("inf")
-            for index, task in enumerate(churn):
-                name = f"event{index}"
-                start = time.perf_counter()
-                decision = controller.admit(task, name=name)
-                total += time.perf_counter() - start
-                assert decision.admitted  # tiny tasks against U=0.85 fit
-                controller.remove(name)
-                if (index + 1) % (EVENTS // SCRATCH_ROUNDS) == 0:
-                    # The from-scratch samples are taken between blocks
-                    # of events, so host contention in any one phase
-                    # reaches both sides of the ratio.
-                    pda_seconds = min(
-                        pda_seconds, _scratch_seconds(snapshot, "processor-demand")
-                    )
-                    qpa_seconds = min(qpa_seconds, _scratch_seconds(snapshot, "qpa"))
-            event_seconds = total / EVENTS
+            scratch = {"processor-demand": [], "qpa": []}
+            for test in scratch:  # untimed: the first walk may import numpy
+                _scratch_seconds(snapshot, test)
+            for _ in range(ROUNDS):
+                for _ in range(passes):
+                    for index, task in enumerate(churn):
+                        name = f"event{index}"
+                        start = time.perf_counter()
+                        decision = controller.admit(task, name=name)
+                        total += time.perf_counter() - start
+                        assert decision.admitted  # tiny tasks against U=0.85 fit
+                        controller.remove(name)
+                for _ in range(runs):
+                    for test, samples in scratch.items():
+                        samples.append(_scratch_seconds(snapshot, test))
+            events = ROUNDS * passes * EVENTS
+            event_seconds = total / events
+            pda_seconds = min(scratch["processor-demand"])
+            qpa_seconds = min(scratch["qpa"])
             # Spot-check: the warm controller and the cold engine agree.
             assert analyze(snapshot, test="qpa").is_feasible
             speedup_pda = pda_seconds / event_seconds
             speedup_qpa = qpa_seconds / event_seconds
-            payload[f"online_event_{size}_seconds"] = round(event_seconds, 6)
-            payload[f"fromscratch_pda_{size}_seconds"] = round(pda_seconds, 6)
-            payload[f"fromscratch_qpa_{size}_seconds"] = round(qpa_seconds, 6)
+            # Gated totals, then their counts and per-operation times.
+            payload[f"online_event_{size}_seconds"] = round(total, 6)
+            payload[f"fromscratch_pda_{size}_seconds"] = round(
+                sum(scratch["processor-demand"]), 6
+            )
+            payload[f"fromscratch_qpa_{size}_seconds"] = round(
+                sum(scratch["qpa"]), 6
+            )
+            payload[f"online_events_{size}"] = events
+            payload[f"online_event_{size}_mean_s"] = round(event_seconds, 7)
+            payload[f"fromscratch_runs_{size}"] = ROUNDS * runs
+            payload[f"fromscratch_pda_{size}_best_s"] = round(pda_seconds, 7)
+            payload[f"fromscratch_qpa_{size}_best_s"] = round(qpa_seconds, 7)
             # Ratios anchor the trajectory but never gate (no *_seconds).
             payload[f"online_speedup_vs_pda_{size}"] = round(speedup_pda, 2)
             payload[f"online_speedup_vs_qpa_{size}"] = round(speedup_qpa, 2)

@@ -1497,8 +1497,8 @@ def _rss_mb_of(telemetry: dict, worker_id: str) -> str:
 
 
 def _cmd_fleet_workers(args: argparse.Namespace) -> int:
-    client = _service_client(args.url)
-    snapshot = client.fleet_workers()
+    with _service_client(args.url) as client:
+        snapshot = client.fleet_workers()
     telemetry = snapshot.get("telemetry") or {}
     print(
         f"fleet of {len(snapshot['workers'])} worker(s), "
@@ -1571,17 +1571,17 @@ def _print_fleet_status(snapshot: dict) -> None:
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    client = _service_client(args.url)
-    try:
-        while True:
-            _print_fleet_status(client.fleet_workers())
-            if not args.watch:
-                return 0
-            sys.stdout.flush()
-            time.sleep(args.interval)
-            print()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        return 0
+    with _service_client(args.url) as client:
+        try:
+            while True:
+                _print_fleet_status(client.fleet_workers())
+                if not args.watch:
+                    return 0
+                sys.stdout.flush()
+                time.sleep(args.interval)
+                print()
+        except KeyboardInterrupt:  # pragma: no cover - interactive
+            return 0
 
 
 def _job_options(args: argparse.Namespace) -> dict:
@@ -1681,57 +1681,57 @@ def _print_remote_profile(report: Optional[dict]) -> None:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    client = _service_client(args.url)
-    if args.job is None:
-        jobs = client.jobs()
-        if not jobs:
-            print("no jobs")
+    with _service_client(args.url) as client:
+        if args.job is None:
+            jobs = client.jobs()
+            if not jobs:
+                print("no jobs")
+                return 0
+            print(f"{'job':>14s}  {'state':>10s}  {'progress':>10s}  {'kind':>7s}")
+            for snapshot in jobs:
+                progress = f"{snapshot['done']}/{snapshot['total']}"
+                print(
+                    f"{snapshot['job']:>14s}  {snapshot['state']:>10s}  "
+                    f"{progress:>10s}  {snapshot['kind']:>7s}"
+                )
             return 0
-        print(f"{'job':>14s}  {'state':>10s}  {'progress':>10s}  {'kind':>7s}")
-        for snapshot in jobs:
-            progress = f"{snapshot['done']}/{snapshot['total']}"
-            print(
-                f"{snapshot['job']:>14s}  {snapshot['state']:>10s}  "
-                f"{progress:>10s}  {snapshot['kind']:>7s}"
-            )
-        return 0
-    snapshot = client.status(args.job)
-    for field in (
-        "job",
-        "kind",
-        "state",
-        "total",
-        "done",
-        "from_store",
-        "computed",
-        "error",
-    ):
-        print(f"{field:>12s}: {snapshot[field]}")
-    latency = snapshot.get("queue_latency_seconds")
-    if latency is not None:
-        print(f"{'queue wait':>12s}: {latency:.6f}s")
-    return 0 if snapshot["state"] != "failed" else 1
+        snapshot = client.status(args.job)
+        for field in (
+            "job",
+            "kind",
+            "state",
+            "total",
+            "done",
+            "from_store",
+            "computed",
+            "error",
+        ):
+            print(f"{field:>12s}: {snapshot[field]}")
+        latency = snapshot.get("queue_latency_seconds")
+        if latency is not None:
+            print(f"{'queue wait':>12s}: {latency:.6f}s")
+        return 0 if snapshot["state"] != "failed" else 1
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    client = _service_client(args.url)
-    if args.obs_command == "metrics":
-        if args.json:
-            print(json.dumps(client.metrics(), indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(client.metrics_text())
-        return 0
-    if args.obs_command == "fleet-metrics":
-        if args.json:
-            print(json.dumps(client.fleet_metrics(), indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(client.fleet_metrics_text())
-        return 0
-    if args.obs_command == "trace":
-        return _obs_trace(client, args)
-    if args.obs_command == "fleet-events":
-        return _obs_events(client, args, fetch=client.fleet_events)
-    return _obs_events(client, args, fetch=client.events)
+    with _service_client(args.url) as client:
+        if args.obs_command == "metrics":
+            if args.json:
+                print(json.dumps(client.metrics(), indent=2, sort_keys=True))
+            else:
+                sys.stdout.write(client.metrics_text())
+            return 0
+        if args.obs_command == "fleet-metrics":
+            if args.json:
+                print(json.dumps(client.fleet_metrics(), indent=2, sort_keys=True))
+            else:
+                sys.stdout.write(client.fleet_metrics_text())
+            return 0
+        if args.obs_command == "trace":
+            return _obs_trace(client, args)
+        if args.obs_command == "fleet-events":
+            return _obs_events(client, args, fetch=client.fleet_events)
+        return _obs_events(client, args, fetch=client.events)
 
 
 def _obs_trace(client: ServiceClient, args: argparse.Namespace) -> int:

@@ -28,18 +28,30 @@ flat arrays, departures remove a span by bisection; no per-event
 recompile, and every walk on the python loop.  The feasibility bounds
 QPA searches under (Baruah / George / superposition) are linear
 functionals of the component set plus two maxima, all maintained
-incrementally as exact `Fraction` sums, so each event reconstitutes the
-exact same bound values a fresh
+incrementally as integer numerators over one common multiple ``L`` of
+the kernel's grid periods, after the ``(H, w)`` convention of
+:meth:`~repro.kernel.DemandKernel.envelope_weights`: a component of grid
+period ``T`` weighs ``w = C·L/T``, so ``W = Σ w`` is ``U·L``.  An
+arrival whose period ``L`` does not divide grows ``L`` and rescales the
+sums; the departure of the newest arrival restores the sums from before
+it, and other departures shrink ``L`` back to the lcm of the remaining
+periods once the periods that left could have made it twice as wide as
+that lcm — one ``lcm`` over the periods, no factoring (grid periods of
+rational sets can be too large to factor).  The exact fallback grid runs
+the same code with ``L = 1`` and `Fraction` rates.  Each event thus
+reconstitutes the exact same bound values a fresh
 :class:`~repro.engine.context.AnalysisContext` would compute — which is
 what makes controller verdicts and witnesses bit-exact with from-scratch
 engine analysis (the replay harness's oracle mode asserts this per
-event).  The three bounds share the denominator ``1 − U``, so their
-numerators are compared, under a float screen, and only the least is
-divided, by integer floor division and rounded up to the kernel's grid:
-QPA starts at the last deadline at or below the bound, and deadlines lie
-on the grid, so rounding does not move the walk, and the decision
-documents carry a grid value instead of a quotient thousands of digits
-wide.
+event).  The three bounds share the denominator ``L − W``, so their
+integer numerators are compared and only the least is divided, by one
+floor division, and rounded up to the kernel's grid: QPA starts at the
+last deadline at or below the bound, and deadlines lie on the grid, so
+rounding does not move the walk, and the decision documents carry a
+grid value instead of a quotient thousands of digits wide.  The exact
+utilization each decision document carries stays a reduced `Fraction`:
+adding one arrival's small-denominator rate to it is cheap, while
+reducing ``W/L`` would take a gcd of integers thousands of digits wide.
 
 Departures never need re-verification: removing a component lowers the
 demand bound function pointwise, so a feasible system stays feasible.
@@ -50,16 +62,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.busy_period import busy_period_of_components
 from ..kernel.incremental import IncrementalKernel
-from ..model.components import (
-    DemandComponent,
-    DemandSource,
-    as_components,
-    total_utilization,
-)
+from ..model.components import DemandComponent, DemandSource, as_components
 from ..model.numeric import ExactTime
 from ..model.task import SporadicTask
 from ..model.validation import ModelError
@@ -163,23 +171,6 @@ def _exact(value: Fraction) -> ExactTime:
     return value.numerator if value.denominator == 1 else value
 
 
-def _less(x: Fraction, y: Fraction) -> bool:
-    """``x < y``, on floats while they clear each other by a 1e-6
-    relative margin (far above the rounding of a float conversion), and
-    exactly otherwise: the exact comparison of two sums with
-    denominators thousands of bits wide costs most of a division."""
-    try:
-        fx, fy = float(x), float(y)
-    except OverflowError:
-        return x < y
-    margin = 1e-6 * (abs(fx) + abs(fy)) + 1e-300  # + subnormal rounding
-    if fy - fx > margin:
-        return True
-    if fx - fy > margin:
-        return False
-    return x < y
-
-
 class _MaxTracker:
     """Multiset maximum with O(1) insert and lazy recompute on removal."""
 
@@ -203,6 +194,12 @@ class _MaxTracker:
         del self._counts[value]
         if not self._dirty and value == self._max:
             self._dirty = True
+
+    def rescale(self, num: int, den: int) -> None:
+        """Multiply every value by ``num / den`` (exact for each)."""
+        self._counts = {v * num // den: c for v, c in self._counts.items()}
+        if self._max is not None:
+            self._max = self._max * num // den
 
     @property
     def max(self) -> Optional[ExactTime]:
@@ -238,13 +235,24 @@ class AdmissionController:
         self._components: List[DemandComponent] = []
         self._kernel = IncrementalKernel(())
         self._counter = 0
-        # Incrementally maintained exact aggregates (see _accrete).
+        # The exact U, and the bound sums on the kernel grid (see
+        # _fold): L, W = Σ w, George's and the superposition
+        # numerators Σ (T − d0)·w, and the one-shot Σ C.
         self._u = Fraction(0)
-        self._oneshot = Fraction(0)
-        self._george_num = Fraction(0)
-        self._superpos_num = Fraction(0)
+        self._hyper: ExactTime = 1
+        self._weight: ExactTime = 0
+        self._george: ExactTime = 0
+        self._slack: ExactTime = 0
+        self._oneshot: ExactTime = 0
+        #: Resident grid periods → count, and a bound on the bits by
+        #: which L exceeds their lcm (periods that left, not shrunk).
+        self._periods: Dict[ExactTime, int] = {}
+        self._excess_bits = 0
         self._gaps = _MaxTracker()
         self._dmax = _MaxTracker()
+        #: ``(name, sums)``: the newest arrival and the sums from before
+        #: it, which its departure restores; any other event clears it.
+        self._undo: Optional[Tuple[str, Tuple[Any, ...]]] = None
         self.stats_counters: Dict[str, int] = {
             "events": 0,
             "arrivals": 0,
@@ -311,6 +319,7 @@ class AdmissionController:
     ) -> AdmissionDecision:
         """Decide an arrival; the task joins the system iff feasible."""
         start = time.perf_counter()
+        self._undo = None
         components = self._normalize(source)
         handle = self._handle(name)
         if not components:
@@ -321,7 +330,8 @@ class AdmissionController:
                 "arrive", handle, True, Verdict.FEASIBLE, Stage.TRIVIAL, start
             )
         added_u = sum((Fraction(c.utilization) for c in components), Fraction(0))
-        if self._u + added_u > 1:
+        utilization = self._u + added_u
+        if utilization > 1:
             self._count(Stage.GATE)
             return self._decide(
                 "arrive", handle, False, Verdict.INFEASIBLE, Stage.GATE, start
@@ -330,28 +340,46 @@ class AdmissionController:
         kernel = self._kernel
         span_start = kernel.n
         scale_before = kernel.scale
+        before = self._sums()
         for component in components:
             kernel.add(component)
-        self._accrete(components)
+        regrid = kernel.scale != scale_before
+        if regrid and kernel.scale is None:
+            self._refold()  # the grid went exact: sums on it
+        else:
+            if regrid:  # the grid grew: the resident sums follow it
+                self._regrid(Fraction(kernel.scale, scale_before))
+            self._fold(span_start, kernel.n)
+        self._u = utilization
         window_floor = min(c.first_deadline for c in components)
         bound = self._best_bound(components)
         status, interval, demand, iterations = kernel.qpa(bound, floor=window_floor)
         self._count(Stage.EXACT)
         if status == "infeasible":
-            kernel.remove_span(span_start, len(components))
-            self._accrete(components, sign=-1)
-            if kernel.scale != scale_before:
+            if regrid:
                 # The rejected candidate grew the grid (or pushed it onto
                 # the exact fallback path); the admitted system did not
                 # change, so recompile once rather than leave every
                 # subsequent event on the coarser/slower grid forever.
+                if kernel.scale is not None:
+                    self._fold(span_start, kernel.n, -1)
                 self._kernel = IncrementalKernel(self._components)
+                if kernel.scale is None:
+                    self._refold()
+                else:
+                    self._regrid(Fraction(self._kernel.scale, kernel.scale))
+                self._u = before[0]
+            else:
+                self._fold(span_start, kernel.n, -1, restore=before)
+                kernel.remove_span(span_start, len(components))
             return self._decide(
                 "arrive", handle, False, Verdict.INFEASIBLE, Stage.EXACT,
                 start, iterations=iterations, bound=bound,
                 witness=FailureWitness(interval=interval, demand=demand, exact=True),
             )
         self._install(handle, components)
+        if not regrid:
+            self._undo = (handle, before)
         return self._decide(
             "arrive", handle, True, Verdict.FEASIBLE, Stage.EXACT,
             start, iterations=iterations, bound=bound,
@@ -367,6 +395,7 @@ class AdmissionController:
         clean no-ops.
         """
         start = time.perf_counter()
+        undo, self._undo = self._undo, None
         position = self._index.get(name)
         if position is None:
             if strict:
@@ -379,9 +408,15 @@ class AdmissionController:
         )
         entry = self._entries.pop(position)
         if entry.components:
+            span_end = span_start + len(entry.components)
+            if undo is not None and undo[0] == name:
+                # The newest arrival leaves with nothing in between.
+                self._fold(span_start, span_end, -1, restore=undo[1])
+            else:
+                self._fold(span_start, span_end, -1)
+                self._u -= sum(Fraction(c.utilization) for c in entry.components)
             self._kernel.remove_span(span_start, len(entry.components))
-            self._accrete(entry.components, sign=-1)
-            del self._components[span_start : span_start + len(entry.components)]
+            del self._components[span_start:span_end]
         self._index = {e.name: i for i, e in enumerate(self._entries)}
         return self._decide(
             "depart", name, True, Verdict.FEASIBLE, Stage.DEPARTURE, start
@@ -422,14 +457,15 @@ class AdmissionController:
         self, components: Tuple[DemandComponent, ...]
     ) -> None:
         """Verify and adopt the construction-time system in one piece."""
-        if total_utilization(components) > 1:
+        for component in components:
+            self._kernel.add(component)
+        self._refold()
+        if self._weight > self._hyper:
             raise ModelError(
                 "initial system is infeasible (U > 1); an admission "
                 "controller must start from a feasible system"
             )
-        for component in components:
-            self._kernel.add(component)
-        self._accrete(components)
+        self._u = Fraction(self._weight, self._hyper)
         status, interval, demand, _ = self._kernel.qpa(self._best_bound(components))
         if status == "infeasible":
             raise ModelError(
@@ -481,37 +517,127 @@ class AdmissionController:
     def _count(self, stage: str) -> None:
         self.stats_counters[stage] += 1
 
-    def _accrete(
-        self, components: Sequence[DemandComponent], sign: int = 1
-    ) -> None:
-        """Fold *components* into (or out of) the bound aggregates.
+    # -- bound sums on the kernel grid ----------------------------------
 
-        All terms are exact rationals, so accrete followed by decrete
-        restores the previous values bit-for-bit, and the composed sums
-        equal the from-scratch formulas of :mod:`repro.analysis.bounds`
-        regardless of arrival order.
+    def _sums(self) -> Tuple[Any, ...]:
+        return (
+            self._u, self._hyper, self._weight, self._george, self._slack,
+            self._oneshot,
+        )
+
+    def _refold(self) -> None:
+        """Rebuild the sums and maxima from the kernel's arrays, with
+        ``L`` the lcm of its periods (``1`` on the exact fallback grid)."""
+        kernel = self._kernel
+        exact = kernel.scale is None
+        self._hyper = 1 if exact else lcm(*filter(None, kernel.periods))
+        self._weight = self._george = self._slack = self._oneshot = 0
+        self._periods = {}
+        self._excess_bits = 0
+        self._gaps = _MaxTracker()
+        self._dmax = _MaxTracker()
+        self._fold(0, kernel.n)
+
+    def _fold(
+        self,
+        start: int,
+        end: int,
+        sign: int = 1,
+        restore: Optional[Tuple[Any, ...]] = None,
+    ) -> None:
+        """Fold the kernel's components ``start .. end-1`` into (*sign*
+        ``1``) or out of (``-1``) the sums and maxima.
+
+        Grid values throughout: a recurrent component of grid period
+        ``T`` weighs ``w = C·L/T`` (``C/T`` on the exact grid, where
+        ``L = 1``) and adds ``(T − d0)·w`` to the superposition
+        numerator, and to George's when ``d0 ≤ T``; a one-shot adds its
+        ``C``.  A period ``L`` does not divide grows ``L`` first, and
+        every sum with it.  All terms are exact, so the sums equal
+        :func:`repro.analysis.bounds.closed_form_bounds`' on the same
+        kernel, whatever the order of events.  Folding out with
+        *restore* (:meth:`_sums` from before the components arrived,
+        nothing in between) sets the sums back to it.  Without it, once
+        the periods that left could have made ``L`` twice as wide as
+        the lcm of those that stay, ``L`` shrinks to that lcm, which
+        divides every sum.
         """
-        for c in components:
-            self._u += sign * Fraction(c.utilization)
-            d0 = Fraction(c.first_deadline)
-            if sign > 0:
-                self._dmax.add(d0)
-            else:
-                self._dmax.remove(d0)
-            if c.period is None:
-                self._oneshot += sign * Fraction(c.wcet)
+        kernel = self._kernel
+        exact = kernel.scale is None
+        counts = self._periods
+        released = 0  # bits of the periods no resident component keeps
+        for d0, period, wcet in zip(
+            kernel.d0s[start:end], kernel.periods[start:end], kernel.wcets[start:end]
+        ):
+            (self._dmax.add if sign > 0 else self._dmax.remove)(d0)
+            if not period:
+                self._oneshot += sign * wcet
                 continue
-            t = Fraction(c.period)
-            term = (1 - d0 / t) * Fraction(c.wcet)
-            self._superpos_num += sign * term
-            if d0 <= t:
-                self._george_num += sign * term
-            gap = t - d0
+            count = counts.get(period, 0) + sign
+            if count:
+                counts[period] = count
+            else:
+                del counts[period]
+                released += 0 if exact else period.bit_length()
+            gap = period - d0
             if gap > 0:
-                if sign > 0:
-                    self._gaps.add(gap)
-                else:
-                    self._gaps.remove(gap)
+                (self._gaps.add if sign > 0 else self._gaps.remove)(gap)
+            if restore is not None:
+                continue
+            if exact:
+                weight = sign * Fraction(wcet) / period
+            else:
+                if self._hyper % period:  # only on arrival
+                    self._rescale(period // gcd(self._hyper, period), 1)
+                weight = sign * wcet * (self._hyper // period)
+            term = gap * weight
+            self._weight += weight
+            self._slack += term
+            if gap >= 0:
+                self._george += term
+        if restore is not None:
+            (
+                self._u, self._hyper, self._weight, self._george, self._slack,
+                self._oneshot,
+            ) = restore
+            return
+        self._excess_bits += released
+        if released and 2 * (self._excess_bits + 1) > self._hyper.bit_length():
+            # L/lcm < 2**excess_bits, so L may be twice as wide: shrink.
+            self._rescale(1, self._hyper // lcm(*counts))
+            self._excess_bits = 0
+
+    def _rescale(self, growth: int, shrink: int) -> None:
+        """Multiply ``L`` and the sums over it by ``growth / shrink``."""
+        self._hyper, self._weight, self._george, self._slack = (
+            value * growth // shrink
+            for value in (self._hyper, self._weight, self._george, self._slack)
+        )
+
+    def _regrid(self, factor: Fraction) -> None:
+        """Carry the sums and maxima to a kernel grid *factor* times as
+        fine: grid values, ``L`` and each ``w`` scale by *factor*, the
+        ``(T − d0)·w`` numerators by its square.  Every quotient is
+        exact; ``L`` restarts at 1 when no period is left."""
+        num, den = factor.numerator, factor.denominator
+        self._hyper = self._hyper * num // den if self._periods else 1
+        self._weight = self._weight * num // den
+        self._george = self._george * num * num // (den * den)
+        self._slack = self._slack * num * num // (den * den)
+        self._oneshot = self._oneshot * num // den
+        self._periods = {p * num // den: c for p, c in self._periods.items()}
+        self._gaps.rescale(num, den)
+        self._dmax.rescale(num, den)
+
+    @property
+    def _george_num(self) -> ExactTime:
+        """George's numerator ``Σ_{d0 ≤ T} (1 − d0/T)·C`` in time units."""
+        return _exact(Fraction(self._george, self._hyper * (self._kernel.scale or 1)))
+
+    @property
+    def _superpos_num(self) -> ExactTime:
+        """The superposition numerator ``Σ (1 − d0/T)·C`` in time units."""
+        return _exact(Fraction(self._slack, self._hyper * (self._kernel.scale or 1)))
 
     # -- bounds (mirror repro.analysis.bounds on the aggregates) -------
 
@@ -519,40 +645,34 @@ class AdmissionController:
         """The least of the Baruah, George and superposition bounds,
         rounded up to the kernel's grid, for the admitted system plus the
         *pending* components under decision (already merged into the
-        kernel and the aggregates).
+        kernel and the sums).
 
-        All three are quotients by the same ``h = 1 − U > 0``:
-        ``min(a/h, b/h, max(dmax, lin/h)) = min(a, b, max(dmax·h, lin)) / h``.
-        The numerators are compared (:func:`_less`, in ``min``'s and
-        ``max``'s order), and the least one ``N`` is divided by integer
-        floor division into ``ceil(N/h · s)`` for the grid scale ``s``:
-        the bound is ``ceil(N/h · s) / s``, an ``int`` on an integer
-        grid.  QPA's first limit, ``ceil((B + 1)·s) = ceil(B·s) + s``,
-        is the same from either bound.  The exact fallback grid gets the
-        exact quotient.  At ``U = 1`` the bound is the busy period, a sum
-        of whole jobs and hence on the grid already.
+        On the grid of scale ``s`` all three are quotients by the same
+        ``L − W = L·(1 − U) > 0``, of integer numerators (one-shot sum
+        ``O`` scaled by ``L``): Baruah's ``W·max_gap + O``, George's
+        ``Σ_{d0 ≤ T} (T − d0)·w + O`` and superposition's
+        ``max(dmax·(L − W), Σ (T − d0)·w + O)``.  The least numerator
+        ``N`` is divided once, ``ceil(N / (L − W)) = ceil(B·s)``: the
+        bound is that over ``s``, an ``int`` on an integer grid.  QPA's
+        first limit, ``ceil((B + 1)·s) = ceil(B·s) + s``, is the same
+        from either bound.  The exact fallback grid (``L = 1``, rational
+        sums) gets the exact quotient.  At ``U = 1`` the bound is the
+        busy period, a sum of whole jobs and hence on the grid already.
         """
         if self._u >= 1:
             # Only reachable at U == 1 exactly (U > 1 never passes the gate).
             return busy_period_of_components([*self._components, *pending])
         if not self._kernel.n:
             return 0
-        headroom = 1 - self._u
-        oneshot = self._oneshot
-        dmax_term = self._dmax.max * headroom
-        linear = self._superpos_num + oneshot
-        least = self._u * (self._gaps.max or Fraction(0)) + oneshot
-        for numerator in (
-            self._george_num + oneshot,
-            linear if _less(dmax_term, linear) else dmax_term,
-        ):
-            if _less(numerator, least):
-                least = numerator
+        free = self._hyper - self._weight
+        oneshot = self._oneshot * self._hyper
+        least = min(
+            self._weight * (self._gaps.max or 0) + oneshot,
+            self._george + oneshot,
+            max(self._dmax.max * free, self._slack + oneshot),
+        )
         scale = self._kernel.scale
         if scale is None:
-            return _exact(least / headroom)
-        grid = -(
-            (-least.numerator * headroom.denominator * scale)
-            // (least.denominator * headroom.numerator)
-        )
+            return _exact(Fraction(least, free))
+        grid = -(-least // free)
         return grid if scale == 1 else _exact(Fraction(grid, scale))

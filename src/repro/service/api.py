@@ -71,19 +71,26 @@ with results ready at ``/result`` if the job finished by then, else
 ``queued`` or ``running``, and the client polls.
 
 Transport: the analysis server and fleet workers share one HTTP server
-class (``_HTTPServer``), a thread per connection with HTTP/1.1
-keep-alive.  It answers with compact JSON from the C encoder, turns
-Nagle's algorithm off (a response goes out as a header write and a body
-write, and with Nagle on, a kept-alive client's delayed ACK holds the
-body back ~40 ms), counts the connections it accepts
-(``repro_http_connections_total``) and, when closed, shuts down the
-connections it still holds, so no handler thread answers after
-:meth:`AnalysisServer.close`.
+class (``_HTTPServer``) with HTTP/1.1 keep-alive.  Each connection is
+served by one handler thread, and threads are reused: a thread that has
+finished its connection waits up to ``_HANDLER_IDLE`` (5 s) for the
+next one, and a new thread starts only when no thread is waiting, so a
+client that opens a fresh connection per request does not pay a thread
+start per request, and kept-alive connections never hold up a new one.
+The server answers with compact JSON from the C encoder, turns Nagle's
+algorithm off (a response goes out as a header write and a body write,
+and with Nagle on, a kept-alive client's delayed ACK holds the body back
+~40 ms), counts the connections it accepts
+(``repro_http_connections_total``) and the handler threads it starts
+(``repro_http_handler_threads_started_total``) and, when closed, shuts
+down the connections it still holds and wakes its waiting threads, so
+no handler thread answers, or lingers, after :meth:`AnalysisServer.close`.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import socket
 import sys
 import threading
@@ -135,6 +142,9 @@ _TELEMETRY_PATHS = frozenset({"/v1/metrics", "/v1/events", "/v1/traces"})
 #: needs no poll.  Twice the Python client's first poll (50 ms); a
 #: longer job is answered ``queued`` or ``running`` and runs on.
 _SUBMIT_WAIT = 0.1
+#: Seconds a handler thread that has finished its connection waits for
+#: the next one before it exits.
+_HANDLER_IDLE = 5.0
 
 _HTTP_REQUESTS = _obs_counter(
     "repro_http_requests_total",
@@ -144,6 +154,11 @@ _HTTP_REQUESTS = _obs_counter(
 _HTTP_CONNECTIONS = _obs_counter(
     "repro_http_connections_total",
     "TCP connections accepted by this process's HTTP servers.",
+)
+_HTTP_HANDLER_THREADS = _obs_counter(
+    "repro_http_handler_threads_started_total",
+    "Handler threads started by this process's HTTP servers (a thread "
+    "serves connection after connection until it idles out).",
 )
 
 
@@ -440,13 +455,17 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _HTTPServer(ThreadingHTTPServer):
     """The HTTP server of :class:`AnalysisServer` and
-    :class:`~repro.fleet.worker.FleetWorker`: a daemon thread per
-    connection, each request routed by :class:`_Handler` to *service*.
+    :class:`~repro.fleet.worker.FleetWorker`: reused daemon handler
+    threads, one connection at a time each, each request routed by
+    :class:`_Handler` to *service*.
 
-    It tracks the connections it accepted and shuts them down in
-    :meth:`server_close`: the handler thread of a kept-alive connection
-    would otherwise go on answering after the server closed (and a
-    fleet worker "killed" by closing its server would not look dead).
+    :meth:`process_request` hands a new connection to a thread waiting
+    for one (:meth:`_serve`), and starts a thread only when none is
+    waiting.  The server tracks the connections it accepted and shuts
+    them down in :meth:`server_close`, which also wakes the waiting
+    threads: the handler thread of a kept-alive connection would
+    otherwise go on answering after the server closed (and a fleet
+    worker "killed" by closing its server would not look dead).
     """
 
     daemon_threads = True
@@ -455,20 +474,62 @@ class _HTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.service = service
         self.quiet = quiet
-        self._lock = threading.Lock()  # guards the two fields below
+        self._lock = threading.Lock()  # guards the three fields below
         self._connections: Set[socket.socket] = set()
         self._closed = False
+        #: Threads waiting on ``_handoff`` that no connection has claimed.
+        self._idle = 0
+        #: ``(request, client_address)`` for a waiting thread, or
+        #: ``None``: the server closed.
+        self._handoff: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
 
     def process_request(self, request: Any, client_address: Any) -> None:
         with self._lock:
             closed = self._closed
+            waiting = not closed and self._idle > 0
             if not closed:
                 self._connections.add(request)
+            if waiting:
+                self._idle -= 1  # claim a waiting thread
         if closed:  # accepted just as server_close() ran
             self.shutdown_request(request)
             return
         _HTTP_CONNECTIONS.inc()
-        super().process_request(request, client_address)
+        if waiting:
+            self._handoff.put((request, client_address))
+            return
+        _HTTP_HANDLER_THREADS.inc()
+        threading.Thread(
+            target=self._serve,
+            args=(request, client_address),
+            name="repro-http-handler",
+            daemon=True,
+        ).start()
+
+    def _serve(self, request: Any, client_address: Any) -> None:
+        """A handler thread: serve a connection, then wait up to
+        ``_HANDLER_IDLE`` for the next one, until the server closes."""
+        while True:
+            self.process_request_thread(request, client_address)
+            with self._lock:
+                if self._closed:
+                    return
+                self._idle += 1
+            try:
+                handoff = self._handoff.get(timeout=_HANDLER_IDLE)
+            except queue.Empty:
+                with self._lock:
+                    # No unclaimed waiter left means a connection (or
+                    # server_close's None) is on its way for this one.
+                    claimed = self._idle == 0
+                    if not claimed:
+                        self._idle -= 1
+                if not claimed:
+                    return
+                handoff = self._handoff.get()
+            if handoff is None:
+                return
+            request, client_address = handoff
 
     def shutdown_request(self, request: Any) -> None:
         with self._lock:
@@ -480,6 +541,9 @@ class _HTTPServer(ThreadingHTTPServer):
         with self._lock:
             self._closed = True
             connections, self._connections = self._connections, set()
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._handoff.put(None)
         for connection in connections:
             try:
                 connection.shutdown(socket.SHUT_RDWR)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ..model.serialization import encode_value, event_from_dict
 from ..model.validation import ModelError
@@ -53,9 +53,14 @@ _SESSIONS_LIVE = _obs_gauge(
 )
 
 
-def decision_to_dict(decision: AdmissionDecision) -> Dict[str, Any]:
+def decision_to_dict(
+    decision: AdmissionDecision, utilization: Any = None
+) -> Dict[str, Any]:
     """Encode a decision as a JSON document (witness via result-v1's
-    tagged value scheme, exact values preserved)."""
+    tagged value scheme, exact values preserved).  *utilization*, if
+    given, is the decision's utilization already encoded."""
+    if utilization is None:
+        utilization = encode_value(decision.utilization)
     witness = None
     if decision.witness is not None:
         witness = {
@@ -70,7 +75,7 @@ def decision_to_dict(decision: AdmissionDecision) -> Dict[str, Any]:
         "verdict": decision.verdict.value,
         "stage": decision.stage,
         "latency_seconds": decision.latency_seconds,
-        "utilization": encode_value(decision.utilization),
+        "utilization": utilization,
         "tasks": decision.tasks,
         "iterations": decision.iterations,
         "bound": encode_value(decision.bound),
@@ -107,6 +112,10 @@ class AdmissionSession:
         self.decisions: List[Dict[str, Any]] = []
         #: Absolute index of ``decisions[0]`` (grows as the log prunes).
         self.log_base = 0
+        #: ``(U, encoded U)`` of the last two distinct utilizations: the
+        #: departure of an arrival restores the U from before it, whose
+        #: numerator and denominator can run to thousands of digits.
+        self._encoded: List[Tuple[Any, Any]] = []
 
     def apply(self, event: ArrivalEvent) -> Dict[str, Any]:
         """Apply one event; returns its indexed decision document."""
@@ -115,7 +124,9 @@ class AdmissionSession:
                 decision = self.controller.admit(event.task, name=event.name)
             else:
                 decision = self.controller.remove(event.name, strict=False)
-            document = decision_to_dict(decision)
+            document = decision_to_dict(
+                decision, self._encode_utilization(decision.utilization)
+            )
             document["index"] = self.log_base + len(self.decisions)
             document["time"] = encode_value(event.time)
             self.decisions.append(document)
@@ -124,6 +135,12 @@ class AdmissionSession:
                 del self.decisions[:drop]
                 self.log_base += drop
             return document
+
+    def _encode_utilization(self, value: Any) -> Any:
+        hits = [entry for entry in self._encoded if entry[0] == value]
+        entry = hits[0] if hits else (value, encode_value(value))
+        self._encoded = [entry, *[e for e in self._encoded if e is not entry]][:2]
+        return entry[1]
 
     def log(self, since: int = 0) -> List[Dict[str, Any]]:
         """Decision documents from absolute index *since* (the poll

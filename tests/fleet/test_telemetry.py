@@ -79,6 +79,9 @@ def http_get(url: str):
 
 #: The worker's accepted-connection counter, which a new scraper moves.
 CONNECTIONS = "repro_http_connections_total"
+#: The worker's handler-thread counter, which a new connection moves
+#: when no handler thread is waiting for one.
+HANDLER_THREADS = "repro_http_handler_threads_started_total"
 
 
 def series_map(export: dict, family: str) -> dict:
@@ -451,17 +454,22 @@ class TestScraper:
                     name: document
                     for name, document in export.items()
                     if not name.startswith("repro_fleet_")
-                    and name != CONNECTIONS
+                    and name not in (CONNECTIONS, HANDLER_THREADS)
                 }
 
             def connections():
                 export = coord.telemetry.build_registry().export_state()
                 return series_map(export, CONNECTIONS)[("idem",)]
 
+            def handler_threads():
+                export = coord.telemetry.build_registry().export_state()
+                return series_map(export, HANDLER_THREADS)[("idem",)]
+
             merged_events = len(coord.telemetry.events)
             merged_spans = len(coord.telemetry.spans)
             baseline = fleet_families()
             connections_before = connections()
+            threads_before = handler_threads()
 
             # Same scraper again, then a brand-new scraper over the
             # same telemetry — the restart case.  Cursors live in the
@@ -476,10 +484,12 @@ class TestScraper:
             assert len(coord.telemetry.events) == merged_events
             assert len(coord.telemetry.spans) == merged_spans
             assert fleet_families() == baseline
-            # The one family the worker itself moved: the old scraper's
+            # The families the worker itself moved: the old scraper's
             # kept-alive connection carried its second sweep, the fresh
-            # scraper opened one more, and it counts once.
+            # scraper opened one more, and it counts once (and started
+            # at most one handler thread).
             assert connections() == connections_before + 1
+            assert threads_before <= handler_threads() <= threads_before + 1
             view = coord.telemetry.snapshot()["workers"]["idem"]
             assert view["scrapes"] == 3
         finally:

@@ -1,6 +1,8 @@
 """Admission controller unit tests: pipeline stages, rollback, invariants."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -54,6 +56,23 @@ def _on_grid(controller, bound):
         return bound
     grid = -(-Fraction(bound) * scale // 1)
     return grid if scale == 1 else _exact(Fraction(grid, scale))
+
+
+def _churn_arrival(rng, rational):
+    """A random arrival: a task or (one in ten) a one-shot, with an
+    integer period, or with *rational* also one over a small
+    denominator (the grid grows)."""
+    period = rng.randint(20, 2000)
+    if rational and rng.random() < 0.3:
+        period = Fraction(period, rng.choice((2, 3, 5, 7, 11)))
+    wcet = period * Fraction(rng.randint(5, 80), 1000)
+    deadline = period * Fraction(rng.randint(40, 150), 100)
+    if type(period) is int:
+        wcet, deadline = max(1, int(wcet)), int(deadline)
+    deadline = max(wcet, deadline)
+    if rng.random() < 0.1:
+        return DemandComponent(wcet=wcet, first_deadline=deadline)
+    return _task(wcet, deadline, period)
 
 
 def _three_quotient_bound(controller):
@@ -238,6 +257,65 @@ class TestBookkeeping:
         assert kernel.qpa(got) == kernel.qpa(best)
         for floor in (0, 9, 20):
             assert kernel.qpa(got, floor=floor) == kernel.qpa(best, floor=floor)
+
+    def test_best_bound_through_long_churn(self):
+        """2,400 random events: arrivals with integer, then also
+        rational periods, one-shots, rejections (some of tight tasks
+        whose period brings a new prime denominator, so the grid grows
+        and shrinks back), departures of the newest arrival and from
+        the middle, and one arrival that puts the kernel on the exact
+        grid for good.  After every event ``_best_bound`` is the
+        engine's BEST bound on the grid, and the common multiple ``L``
+        of the grid periods stays within twice the bits of their lcm."""
+        rng = random.Random(2005)
+        controller = AdmissionController()
+        resident = []
+        stages = set()
+        regrid_rejections = 0
+        for event in range(2400):
+            degrade = event == 2000  # denominators past SCALE_CAP
+            tight = 800 <= event < 2000 and event % 100 == 50
+            if resident and not (degrade or tight) and rng.random() < 0.45:
+                newest = rng.random() < 0.5
+                name = resident.pop() if newest else resident.pop(
+                    rng.randrange(len(resident))
+                )
+                controller.remove(name)
+            else:
+                name = f"e{event}"
+                arrival = _churn_arrival(rng, rational=event >= 800)
+                if degrade:
+                    arrival = _task(
+                        Fraction(1, (1 << 89) - 1),
+                        Fraction(1, (1 << 107) - 1) + 3000,
+                        3000,
+                    )
+                elif tight:
+                    prime = (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)[
+                        event // 100 - 8
+                    ]
+                    arrival = _task(300, 300, Fraction(30000, prime))
+                decision = controller.admit(arrival, name=name)
+                stages.add((decision.stage, decision.admitted))
+                if tight and not decision.admitted:
+                    regrid_rejections += decision.stage == Stage.EXACT
+                assert decision.admitted or not degrade
+                if decision.admitted:
+                    resident.append(name)
+            kernel = controller._kernel
+            snapshot = list(controller.snapshot())
+            if snapshot:
+                best = AnalysisContext.of(snapshot).bound(BoundMethod.BEST)
+                assert controller._best_bound() == _on_grid(controller, best)
+            if kernel.scale is not None:
+                exact = lcm(*[p for p in kernel.periods if p])
+                assert controller._hyper % exact == 0
+                assert controller._hyper.bit_length() <= 2 * exact.bit_length()
+        assert kernel.scale is None  # the degrade stuck
+        assert regrid_rejections
+        assert stages >= {
+            (Stage.EXACT, True), (Stage.EXACT, False), (Stage.GATE, False)
+        }
 
     @pytest.mark.parametrize("size", [100, 500, 1000])
     def test_best_bound_is_the_least_quotient(self, size):

@@ -22,7 +22,8 @@ def server():
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(server.url)
+    with ServiceClient(server.url) as client:
+        yield client
 
 
 def _post_raw(server, path, document):

@@ -28,7 +28,8 @@ def server():
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(server.url)
+    with ServiceClient(server.url) as client:
+        yield client
 
 
 def _get_raw(server, path):
@@ -70,6 +71,7 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/v1/nope", timeout=10)
         assert err.value.code == 404
+        err.value.close()  # the error holds the response
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as err:
@@ -86,6 +88,7 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
+        err.value.close()  # the error holds the response
 
     def test_missing_source_is_400(self, client):
         with pytest.raises(ServiceError) as err:
@@ -152,17 +155,17 @@ class TestErrors:
 
         runner = Gated()
         with AnalysisServer(port=0, runner=runner) as live:
-            gated_client = ServiceClient(live.url)
-            job = gated_client.submit_document(
-                {"taskset": taskset_to_dict(simple_taskset)}
-            )["job"]
-            assert runner.started.wait(10)
-            with pytest.raises(ServiceError) as err:
-                gated_client.raw_results(job)
-            assert err.value.status == 409
-            runner.gate.set()
-            assert gated_client.wait(job, timeout=30)["state"] == "done"
-            assert gated_client.raw_results(job)["results"]
+            with ServiceClient(live.url) as gated_client:
+                job = gated_client.submit_document(
+                    {"taskset": taskset_to_dict(simple_taskset)}
+                )["job"]
+                assert runner.started.wait(10)
+                with pytest.raises(ServiceError) as err:
+                    gated_client.raw_results(job)
+                assert err.value.status == 409
+                runner.gate.set()
+                assert gated_client.wait(job, timeout=30)["state"] == "done"
+                assert gated_client.raw_results(job)["results"]
 
     def test_cancel_done_job_is_noop(self, client, simple_taskset):
         job = client.submit_document(

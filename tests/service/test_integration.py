@@ -44,8 +44,9 @@ class TestRestartPersistence:
     def test_restarted_server_answers_from_store(self, tmp_path, simple_taskset):
         store_path = tmp_path / "store.sqlite"
 
-        with AnalysisServer(port=0, store=store_path) as first:
-            client = ServiceClient(first.url)
+        with AnalysisServer(port=0, store=store_path) as first, ServiceClient(
+            first.url
+        ) as client:
             original = client.run([simple_taskset], "qpa")
             stats = client.cache_stats()["store"]
             assert stats["hits"] == 0 and stats["misses"] == 1
@@ -55,8 +56,9 @@ class TestRestartPersistence:
         # Simulate a restart: fresh process state, same store file.
         clear_context_cache()
 
-        with AnalysisServer(port=0, store=store_path) as second:
-            client = ServiceClient(second.url)
+        with AnalysisServer(port=0, store=store_path) as second, ServiceClient(
+            second.url
+        ) as client:
             replayed = client.run([simple_taskset], "qpa")
             stats = client.cache_stats()["store"]
             assert stats["hits"] == 1, "restart must hit the persistent store"
@@ -82,8 +84,7 @@ class TestBatchCampaignParity:
         clear_context_cache()
         with AnalysisServer(
             port=0, store=tmp_path / "store.sqlite", shard_size=16
-        ) as server:
-            client = ServiceClient(server.url)
+        ) as server, ServiceClient(server.url) as client:
             job_id = client.submit(sets, "all-approx")
             snapshot = client.wait(job_id, timeout=120)
             assert snapshot["state"] == "done"
@@ -124,16 +125,16 @@ class TestServeSubmitCli:
             assert line.startswith("serving on "), line
             url = line.split("serving on ", 1)[1]
             # Wait until the socket actually answers.
-            client = ServiceClient(url, timeout=5)
-            deadline = time.monotonic() + 10
-            while True:
-                try:
-                    client.health()
-                    break
-                except Exception:
-                    if time.monotonic() > deadline:
-                        raise
-                    time.sleep(0.05)
+            with ServiceClient(url, timeout=5) as client:
+                deadline = time.monotonic() + 10
+                while True:
+                    try:
+                        client.health()
+                        break
+                    except Exception:
+                        if time.monotonic() > deadline:
+                            raise
+                        time.sleep(0.05)
             yield url
         finally:
             process.send_signal(signal.SIGINT)
@@ -142,6 +143,7 @@ class TestServeSubmitCli:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=10)
+            process.stdout.close()
 
     def test_submit_status_fetch_roundtrip(self, tmp_path, live_server):
         from repro.cli import main
@@ -156,8 +158,8 @@ class TestServeSubmitCli:
         )
         assert code == 0
 
-        client = ServiceClient(live_server)
-        jobs = client.jobs()
+        with ServiceClient(live_server) as client:
+            jobs = client.jobs()
         assert len(jobs) == 1 and jobs[0]["state"] == "done"
         job_id = jobs[0]["job"]
 
@@ -174,7 +176,8 @@ class TestServeSubmitCli:
             )
             == 0
         )
-        last = client.jobs()[-1]
+        with ServiceClient(live_server) as client:
+            last = client.jobs()[-1]
         assert last["from_store"] == 2
         assert last["computed"] == 0
 
@@ -207,7 +210,8 @@ class TestServeSubmitCli:
         assert len(trace_lines) == 1, completed.stdout
         trace_id = trace_lines[0].split()[1]
 
-        spans = ServiceClient(live_server).trace(trace_id)
+        with ServiceClient(live_server) as client:
+            spans = client.trace(trace_id)
         assert all(record["trace_id"] == trace_id for record in spans)
         names = {record["name"] for record in spans}
         assert "http.request" in names

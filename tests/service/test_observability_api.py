@@ -25,7 +25,8 @@ def server():
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(server.url)
+    with ServiceClient(server.url) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +167,7 @@ class TestServerJournal:
         path = tmp_path / "events.jsonl"
         with AnalysisServer(
             port=0, sampler_interval=None, journal=str(path)
-        ) as live:
-            client = ServiceClient(live.url)
+        ) as live, ServiceClient(live.url) as client:
             job = client.submit([tasks], test="qpa")
             client.wait(job, timeout=30)
         lines = path.read_text(encoding="utf-8").splitlines()

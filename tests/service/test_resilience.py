@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import sqlite3
 import statistics
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro import obs
 from repro.engine import AnalysisContext, AnalysisRequest, analyze
 from repro.model import TaskSet
 from repro.service import AnalysisServer, JobQueue, JobState, ResultStore
@@ -304,6 +307,81 @@ class TestServerConnections:
                 {"wcet": 1, "deadline": 4, "period": 4}]}}
             assert client._request("POST", "/v1/jobs", document)["job"]
             assert client.health()["ok"] is True
+
+    def test_handler_threads_are_reused_and_never_held_by_idle_connections(self):
+        """More concurrent fresh-connection clients than cores, while
+        kept-alive connections sit idle, with a short switch interval
+        to shake out hand-off races: every request is answered, none
+        waits behind an idle kept-alive connection, handler threads
+        serve more than one connection each, and none outlives
+        ``close()``."""
+        callers, requests_each = (os.cpu_count() or 1) + 2, 30
+        started = obs.registry().get("repro_http_handler_threads_started_total")
+        accepted = obs.registry().get("repro_http_connections_total")
+        existing = set(threading.enumerate())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            server = AnalysisServer(port=0, sampler_interval=None).start()
+            idle = [ServiceClient(server.url) for _ in range(4)]
+            latencies, failures = [], []
+            try:
+                for client in idle:  # one kept-alive connection each
+                    begin = time.perf_counter()
+                    assert client.health()["ok"] is True
+                    latencies.append(time.perf_counter() - begin)
+                threads_before, connections_before = started.value, accepted.value
+
+                def call() -> None:
+                    for _ in range(requests_each):
+                        begin = time.perf_counter()
+                        connection = http.client.HTTPConnection(
+                            server.host, server.port, timeout=10
+                        )
+                        try:
+                            connection.request("GET", "/v1/health")
+                            response = connection.getresponse()
+                            assert json.loads(response.read())["ok"] is True
+                        except (OSError, http.client.HTTPException) as err:
+                            failures.append(err)
+                            continue
+                        finally:
+                            connection.close()
+                        latencies.append(time.perf_counter() - begin)
+
+                threads = [threading.Thread(target=call) for _ in range(callers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == []
+                assert len(latencies) == len(idle) + callers * requests_each
+                # A request handed to a thread that serves an idle
+                # kept-alive connection would wait out the 10 s timeout.
+                assert max(latencies) < 5.0
+                for client in idle:  # still answered on their connections
+                    assert client.health()["ok"] is True
+                connections = accepted.value - connections_before
+                assert connections >= callers * requests_each
+                assert started.value - threads_before < connections
+                handlers = [
+                    thread
+                    for thread in threading.enumerate()
+                    if thread.name == "repro-http-handler"
+                    and thread not in existing
+                ]
+                assert handlers
+                server.close()  # idle connections still open
+                for thread in handlers:  # well within the idle wait
+                    thread.join(timeout=2)
+                assert not any(thread.is_alive() for thread in handlers)
+            finally:
+                server.close()
+                for client in idle:
+                    client.close()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,8 @@ def server():
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(server.url)
+    with ServiceClient(server.url) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,7 @@ class TestTraceEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(url, timeout=10)
         assert err.value.code == 400
+        err.value.close()  # the error holds the response
 
     def test_events_limit_clamped(self, server, client, tasks):
         _finished_job(client, tasks)
@@ -202,10 +204,20 @@ class TestObsTraceCli:
         assert len(trace_lines[0].split()[1]) == 32
 
 
+class _FakeClientBase:
+    """What the CLI's ``with`` block needs of a client."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
 class TestEventsFollowResilience:
     def _run_follow(self, monkeypatch, capsys, pages):
         """Feed canned pages/errors to `obs events --follow`."""
-        class FakeClient:
+        class FakeClient(_FakeClientBase):
             def __init__(self, url, timeout=30.0):
                 self.calls = 0
 
@@ -252,7 +264,7 @@ class TestEventsFollowResilience:
         assert "resume with --since 6" in captured.err
 
     def test_non_follow_error_propagates(self, monkeypatch, capsys):
-        class FakeClient:
+        class FakeClient(_FakeClientBase):
             def __init__(self, url, timeout=30.0):
                 pass
 
